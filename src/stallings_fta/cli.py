@@ -213,6 +213,13 @@ def cmd_dot(args, problem, order) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stallings-fta",
@@ -237,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("element")
         p.add_argument("--json", action="store_true")
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--limit", type=int, default=None)
-        p.add_argument("--max-radius", type=int, default=8, dest="max_radius")
+        p.add_argument("--limit", type=nonnegative_int, default=None)
+        p.add_argument("--max-radius", type=nonnegative_int, default=8, dest="max_radius")
         p.add_argument("--dot", action="store_true")
         p.set_defaults(func=func)
         return p

@@ -34,14 +34,14 @@ from .words import (
     Word,
     _compact,
     _core_keep,
-    _fold_events,
+    _fold_arcs,
     canonical_renumber,
-    check_order,
     default_order,
     free_reduce,
     invert,
     is_saturated,
     multiply,
+    petal_word,
     recognizes,
     schreier_transversal,
     spanning_tree_by_order,
@@ -251,87 +251,42 @@ def open_fold(e: EnrichedAutomaton, i: int, j: int) -> EnrichedAutomaton:
 
 
 def _reduce_layers(
-    n: int,
-    num_vertices: int,
-    basepoint: int,
-    arcs: Sequence[tuple[int, int, int]],
+    ambient: Ambient,
+    skeleton: Automaton,
     layers: Sequence[Sequence[ArcLabel]],
-    order: Sequence[int],
+    order: Optional[Sequence[int]],
 ):
-    """Shared engine: enriched folding, core pruning, canonical renumbering.
+    """Enriched folding, core pruning and canonical renumbering.
 
-    layers is a list of independent (lab1, lab2) systems riding on the arcs;
-    returns (skeleton, per-layer labels, per-layer closed-fold vectors).
+    layers are independent (lab1, lab2) systems riding on the arcs; the
+    folding reads them side by side as one vector per arc.  Returns
+    (skeleton, per-layer labels, per-layer closed-fold vectors).
     """
-    work = [list(arc) for arc in arcs]
-    labs = [[list(map(tuple, pair)) for pair in layer] for layer in layers]
-    gained: list[list[Vector]] = [[] for _ in layers]
+    m = ambient.m
 
-    def directed(layer, idx, d):
-        lab1, lab2 = labs[layer][idx]
-        return (lab1, lab2) if d == 1 else (vec_neg(lab2), vec_neg(lab1))
+    def vector(x: int) -> Vector:
+        return tuple(b - a for layer in layers for a, b in zip(*layer[x]))
 
-    uf = None
-    for event, kept, dropped, d, uf in _fold_events(num_vertices, work):
-        if event == "closed":
-            for li in range(len(labs)):
-                l1e, l2e = directed(li, kept, d)
-                l1f, l2f = directed(li, dropped, d)
-                gained[li].append(vec_add(vec_sub(l1e, l2e), vec_sub(l2f, l1f)))
-            continue
-        # open fold: match directed labels of `dropped` to `kept`
-        w_f = uf.find(work[dropped][2] if d == 1 else work[dropped][0])
-        for li in range(len(labs)):
-            l1e, _ = directed(li, kept, d)
-            l1f, _ = directed(li, dropped, d)
-            c1 = vec_scale_dir(d, vec_sub(l1e, l1f))
-            pair = labs[li][dropped]
-            labs[li][dropped] = [vec_add(pair[0], c1), vec_add(pair[1], c1)]
-            _, l2e = directed(li, kept, d)
-            _, l2f = directed(li, dropped, d)
-            c2 = vec_scale_dir(d, vec_sub(l2e, l2f))
-            if any(c2):
-                for idx, arc in enumerate(work):
-                    if arc[1] == 0:
-                        continue
-                    p = labs[li][idx]
-                    if uf.find(arc[0]) == w_f:
-                        p[0] = vec_add(p[0], c2)
-                    if uf.find(arc[2]) == w_f:
-                        p[1] = vec_add(p[1], c2)
-    if uf is None:
-        uf = _UnionFindStub(num_vertices)
+    rep, potential, kept, gained = _fold_arcs(skeleton.num_vertices, skeleton.arcs, vector)
+    resolved = [(rep[o], k, rep[t]) for o, k, t in (skeleton.arcs[x] for x in kept)]
+    bp = rep[skeleton.basepoint]
+    _, core_idx = _core_keep(skeleton.num_vertices, bp, resolved)
+    folded = _compact(ambient.n, skeleton.num_vertices, bp, [resolved[i] for i in core_idx])
+    folded, _, arc_map = canonical_renumber(folded, order)
+    survivors = [kept[core_idx[i]] for i in arc_map]
 
-    resolved_arcs = []
-    resolved_labels: list[list[ArcLabel]] = [[] for _ in layers]
-    for idx, (o, k, t) in enumerate(work):
-        if k == 0:
-            continue
-        resolved_arcs.append((uf.find(o), k, uf.find(t)))
-        for li in range(len(labs)):
-            resolved_labels[li].append(tuple(map(tuple, labs[li][idx])))
-    bp = uf.find(basepoint)
+    def part(vec: Vector, li: int) -> Vector:
+        return vec[li * m:(li + 1) * m]
 
-    kept_vertices, kept_idx = _core_keep(num_vertices, bp, resolved_arcs)
-    resolved_arcs = [resolved_arcs[i] for i in kept_idx]
-    resolved_labels = [[layer[i] for i in kept_idx] for layer in resolved_labels]
+    def shifted(lab: Vector, v: int, li: int) -> Vector:
+        return lab if potential[v] is None else vec_add(lab, part(potential[v], li))
 
-    skeleton = _compact(n, num_vertices, bp, resolved_arcs)
-    skeleton, _, arc_map = canonical_renumber(skeleton, order)
-    resolved_labels = [tuple(layer[i] for i in arc_map) for layer in resolved_labels]
-    return skeleton, resolved_labels, gained
-
-
-def vec_scale_dir(d: int, v: Vector) -> Vector:
-    return v if d == 1 else vec_neg(v)
-
-
-class _UnionFindStub:
-    def __init__(self, n: int):
-        pass
-
-    def find(self, v: int) -> int:
-        return v
+    ends = [(x, skeleton.arcs[x][0], skeleton.arcs[x][2]) for x in survivors]
+    labels = [
+        tuple((shifted(layer[x][0], o, li), shifted(layer[x][1], t, li)) for x, o, t in ends)
+        for li, layer in enumerate(layers)
+    ]
+    return folded, labels, [[part(g, li) for g in gained] for li in range(len(layers))]
 
 
 def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> EnrichedAutomaton:
@@ -340,19 +295,9 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
     Closed folds feed the basepoint subgroup; pruned hanging arcs may carry
     labels, which is sound because no reduced basepoint walk crosses them.
     """
-    order = check_order(order, e.ambient.n) if order is not None else default_order(e.ambient.n)
-    skeleton, layers, gained = _reduce_layers(
-        e.ambient.n,
-        e.skeleton.num_vertices,
-        e.skeleton.basepoint,
-        e.skeleton.arcs,
-        [e.labels],
-        order,
-    )
-    base = AbelianSubgroup.from_generators(
-        e.ambient.abelian, e.base.lattice_basis + tuple(gained[0])
-    )
-    return EnrichedAutomaton(e.ambient, skeleton, layers[0], base)
+    skeleton, (labels,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
+    base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
+    return EnrichedAutomaton(e.ambient, skeleton, labels, base)
 
 
 def normalize(e: EnrichedAutomaton, tree: SpanningTree) -> EnrichedAutomaton:
@@ -444,14 +389,9 @@ def basis(e: EnrichedAutomaton, tree: Optional[SpanningTree] = None) -> Subgroup
         e = normalize(e, tree)
     free = []
     for arc_idx in tree.petal_arcs:
-        word = _petal_word(e.skeleton, tree, arc_idx)
+        word = petal_word(e.skeleton, tree, arc_idx)
         free.append(GroupElement(word, e.ambient.abelian.canonicalize(e.labels[arc_idx][1])))
     return SubgroupBasis(tuple(free), e.base)
-
-
-def _petal_word(skeleton: Automaton, tree: SpanningTree, arc_idx: int) -> Word:
-    o, k, t = skeleton.arcs[arc_idx]
-    return tree.word_to(skeleton, o) + (k,) + invert(tree.word_to(skeleton, t))
 
 
 def index_report(e: EnrichedAutomaton):

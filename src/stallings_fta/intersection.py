@@ -60,6 +60,7 @@ from .words import (
     check_order,
     default_order,
     invert,
+    petal_word,
     product_with_provenance,
     recognizes,
     spanning_tree_by_order,
@@ -139,14 +140,7 @@ def doubly_reduce(
     x: DoublyEnrichedAutomaton, order: Optional[Sequence[int]] = None
 ) -> DoublyEnrichedAutomaton:
     """Fold a doubly-enriched automaton; closed folds feed both subgroups."""
-    skeleton, layers, gained = _reduce_layers(
-        x.ambient.n,
-        x.skeleton.num_vertices,
-        x.skeleton.basepoint,
-        x.skeleton.arcs,
-        [x.labels1, x.labels2],
-        check_order(order, x.ambient.n) if order is not None else default_order(x.ambient.n),
-    )
+    skeleton, layers, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
     spec = x.ambient.abelian
     base1 = AbelianSubgroup.from_generators(spec, x.base1.lattice_basis + tuple(gained[0]))
     base2 = AbelianSubgroup.from_generators(spec, x.base2.lattice_basis + tuple(gained[1]))
@@ -246,9 +240,7 @@ def intersection_matrices(
     words = []
     petal_labels = []
     for arc_idx in tree.petal_arcs:
-        o, k, t = prod.skeleton.arcs[arc_idx]
-        word = tree.word_to(prod.skeleton, o) + (k,) + invert(tree.word_to(prod.skeleton, t))
-        words.append(word)
+        words.append(petal_word(prod.skeleton, tree, arc_idx))
         petal_labels.append((prod.labels1[arc_idx][1], prod.labels2[arc_idx][1]))
 
     tree1 = spanning_tree_by_order(e1.skeleton, order)
@@ -299,6 +291,8 @@ def cayley_multidigraph(
     r = len(deltas)
     if any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
+    if radius is not None and radius < 0:
+        raise ValueError("ball radius must be nonnegative")
     if len(q_rows) != r:
         raise ValueError("one generator row per delta required")
 
@@ -461,6 +455,8 @@ def intersect_stages(
     free part has length at most 2n; spanning trees and bases grow
     monotonically, so the concatenated new_elements enumerate a basis.
     """
+    if max_radius < 0:
+        raise ValueError("max_radius must be nonnegative")
     prod = doubly_enriched_product(e1, e2, order)
     report = intersection_matrices(e1, e2, prod, order)
     ambient = e1.ambient

@@ -44,6 +44,8 @@ class ProblemFile:
         raise KeyError(f"no subgroup named {name!r} (defined: {known})")
 
 
+MAX_WORD_LETTERS = 10**6  # before free reduction; bounds what parsing allocates
+
 _LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 _VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$")
 _GROUP_RE = re.compile(r"F(\d+)$")
@@ -70,6 +72,10 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
                     f"generator x{idx} out of range (free rank {ambient.n})", line, col
                 )
             exp = int(m.group(2)) if m.group(2) is not None else 1
+            if len(word) + abs(exp) > MAX_WORD_LETTERS:
+                raise ProblemParseError(
+                    f"word longer than {MAX_WORD_LETTERS} letters", line, col
+                )
             word.extend([idx if exp > 0 else -idx] * abs(exp))
             continue
         m = _VECTOR_RE.match(token)

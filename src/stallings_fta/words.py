@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
+from .abelian import Vector, vec_add, vec_neg, vec_sub
+
 Word = tuple[int, ...]
 Arc = tuple[int, int, int]  # (origin, letter in 1..n, target)
 
@@ -122,69 +124,111 @@ def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
     return Automaton(n, num, 0, tuple(arcs))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _fold_arcs(num_vertices: int, arcs: Sequence[Arc], vector=None):
+    """Stallings folding driven by a worklist of colliding arc pairs.
 
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+    A union-find merges vertex classes.  Each class keeps a map from signed
+    letter to the arc leaving it that way; a union merges the smaller map
+    into the larger one and queues the arcs that collide.  Of two colliding
+    arcs, the one with the larger index is folded onto the other.
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    With `vector` (arc index -> abelian vector read crossing it forward),
+    each vertex also carries a potential: the vertex transformations applied
+    to it so far, stored relative to its union-find parent.  Let e be the
+    vector read along an arc in the fold's direction, potentials included.
+    An open fold of arc j onto arc i adds e_i - e_j to the class of j's
+    target; a closed fold gains e_j - e_i for the basepoint subgroup.  No
+    arc label is rewritten, and vectors are read only when a fold needs them.
 
-
-def _fold_events(num_vertices: int, arcs: list[list[int]]):
-    """Drive Stallings folding; yields ('open'|'closed', kept, dropped, uf).
-
-    arcs entries are mutable [origin, letter, target] records; dropped arcs
-    are marked dead by setting their letter to 0.  The caller may adjust
-    labels between events; vertex classes live in the returned union-find.
+    Returns (rep, potential, kept, gained): rep[v] is the least vertex of v's
+    class, potential[v] the potential of v (None when zero), kept the
+    surviving arc indices in increasing order, gained the nonzero closed-fold
+    vectors.
     """
-    uf = _UnionFind(num_vertices)
-    changed = True
-    while changed:
-        changed = False
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for idx, arc in enumerate(arcs):
-            if arc[1] == 0:
-                continue
-            o, t = uf.find(arc[0]), uf.find(arc[2])
-            for v, s, w, d in ((o, arc[1], t, 1), (t, -arc[1], o, -1)):
-                key = (v, s)
-                if key not in seen:
-                    seen[key] = (idx, w)
-                    continue
-                jdx, wj = seen[key]
-                if wj == w:
-                    yield "closed", jdx, idx, d, uf
-                else:
-                    yield "open", jdx, idx, d, uf
-                    uf.union(wj, w)
-                arcs[idx][1] = 0
-                changed = True
-                break
-            if changed:
-                break
-    return
+    parent = list(range(num_vertices))
+    pot: list[Optional[Vector]] = [None] * num_vertices
+    least = list(range(num_vertices))
+    out: list[Optional[dict[int, int]]] = [{} for _ in range(num_vertices)]
+    alive = [True] * len(arcs)
+    gained: list[Vector] = []
+
+    def find(v: int) -> int:
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        for u in reversed(path[:-1]):  # path[-1] already hangs off the root
+            pot[u] = _add(pot[u], pot[parent[u]])
+            parent[u] = v
+        return v
+
+    def potential(v: int) -> Optional[Vector]:
+        root = find(v)
+        return pot[v] if v == root else _add(pot[v], pot[root])
+
+    def read(x: int, s: int) -> Vector:
+        o, _, t = arcs[x]
+        if s > 0:
+            e = vector(x)
+        else:
+            e, o, t = vec_neg(vector(x)), t, o
+        return _sub(_add(e, potential(t)), potential(o))
+
+    work = [(x, v, s) for x, (o, k, t) in enumerate(arcs) for v, s in ((o, k), (t, -k))]
+    while work:
+        a, v, s = work.pop()
+        if not alive[a]:
+            continue
+        slots = out[find(v)]
+        b = slots.setdefault(s, a)
+        if b == a:
+            continue
+        i, j = (a, b) if a < b else (b, a)
+        slots[s] = i
+        alive[j] = False
+        end = 2 if s > 0 else 0
+        ri, rj = find(arcs[i][end]), find(arcs[j][end])
+        if out[rj].get(-s) == j:
+            del out[rj][-s]
+        c = vec_sub(read(i, s), read(j, s)) if vector is not None else ()
+        if ri == rj:
+            if any(c):
+                gained.append(vec_neg(c))
+            continue
+        if any(c):
+            pot[rj] = _add(pot[rj], c)
+        if len(out[ri]) < len(out[rj]):
+            ri, rj = rj, ri
+        parent[rj] = ri
+        pot[rj] = _sub(pot[rj], pot[ri])
+        least[ri] = min(least[ri], least[rj])
+        big = out[ri]
+        for s2, x in out[rj].items():
+            if big.setdefault(s2, x) != x:
+                work.append((x, ri, s2))
+        out[rj] = None
+
+    rep = [least[find(v)] for v in range(num_vertices)]
+    kept = [x for x in range(len(arcs)) if alive[x]]
+    return rep, [potential(v) for v in range(num_vertices)], kept, gained
+
+
+def _add(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
+    """vec_add with None for zero."""
+    if u is None:
+        return v
+    return u if v is None else vec_add(u, v)
+
+
+def _sub(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
+    return u if v is None else _add(u, vec_neg(v))
 
 
 def fold(a: Automaton) -> Automaton:
     """Fold to a deterministic automaton recognizing the same subgroup."""
-    arcs = [list(arc) for arc in a.arcs]
-    uf = None
-    for _event, _kept, _dropped, _d, uf in _fold_events(a.num_vertices, arcs):
-        pass
-    if uf is None:
-        uf = _UnionFind(a.num_vertices)
-    kept = [(uf.find(o), k, uf.find(t)) for o, k, t in arcs if k]
-    return _compact(a.n, a.num_vertices, uf.find(a.basepoint), kept)
+    rep, _, kept, _ = _fold_arcs(a.num_vertices, a.arcs)
+    arcs = [(rep[o], k, rep[t]) for o, k, t in (a.arcs[x] for x in kept)]
+    return _compact(a.n, a.num_vertices, rep[a.basepoint], arcs)
 
 
 def _compact(n: int, num_vertices: int, basepoint: int, arcs: list[Arc]) -> Automaton:

@@ -4,6 +4,7 @@ import pytest
 
 from stallings_fta.cli import main
 from stallings_fta.syntax import (
+    MAX_WORD_LETTERS,
     ProblemParseError,
     format_problem,
     parse_element,
@@ -88,6 +89,14 @@ class TestParsing:
         with pytest.raises(ProblemParseError):
             parse_problem("group F1 x Z/4Z x Z/6Z\nH:\n")
 
+    def test_huge_exponent_rejected_before_expansion(self):
+        with pytest.raises(ProblemParseError):
+            parse_problem("group F2 x Z\nH: x1^1000000000\n")
+        ambient = parse_problem(MOLDAVANSKI).ambient
+        half = MAX_WORD_LETTERS // 2 + 1
+        with pytest.raises(ProblemParseError):
+            parse_element(f"x1^{half} x2^-{half}", ambient)
+
     def test_identity_and_scalar_tail(self):
         problem = parse_problem("group F1 x Z\nH: 1, x1 t^3\n")
         gens = problem.subgroup("H")
@@ -170,6 +179,16 @@ class TestCommands:
         assert main(["cayley", case1_file, "H1", "H2"]) == 0
         out = capsys.readouterr().out
         assert out.count("w1") == 6 and out.count("w2") == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["cayley", "H1", "H2", "--max-radius", "-1"],
+        ["intersect", "H1", "H2", "--max-radius", "-1", "--dot"],
+        ["transversal", "H1", "--limit", "-1"],
+    ])
+    def test_negative_radius_or_limit_exit(self, moldavanski_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], moldavanski_file] + argv[1:])
+        assert exc.value.code == 2
 
     def test_parse_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,14 @@ from stallings_fta.enriched import (
     transversal_stream,
     vertex_transformation,
 )
-from stallings_fta.words import multiply, spanning_tree_by_order
+from stallings_fta.words import (
+    canonical_renumber,
+    core,
+    flower,
+    fold,
+    multiply,
+    spanning_tree_by_order,
+)
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -182,6 +190,53 @@ class TestFolds:
             after = reduce(stepped)
             for g in gens:
                 assert member(after, g) == member(before, g) == True
+
+
+def flip_letter(e, k):
+    """Store every x_k arc the other way round: (o, k, t) with labels (a, b)
+    becomes (t, k, o) with (b, a).  Each label stays at its vertex, so two
+    x_k arcs sharing a target now share an origin, and flipping twice is the
+    identity."""
+    arcs, labels = [], []
+    for (o, kk, t), (a, b) in zip(e.skeleton.arcs, e.labels):
+        if kk == k:
+            o, t, a, b = t, o, b, a
+        arcs.append((o, kk, t))
+        labels.append((a, b))
+    return replace(e, skeleton=replace(e.skeleton, arcs=tuple(arcs)), labels=tuple(labels))
+
+
+def fold_by_paper_steps(e):
+    """open_fold/closed_fold on the first foldable pair until deterministic."""
+    while True:
+        arcs = e.skeleton.arcs
+        for i, j in itertools.combinations(range(len(arcs)), 2):
+            (oi, ki, ti), (oj, kj, tj) = arcs[i], arcs[j]
+            if ki != kj:
+                continue
+            if oi == oj:
+                e = closed_fold(e, i, j) if ti == tj else open_fold(e, i, j)
+                break
+            if ti == tj:  # the inverse arcs share their origin
+                e = flip_letter(open_fold(flip_letter(e, ki), i, j), ki)
+                break
+        else:
+            return e
+
+
+class TestFoldEngineAgainstPaperSteps:
+    @pytest.mark.parametrize("ambient", [F2Z2, Ambient(2, AbelianSpec(1, (6,)))])
+    def test_random_flowers(self, ambient):
+        rng = random.Random(33)
+        for _ in range(60):
+            gens = [random_element(rng, ambient, maxlen=5) for _ in range(rng.randint(1, 4))]
+            stepped = fold_by_paper_steps(enriched_flower(ambient, gens))
+            assert stepped.skeleton.is_deterministic()
+            e = reduce(stepped)  # deterministic already: core and renumbering only
+            assert normalize(e, spanning_tree_by_order(e.skeleton)) == stallings(ambient, gens)
+            plain = flower(ambient.n, [g.word for g in gens if g.word])
+            folded = reduce(enriched_flower(ambient, gens))
+            assert canonical_renumber(core(fold(plain)))[0] == folded.skeleton
 
 
 class TestStallingsCanonical:

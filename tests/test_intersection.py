@@ -200,6 +200,10 @@ class TestCayley:
         with pytest.raises(ValueError):
             cayley_multidigraph((0,), ((1,),))
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            cayley_multidigraph((1, 0), ((1, 0), (0, 1)), radius=-1)
+
 
 class TestExpansion:
     def test_trivial_expansion(self):
@@ -371,6 +375,13 @@ class TestStreams:
         for s in seen:
             for g in s.new_elements:
                 assert member(h1, g) and member(h2, g)
+
+    def test_negative_radius_rejected(self):
+        h1, h2 = moldavanski()
+        with pytest.raises(ValueError):
+            intersect_stages(h1, h2, max_radius=-1)
+        with pytest.raises(ValueError):
+            intersect_stream(h1, h2, max_radius=-1)
 
     def test_ball_guarantee_case2(self):
         h1, h2 = parameterized((3, 3), (2, 2), [(1, 2)], [])
