@@ -499,25 +499,21 @@ class AbelianSubgroup:
         dec = snf(coeffs, h)
         return h - sum(1 for d in dec.deltas if d == 1)
 
-    def transversal(self, budget: Optional[int] = None) -> Iterator[Vector]:
+    def transversal(self) -> Iterator[Vector]:
         """Coset representatives mod L, graded by sum of absolute values.
 
-        Complete when the index is finite; pass a budget to truncate an
-        infinite stream.
+        Complete when the index is finite; otherwise infinite, so truncate it
+        with itertools.islice.
         """
         target = self.index()
         seen = set()
-        emitted = 0
         for vec in self.spec.elements():
             rep = self.reduce_mod(vec)
             if rep in seen:
                 continue
             seen.add(rep)
             yield vec
-            emitted += 1
-            if emitted == target:
-                return
-            if budget is not None and emitted >= budget:
+            if len(seen) == target:
                 return
 
     def finite_index_completion(self) -> "AbelianSubgroup":

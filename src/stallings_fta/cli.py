@@ -11,6 +11,7 @@ are fully deterministic and it is never read.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -129,7 +130,7 @@ def cmd_transversal(args, problem, order) -> int:
     if total is INFINITY and args.limit is None:
         print("error: infinite index; use --limit", file=sys.stderr)
         return 2
-    reps = [format_element(g) for g in transversal_stream(e, budget=args.limit)]
+    reps = [format_element(g) for g in itertools.islice(transversal_stream(e), args.limit)]
     truncated = total is INFINITY or (args.limit is not None and args.limit < total)
     if args.json:
         print(_dump({"schema": SCHEMA, "transversal": reps, "truncated": truncated}))

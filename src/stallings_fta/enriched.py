@@ -402,13 +402,12 @@ def index_report(e: EnrichedAutomaton):
     return free, ab, total
 
 
-def transversal_stream(
-    e: EnrichedAutomaton, budget: Optional[int] = None
-) -> Iterator[GroupElement]:
+def transversal_stream(e: EnrichedAutomaton) -> Iterator[GroupElement]:
     """Right-coset representatives v t^c, graded by |v| + sum|c|.
 
     Within a grade, smaller abelian weight first; ties follow the underlying
-    Schreier and abelian streams.  Complete when the total index is finite.
+    Schreier and abelian streams.  Complete when the total index is finite;
+    otherwise infinite, so truncate it with itertools.islice.
     """
     _, _, total = index_report(e)
     words = _graded_buffer(schreier_transversal(e.skeleton), len)
@@ -420,7 +419,7 @@ def transversal_stream(
                 for word in words.of_grade(level - ab_weight):
                     yield GroupElement(word, vec)
                     emitted += 1
-                    if emitted == total or (budget is not None and emitted >= budget):
+                    if emitted == total:
                         return
         if words.exhausted and vecs.exhausted and level >= words.max_grade + vecs.max_grade:
             return

@@ -9,13 +9,17 @@ M = (L1 + L2) D^-1 <= Z^r controls everything: the intersection's free
 projection is the Cayley multidigraph of Z^r / M, finitely generated
 exactly when r = 0, r = 1, or rank(M) = r.
 
-In the finitely generated case the Stallings automaton of the intersection
-is obtained by vertex-expanding that Cayley graph by the product automaton
-and equalizing each double label (a, b) to a witness in (a+L1) & (b+L2).
-Otherwise the same expansion applied to growing balls of the infinite
-Cayley graph yields a strictly increasing chain of automata whose petals
-enumerate a recursive basis: every element of the intersection with free
-length at most 2n is already recognized by the n-th stage.
+The intersection is built by vertex-expanding that Cayley graph by the
+product automaton and equalizing each double label (a, b) to a witness in
+(a+L1) & (b+L2).  One stream does both, one Cayley sphere per stage: the
+stages form a strictly increasing chain of automata whose petals enumerate
+a recursive basis, and every element of the intersection with free length
+at most 2n is already recognized by the n-th stage.  In the finitely
+generated case the Cayley graph is finite and the stream runs to
+completion; the core of its last stage, canonically numbered, is the
+Stallings automaton of the intersection.  cayley_multidigraph,
+vertex_expand, doubly_reduce and equalize remain as the paper's separate
+steps.
 """
 
 from __future__ import annotations
@@ -32,12 +36,10 @@ from .abelian import (
     SnfDecomposition,
     Vector,
     coset_intersection_witness,
-    mat_identity,
     preimage_under_matrix,
     snf,
     vec_add,
     vec_mat,
-    vec_neg,
     vec_sub,
 )
 from .enriched import (
@@ -49,6 +51,7 @@ from .enriched import (
     _reduce_layers,
     _tree_potentials,
     basis,
+    normalize,
 )
 from .words import (
     Automaton,
@@ -278,6 +281,50 @@ def intersection_matrices(
     )
 
 
+class _CayleyBall:
+    """Breadth-first ball of the Cayley multidigraph of Z/delta_1 + ... +
+    Z/delta_r on the rows of Q, grown one sphere at a time.
+
+    Vertices are numbered in discovery order.  Growing reduces each vertex of
+    the outer sphere's v + g_i and v - g_i once, numbers those not seen yet
+    as the next sphere, and records plus[v][i] and minus[v][i], the numbers
+    of v + g_i and v - g_i.
+    """
+
+    def __init__(self, deltas: Sequence[int], q_rows: Sequence[Sequence[int]]):
+        self.deltas = tuple(deltas)
+        self.gens = [self._reduce(row) for row in q_rows]
+        zero = (0,) * len(self.deltas)
+        self.elements = [zero]
+        self.index = {zero: 0}
+        self.plus: list[tuple[int, ...]] = []
+        self.minus: list[tuple[int, ...]] = []
+        self.sphere = range(0, 1)  # the outer sphere, not grown yet
+
+    def _reduce(self, vec: Sequence[int]) -> Vector:
+        return tuple(a % d if d else a for a, d in zip(vec, self.deltas))
+
+    def _number(self, vec: Vector) -> int:
+        vec = self._reduce(vec)
+        v = self.index.get(vec)
+        if v is None:
+            v = self.index[vec] = len(self.elements)
+            self.elements.append(vec)
+        return v
+
+    def grow(self) -> None:
+        """Grow the outer sphere; the sphere it numbers becomes the outer one."""
+        for v in self.sphere:
+            vec = self.elements[v]
+            steps = [
+                (self._number(vec_add(vec, g)), self._number(vec_sub(vec, g)))
+                for g in self.gens
+            ]
+            self.plus.append(tuple(p for p, _ in steps))
+            self.minus.append(tuple(m for _, m in steps))
+        self.sphere = range(self.sphere.stop, len(self.elements))
+
+
 def cayley_multidigraph(
     deltas: Sequence[int], q_rows: Sequence[Sequence[int]], radius: Optional[int] = None
 ):
@@ -295,39 +342,22 @@ def cayley_multidigraph(
         raise ValueError("ball radius must be nonnegative")
     if len(q_rows) != r:
         raise ValueError("one generator row per delta required")
-
-    def reduce_elem(vec):
-        return tuple(a % d if d else a for a, d in zip(vec, deltas))
-
-    gens = [reduce_elem(row) for row in q_rows]
     if radius is None and any(d == 0 for d in deltas):
         raise ValueError("infinite Cayley graph needs a ball radius")
 
-    zero = (0,) * r
-    index = {zero: 0}
-    elements = [zero]
-    dist = [0]
-    queue = deque([zero])
-    while queue:
-        v = queue.popleft()
-        d_v = dist[index[v]]
-        if radius is not None and d_v == radius:
-            continue
-        for g in gens:
-            for w in (reduce_elem(vec_add(v, g)), reduce_elem(vec_sub(v, g))):
-                if w not in index:
-                    index[w] = len(elements)
-                    elements.append(w)
-                    dist.append(d_v + 1)
-                    queue.append(w)
-    arcs = []
-    for v in elements:
-        for i, g in enumerate(gens):
-            w = reduce_elem(vec_add(v, g))
-            j = index.get(w)
-            if j is not None:
-                arcs.append((index[v], i + 1, j))
-    return Automaton(r, len(elements), 0, tuple(arcs)), tuple(elements)
+    ball = _CayleyBall(deltas, q_rows)
+    grown = 0
+    while ball.sphere and (radius is None or grown <= radius):
+        ball.grow()
+        grown += 1
+    size = ball.sphere.start
+    arcs = tuple(
+        (v, i + 1, w)
+        for v in range(size)
+        for i, w in enumerate(ball.plus[v])
+        if w < size
+    )
+    return Automaton(r, size, 0, arcs), tuple(ball.elements[:size])
 
 
 def vertex_expand(
@@ -340,7 +370,6 @@ def vertex_expand(
         raise ValueError("delta alphabet must match the petal count")
     sk = theta.skeleton
     vt = sk.num_vertices
-    zero_pair = ((0,) * theta.ambient.m, (0,) * theta.ambient.m)
     arcs = []
     labels1 = []
     labels2 = []
@@ -370,15 +399,10 @@ def vertex_expand(
 
 def is_equalizable(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> bool:
     """True iff every non-tree double label admits a common completion."""
-    tree = tree or spanning_tree_by_order(x.skeleton)
-    x = normalize_doubly(x, tree)
-    for arc_idx in range(len(x.skeleton.arcs)):
-        if arc_idx in tree.tree_arcs:
-            continue
-        a = x.labels1[arc_idx][1]
-        b = x.labels2[arc_idx][1]
-        if coset_intersection_witness(a, x.base1, b, x.base2) is None:
-            return False
+    try:
+        equalize(x, tree)
+    except NotEqualizableError:
+        return False
     return True
 
 
@@ -411,7 +435,13 @@ def intersect_fg(
     report: Optional[IntersectionReport] = None,
     prod: Optional[DoublyEnrichedAutomaton] = None,
 ) -> EnrichedAutomaton:
-    """Stallings automaton of H1 & H2; only valid in the f.g. case."""
+    """Stallings automaton of H1 & H2; only valid in the f.g. case.
+
+    The expansion stream runs until the finite Cayley graph of Z^r / M is
+    exhausted.  With r = 1 the copies of the product hang stems off the
+    expanded cycle, so the last stage is pruned to its core before it is
+    canonically renumbered and T-normalized.
+    """
     if prod is None:
         prod = doubly_enriched_product(e1, e2, order)
     if report is None:
@@ -423,12 +453,16 @@ def intersect_fg(
         return EnrichedAutomaton(
             ambient, Automaton(ambient.n, 1, 0, ()), (), report.base
         )
-    delta_aut, _ = cayley_multidigraph(report.deltas, report.snf.Q)
     tree = spanning_tree_by_order(prod.skeleton, order)
-    x = vertex_expand(delta_aut, prod, tree)
-    x = doubly_reduce(x, order)
-    t2 = spanning_tree_by_order(x.skeleton, order)
-    return equalize(normalize_doubly(x, t2), t2)
+    for stage in _ExpansionStream(prod, report, tree, order).stages():
+        last = stage.automaton
+    sk = last.skeleton
+    _, kept = _core_keep(sk.num_vertices, sk.basepoint, sk.arcs)
+    skeleton = _compact(ambient.n, sk.num_vertices, sk.basepoint, [sk.arcs[i] for i in kept])
+    skeleton, _, arc_map = canonical_renumber(skeleton, order)
+    labels = tuple(last.labels[kept[i]] for i in arc_map)
+    core = EnrichedAutomaton(ambient, skeleton, labels, last.base)
+    return normalize(core, spanning_tree_by_order(skeleton, order))
 
 
 @dataclass(frozen=True)
@@ -465,7 +499,7 @@ def intersect_stages(
         return report, iter([IntersectionStage(0, point, (), True)])
     tree = spanning_tree_by_order(prod.skeleton, order)
     stream = _ExpansionStream(prod, report, tree, order)
-    return report, stream.stages(max_radius)
+    return report, itertools.islice(stream.stages(), max_radius + 1)
 
 
 def intersect_stream(
@@ -493,6 +527,7 @@ class _ExpansionStream:
     discovery order) occupies the block [d*vt, (d+1)*vt).  The spanning tree
     is extended breadth-first from the already-visited vertices, so earlier
     stages are full subautomata of later ones and petals never disappear.
+    Each stage touches only the arcs of its own sphere.
     """
 
     def __init__(self, prod, report, tree, order):
@@ -504,27 +539,21 @@ class _ExpansionStream:
             check_order(order, self.ambient.n) if order is not None
             else default_order(self.ambient.n)
         )
-        deltas = report.deltas
-        self.reduce_elem = lambda v: tuple(a % d if d else a for a, d in zip(v, deltas))
-        self.gens = [self.reduce_elem(row) for row in report.snf.Q]
-        # Cayley ball state
-        zero = (0,) * report.r
-        self.elements = [zero]
-        self.index = {zero: 0}
-        self.dist = [0]
+        self.ball = _CayleyBall(report.deltas, report.snf.Q)
         # expansion state
         self.vt = prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
         self.arc_labels: list[tuple[ArcLabel, ArcLabel]] = []
+        self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self.visited: list[int] = []
-        self.in_tree_vertex: set[int] = set()
+        # spanning tree state: vertex -> insertion order, parent step, potentials
+        basepoint = prod.skeleton.basepoint
+        zero = self.ambient.zero()
+        self.age = {basepoint: 0}
         self.parent: dict[int, tuple[int, int]] = {}
         self.tree_arcs: set[int] = set()
-        self.phi1: dict[int, Vector] = {}
-        self.phi2: dict[int, Vector] = {}
-        self.petal_arcs: list[int] = []
-        self.num_vertices = 0
+        self.phi1: dict[int, Vector] = {basepoint: zero}
+        self.phi2: dict[int, Vector] = {basepoint: zero}
 
     def _add_arc(self, o, k, t, lab1, lab2):
         idx = len(self.arcs)
@@ -532,12 +561,10 @@ class _ExpansionStream:
         self.arc_labels.append((lab1, lab2))
         self.steps[(o, k)] = (t, idx, 1)
         self.steps[(t, -k)] = (o, idx, -1)
-        return idx
 
     def _add_block(self, d):
         sk = self.prod.skeleton
         base = d * self.vt
-        self.num_vertices = max(self.num_vertices, base + self.vt)
         for arc_idx in sorted(self.tree.tree_arcs):
             o, k, t = sk.arcs[arc_idx]
             self._add_arc(
@@ -553,17 +580,15 @@ class _ExpansionStream:
             self.prod.labels1[arc_idx], self.prod.labels2[arc_idx],
         )
 
-    def _extend_tree(self):
-        """Continue the breadth-first spanning tree over the new material."""
-        queue = deque(self.visited)
-        basepoint = self.prod.skeleton.basepoint
-        if not self.visited:
-            self.visited.append(basepoint)
-            self.in_tree_vertex.add(basepoint)
-            zero = self.ambient.zero()
-            self.phi1[basepoint] = zero
-            self.phi2[basepoint] = zero
-            queue.append(basepoint)
+    def _extend_tree(self, start_arc):
+        """Continue the breadth-first spanning tree over the arcs from start_arc on.
+
+        Only tree vertices that these arcs touch can reach new material, so
+        resuming from them, oldest first, adds what a search over every tree
+        vertex in insertion order would.
+        """
+        touched = {v for o, _, t in self.arcs[start_arc:] for v in (o, t) if v in self.age}
+        queue = deque(sorted(touched, key=self.age.__getitem__))
         while queue:
             v = queue.popleft()
             for s in self.order:
@@ -571,10 +596,9 @@ class _ExpansionStream:
                 if nxt is None:
                     continue
                 w, arc_idx, d = nxt
-                if w in self.in_tree_vertex:
+                if w in self.age:
                     continue
-                self.in_tree_vertex.add(w)
-                self.visited.append(w)
+                self.age[w] = len(self.age)
                 self.parent[w] = (arc_idx, d)
                 self.tree_arcs.add(arc_idx)
                 lab1_1, lab2_1 = self.arc_labels[arc_idx][0]
@@ -602,12 +626,14 @@ class _ExpansionStream:
 
         return path(o) + (k,) + invert(path(t))
 
-    def _collect_new_petals(self, start_arc):
+    def _equalize_new_arcs(self, start_arc):
+        """Append the label of each arc from start_arc on; return the new petals."""
+        zero = self.ambient.zero()
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
             if arc_idx in self.tree_arcs:
+                self.labels.append((zero, zero))
                 continue
-            self.petal_arcs.append(arc_idx)
             o, _, t = self.arcs[arc_idx]
             (l1a, l1b), (l2a, l2b) = self.arc_labels[arc_idx]
             val1 = vec_sub(vec_add(l1b, self.phi1[t]), vec_add(l1a, self.phi1[o]))
@@ -615,87 +641,51 @@ class _ExpansionStream:
             c = coset_intersection_witness(val1, self.prod.base1, val2, self.prod.base2)
             if c is None:
                 raise NotEqualizableError("vertex expansion must be equalizable")
-            word = self._petal_word(arc_idx)
-            out.append((arc_idx, GroupElement(word, self.ambient.abelian.canonicalize(c))))
-        return out
+            element = GroupElement(self._petal_word(arc_idx), self.ambient.abelian.canonicalize(c))
+            self.labels.append((zero, element.vec))
+            out.append(element)
+        return tuple(out)
 
-    def _automaton(self, witnesses):
-        zero = self.ambient.zero()
-        labels = []
-        for arc_idx in range(len(self.arcs)):
-            if arc_idx in witnesses:
-                labels.append((zero, witnesses[arc_idx]))
-            else:
-                labels.append((zero, zero))
-        skeleton = Automaton(
-            self.ambient.n,
-            self.num_vertices,
-            self.prod.skeleton.basepoint,
-            tuple(self.arcs),
-        )
-        return EnrichedAutomaton(self.ambient, skeleton, tuple(labels), self.report.base)
+    def stages(self) -> Iterator[IntersectionStage]:
+        """Stages of radius 0, 1, ..., ending with the first complete one.
 
-    def stages(self, max_radius: int) -> Iterator[IntersectionStage]:
-        witnesses: dict[int, Vector] = {}
-        frontier = [0]
-        for radius in range(max_radius + 1):
+        Stage n adds the blocks of the Cayley sphere of radius n, then its
+        arcs: those from the inner ball into the sphere, ordered by origin
+        and generator, then those from the sphere into the ball of radius n.
+        """
+        ball = self.ball
+        for radius in itertools.count():
+            sphere = ball.sphere
+            ball.grow()
             start_arc = len(self.arcs)
-            if radius == 0:
-                self._add_block(0)
-                new_vertices = [0]
-            else:
-                new_vertices = []
-                for dv in frontier:
-                    v = self.elements[dv]
-                    for g in self.gens:
-                        for w in (
-                            self.reduce_elem(vec_add(v, g)),
-                            self.reduce_elem(vec_sub(v, g)),
-                        ):
-                            if w not in self.index:
-                                self.index[w] = len(self.elements)
-                                self.elements.append(w)
-                                self.dist.append(radius)
-                                new_vertices.append(self.index[w])
-                for dv in new_vertices:
-                    self._add_block(dv)
-            # induced arcs: any delta arc with both endpoints in the ball and
-            # at least one endpoint new (stage 0: both endpoints are vertex 0)
-            in_ball = set(range(len(self.elements)))
-            fresh = set(new_vertices)
-            for dv in sorted(in_ball):
-                v = self.elements[dv]
-                for i, g in enumerate(self.gens):
-                    w = self.reduce_elem(vec_add(v, g))
-                    dw = self.index.get(w)
-                    if dw is None or dw not in in_ball:
-                        continue
-                    if dv not in fresh and dw not in fresh:
-                        continue
-                    self._add_delta_arc(dv, i, dw)
-            self._extend_tree()
-            new = self._collect_new_petals(start_arc)
-            for arc_idx, element in new:
-                witnesses[arc_idx] = element.vec
-            complete = not _has_growth(self)
-            yield IntersectionStage(
-                radius,
-                self._automaton(witnesses),
-                tuple(el for _, el in new),
-                complete,
+            for d in sphere:
+                self._add_block(d)
+            entering = sorted(
+                (u, i, w)
+                for w in sphere
+                for i, u in enumerate(ball.minus[w])
+                if u < sphere.start
             )
+            leaving = [
+                (w, i, u)
+                for w in sphere
+                for i, u in enumerate(ball.plus[w])
+                if u < sphere.stop
+            ]
+            for do, i, dt in entering + leaving:
+                self._add_delta_arc(do, i, dt)
+            self._extend_tree(start_arc)
+            new_elements = self._equalize_new_arcs(start_arc)
+            complete = not ball.sphere
+            skeleton = Automaton(
+                self.ambient.n,
+                sphere.stop * self.vt,
+                self.prod.skeleton.basepoint,
+                tuple(self.arcs),
+            )
+            automaton = EnrichedAutomaton(
+                self.ambient, skeleton, tuple(self.labels), self.report.base
+            )
+            yield IntersectionStage(radius, automaton, new_elements, complete)
             if complete:
                 return
-            frontier = new_vertices
-
-
-def _has_growth(stream: _ExpansionStream) -> bool:
-    for v in stream.elements:
-        for g in stream.gens:
-            for w in (
-                stream.reduce_elem(vec_add(v, g)),
-                stream.reduce_elem(vec_sub(v, g)),
-            ):
-                if w not in stream.index:
-                    return True
-    return False

@@ -50,7 +50,7 @@ def default_order(n: int) -> tuple[int, ...]:
 
 
 def check_order(order: Sequence[int], n: int) -> tuple[int, ...]:
-    if sorted(order, key=abs) != sorted(default_order(n), key=abs):
+    if sorted(order) != sorted(default_order(n)):
         raise ValueError(f"order must be a permutation of the {2 * n} signed letters")
     return tuple(order)
 
@@ -504,26 +504,17 @@ def is_saturated(a: Automaton) -> bool:
 
 
 def schreier_transversal(
-    a: Automaton, budget: Optional[int] = None, order: Optional[Sequence[int]] = None
+    a: Automaton, order: Optional[Sequence[int]] = None
 ) -> Iterator[Word]:
     """Coset representatives of the recognized subgroup, graded by length.
 
     Breadth-first over the Schreier graph: within the core automaton first,
     then down the hanging trees of missing directions, where every extension
-    is a fresh coset.  Complete when the automaton is saturated; truncate an
-    infinite stream with `budget`.
+    is a fresh coset.  Complete when the automaton is saturated; otherwise
+    infinite, so truncate it with itertools.islice.
     """
     order = check_order(order, a.n) if order is not None else default_order(a.n)
-    emitted = 0
-
-    def bump():
-        nonlocal emitted
-        emitted += 1
-        return budget is not None and emitted >= budget
-
     yield ()
-    if bump():
-        return
     seen = {a.basepoint}
     queue: deque[tuple[Optional[int], Word]] = deque([(a.basepoint, ())])
     while queue:
@@ -533,21 +524,15 @@ def schreier_transversal(
                 if word and s == -word[-1]:
                     continue
                 yield word + (s,)
-                if bump():
-                    return
                 queue.append((None, word + (s,)))
                 continue
             nxt = a.step(state, s)
             if nxt is None:
                 yield word + (s,)
-                if bump():
-                    return
                 queue.append((None, word + (s,)))
             elif nxt[0] not in seen:
                 seen.add(nxt[0])
                 yield word + (s,)
-                if bump():
-                    return
                 queue.append((nxt[0], word + (s,)))
 
 

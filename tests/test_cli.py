@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,14 @@ class TestCommands:
         assert len(out) == 3
         assert main(["transversal", moldavanski_file, "H1"]) == 2
 
+    def test_transversal_limit_zero_prints_nothing(self, moldavanski_file, index_file, capsys):
+        for path, name in ((moldavanski_file, "H1"), (index_file, "H")):
+            assert main(["transversal", path, name, "--limit", "0"]) == 0
+            assert capsys.readouterr().out == ""
+            assert main(["transversal", path, name, "--limit", "0", "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["transversal"] == [] and payload["truncated"] is True
+
     def test_dot(self, moldavanski_file, capsys):
         assert main(["dot", moldavanski_file, "H1"]) == 0
         out = capsys.readouterr().out
@@ -212,7 +221,122 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["free_part"] == ["x2", "x1 t^(1)"]
 
+    def test_order_flag_inverse_first(self, moldavanski_file, capsys):
+        assert main(
+            ["--order", "x1^-1,x1,x2,x2^-1", "basis", moldavanski_file, "H1"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["free_part"] == ["x1 t^(1)", "x2"]
+        assert main(
+            ["--order", "x2^-1,x2,x1^-1,x1", "basis", moldavanski_file, "H1"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["free_part"] == ["x2", "x1 t^(1)"]
+
+    def test_order_flag_repeated_letter(self, moldavanski_file, capsys):
+        assert main(["--order", "x1,x1,x2,x2^-1", "basis", moldavanski_file, "H1"]) == 2
+        assert "permutation" in capsys.readouterr().err
+
     def test_tree_strategy_flag(self, index_file, capsys):
         assert main(["--tree", "first-seen", "basis", index_file, "H"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rank"] == 4
+
+
+# Stdout of the stream commands, byte for byte: the vertex numbering and
+# the arc order of the DOT output are part of the published format.
+MOLDAVANSKI_INTERSECT_DOT_R3 = """\
+digraph intersection {
+  rankdir=LR;
+  node [shape=circle, label=""];
+  v0 [shape=doublecircle, xlabel="L=<0>"];
+  v1;
+  v2;
+  v3;
+  v4;
+  v5;
+  v6;
+  v0 -> v0 [label="(0)|x2|(0)"];
+  v0 -> v1 [label="(0)|x1|(0)"];
+  v1 -> v1 [label="(0)|x2|(0)"];
+  v2 -> v0 [label="(0)|x1|(0)"];
+  v2 -> v2 [label="(0)|x2|(0)"];
+  v1 -> v3 [label="(0)|x1|(0)"];
+  v3 -> v3 [label="(0)|x2|(0)"];
+  v4 -> v2 [label="(0)|x1|(0)"];
+  v4 -> v4 [label="(0)|x2|(0)"];
+  v3 -> v5 [label="(0)|x1|(0)"];
+  v5 -> v5 [label="(0)|x2|(0)"];
+  v6 -> v4 [label="(0)|x1|(0)"];
+  v6 -> v6 [label="(0)|x2|(0)"];
+}
+
+"""
+
+MOLDAVANSKI_CAYLEY_R3 = """\
+digraph cayley {
+  rankdir=LR;
+  node [shape=circle];
+  v0 [shape=doublecircle, label="(0,0)"];
+  v1 [shape=circle, label="(0,1)"];
+  v2 [shape=circle, label="(0,-1)"];
+  v3 [shape=circle, label="(0,2)"];
+  v4 [shape=circle, label="(0,-2)"];
+  v5 [shape=circle, label="(0,3)"];
+  v6 [shape=circle, label="(0,-3)"];
+  v0 -> v1 [label="w1"];
+  v0 -> v0 [label="w2"];
+  v1 -> v3 [label="w1"];
+  v1 -> v1 [label="w2"];
+  v2 -> v0 [label="w1"];
+  v2 -> v2 [label="w2"];
+  v3 -> v5 [label="w1"];
+  v3 -> v3 [label="w2"];
+  v4 -> v2 [label="w1"];
+  v4 -> v4 [label="w2"];
+  v5 -> v5 [label="w2"];
+  v6 -> v4 [label="w1"];
+  v6 -> v6 [label="w2"];
+}
+"""
+
+CASE1_INTERSECT_DOT_SHA256 = (
+    "a68ada463d96e5d0420cd4a8641418b04a9869726e878980b2dee817af6c88c0"
+)
+
+
+class TestPinnedOutput:
+    def test_moldavanski_intersect_dot(self, moldavanski_file, capsys):
+        argv = ["intersect", moldavanski_file, "H1", "H2", "--max-radius", "3", "--dot"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == MOLDAVANSKI_INTERSECT_DOT_R3
+
+    def test_moldavanski_cayley(self, moldavanski_file, capsys):
+        assert main(["cayley", moldavanski_file, "H1", "H2", "--max-radius", "3"]) == 0
+        assert capsys.readouterr().out == MOLDAVANSKI_CAYLEY_R3
+
+    def test_case1_intersect_dot(self, case1_file, capsys):
+        assert main(["intersect", case1_file, "H1", "H2", "--dot"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 119
+        assert hashlib.sha256(out.encode()).hexdigest() == CASE1_INTERSECT_DOT_SHA256
+
+    def test_torsion_stream_basis_prefix(self, tmp_path, capsys):
+        # each stage resumes the spanning tree from several older vertices;
+        # the petals, and so this prefix, depend on taking them oldest first
+        path = tmp_path / "torsion_stream.txt"
+        path.write_text(
+            "group F2 x Z x Z/6Z\n"
+            "H1: x1 x2^-1 t^(-1,3), x2 t^(-2,0)\n"
+            "H2: x1^-1, x2 t^(3,4)\n"
+        )
+        assert main(["intersect", str(path), "H1", "H2", "--max-radius", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["basis_prefix"] == [
+            "x2 x1 x2^-1 x1^-1", "x2^-1 x1 x2 x1^-1",
+            "x1^-1 x2 x1 x2^-1", "x1^-1 x2^-1 x1 x2",
+            "x1 x2 x1 x2^-1 x1^-2", "x1 x2^-1 x1 x2 x1^-2",
+            "x2^2 x1 x2^-2 x1^-1", "x2^-2 x1 x2^2 x1^-1",
+            "x1^-2 x2 x1 x2^-1 x1", "x1^-2 x2^-1 x1 x2 x1",
+            "x1^-1 x2^2 x1 x2^-2", "x1^-1 x2^-2 x1 x2^2",
+        ]

@@ -384,7 +384,7 @@ class TestIndex:
         e = stallings(F2Z, elems(F2Z, ((1,), (1,)), ((2,), ())))
         free, ab, total = index_report(e)
         assert (free, ab, total) == (1, INFINITY, INFINITY)
-        stream = list(transversal_stream(e, budget=5))
+        stream = list(itertools.islice(transversal_stream(e), 5))
         assert len(stream) == 5
 
     def test_random_transversals(self):

@@ -10,6 +10,8 @@ from stallings_fta.enriched import (
     basis,
     completion_table,
     member,
+    normalize,
+    reduce,
     stallings,
 )
 from stallings_fta.intersection import (
@@ -20,6 +22,7 @@ from stallings_fta.intersection import (
     decide_finitely_generated,
     doubly_completion,
     doubly_enriched_product,
+    doubly_reduce,
     equalize,
     intersect_fg,
     intersect_stages,
@@ -28,7 +31,8 @@ from stallings_fta.intersection import (
     is_equalizable,
     vertex_expand,
 )
-from stallings_fta.words import product, recognizes, spanning_tree_by_order
+from stallings_fta.words import core, product, recognizes, spanning_tree_by_order
+from support import random_subgroup_gens
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -356,6 +360,61 @@ class TestFiniteIntersections:
         assert e.base == AbelianSubgroup.from_generators(F2Z.abelian, [(6,)])
 
 
+class TestFgPipelineAgainstPaperSteps:
+    """intersect_fg, the completed expansion stream pruned to its core, against
+    the paper's steps run one after another: Cayley graph, vertex expansion,
+    folding, equalization."""
+
+    AMBIENTS = {
+        "F2xZ": Ambient(2, AbelianSpec(1)),
+        "F3xZ2": Ambient(3, AbelianSpec(2)),
+        "F2x(Z+Z6)": Ambient(2, AbelianSpec(1, (6,))),
+        "F2x(Z2+Z4)": Ambient(2, AbelianSpec(0, (2, 4))),
+    }
+
+    @staticmethod
+    def paper_steps(e1, e2, order):
+        prod = doubly_enriched_product(e1, e2, order)
+        report = intersection_matrices(e1, e2, prod, order)
+        delta_aut, _ = cayley_multidigraph(report.deltas, report.snf.Q)
+        x = vertex_expand(delta_aut, prod, spanning_tree_by_order(prod.skeleton, order))
+        x = doubly_reduce(x, order)
+        return equalize(x, spanning_tree_by_order(x.skeleton, order))
+
+    def check(self, e1, e2, order):
+        e = intersect_fg(e1, e2, order)
+        assert e == self.paper_steps(e1, e2, order)
+        assert core(e.skeleton) == e.skeleton
+
+    def test_rank_one_stems_are_pruned(self):
+        # r = 1: each copy of the product hangs a stem off the expanded cycle
+        h1 = stallings(F2Z, elems(F2Z, ((-1,), (1,)), ((2,), (2,)), ((), (3,))))
+        h2 = stallings(F2Z, elems(F2Z, ((-2, 1, 2), (-2,))))
+        rep = intersection_matrices(h1, h2)
+        assert rep.verdict == VERDICT_FG and rep.deltas == (3,)
+        _, stages = intersect_stages(h1, h2, max_radius=8)
+        last = list(stages)[-1]
+        assert last.complete and last.automaton.skeleton.num_vertices == 6
+        assert intersect_fg(h1, h2).skeleton.num_vertices == 4
+        self.check(h1, h2, None)
+
+    @pytest.mark.parametrize("name", list(AMBIENTS))
+    def test_random_pairs(self, name):
+        ambient = self.AMBIENTS[name]
+        rng = random.Random(f"fg-pipeline:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        checked = 0
+        while checked < 40:
+            order = None if checked % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            e2 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            rep = intersection_matrices(e1, e2, order=order)
+            if rep.verdict != VERDICT_FG or rep.pi_trivial:
+                continue
+            self.check(e1, e2, order)
+            checked += 1
+
+
 class TestStreams:
     def test_moldavanski_stream(self):
         h1, h2 = moldavanski()
@@ -402,13 +461,9 @@ class TestStreams:
         rep, stages = intersect_stages(h1, h2, max_radius=8)
         stage_list = list(stages)
         assert stage_list[-1].complete
-        final = stage_list[-1].automaton
-        direct = intersect_fg(h1, h2)
-        b = basis(direct)
-        for g in b.free_part:
-            assert member(final, g)
-        for g in basis(final).free_part:
-            assert member(direct, g)
+        final = reduce(stage_list[-1].automaton)
+        final = normalize(final, spanning_tree_by_order(final.skeleton))
+        assert final == intersect_fg(h1, h2)
 
     def test_stream_triple_view(self):
         h1, h2 = moldavanski()

@@ -6,6 +6,7 @@ import pytest
 from stallings_fta.words import (
     Automaton,
     canonical_renumber,
+    check_order,
     core,
     default_order,
     flower,
@@ -156,6 +157,16 @@ class TestSpanningTree:
         with pytest.raises(ValueError):
             spanning_tree_by_order(a)
 
+    def test_order_may_put_an_inverse_first(self):
+        assert check_order((-2, 2, -1, 1), 2) == (-2, 2, -1, 1)
+        a = stallings_skeleton(2, [(1, 2)])
+        t = spanning_tree_by_order(a, (-2, 2, -1, 1))
+        (tree_arc,) = t.tree_arcs
+        assert a.arcs[tree_arc][1] == 2
+        for bad in ((1, 1, 2, -2), (1, -1, 2), (1, -1, 2, -2, 2), (1, -1, 2, 3)):
+            with pytest.raises(ValueError):
+                check_order(bad, 2)
+
     def test_petal_count_is_cyclomatic(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -245,7 +256,7 @@ class TestSaturationTransversal:
     def test_infinite_stream(self):
         a = stallings_skeleton(2, [(2,)])
         assert not is_saturated(a)
-        stream = list(schreier_transversal(a, budget=6))
+        stream = list(itertools.islice(schreier_transversal(a), 6))
         assert stream[:3] == [(), (1,), (-1,)]
         assert [len(w) for w in stream] == sorted(len(w) for w in stream)
         # pairwise inequivalent cosets of <x2>: w u^-1 never recognized
