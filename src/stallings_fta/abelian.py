@@ -27,21 +27,6 @@ Matrix = tuple[Vector, ...]
 INFINITY = float("inf")
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g = x*a + y*b."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -52,10 +37,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
 
 def vec_neg(u: Sequence[int]) -> Vector:
     return tuple(-a for a in u)
-
-
-def vec_scale(k: int, u: Sequence[int]) -> Vector:
-    return tuple(k * a for a in u)
 
 
 def mat_identity(n: int) -> Matrix:

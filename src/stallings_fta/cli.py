@@ -31,7 +31,6 @@ from .intersection import (
     VERDICT_FG,
     cayley_multidigraph,
     intersect_fg,
-    intersect_stages,
     intersection_matrices,
 )
 from .syntax import (
@@ -170,10 +169,9 @@ def cmd_intersect(args, problem, order) -> int:
         b = basis(result, spanning_tree_by_order(result.skeleton, order))
         payload["basis"] = [format_element(g) for g in b.free_part] + abelian_elements
     else:
-        _, stages = intersect_stages(e1, e2, max_radius=args.max_radius, order=order)
         prefix = []
         result = None
-        for stage in stages:
+        for stage in itertools.islice(report.stages(), args.max_radius + 1):
             prefix.extend(format_element(g) for g in stage.new_elements)
             result = stage.automaton
         truncated = True

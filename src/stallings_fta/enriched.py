@@ -383,10 +383,14 @@ def member(e: EnrichedAutomaton, g: GroupElement) -> bool:
 
 
 def basis(e: EnrichedAutomaton, tree: Optional[SpanningTree] = None) -> SubgroupBasis:
-    """Enriched labels of the positive tree petals plus the basepoint subgroup."""
+    """Enriched labels of the positive tree petals plus the basepoint subgroup.
+
+    e is normalized on the tree it is read on (by default the tree of the
+    default letter order), whatever tree its labels were normalized on.
+    """
     if tree is None:
         tree = spanning_tree_by_order(e.skeleton)
-        e = normalize(e, tree)
+    e = normalize(e, tree)
     free = []
     for arc_idx in tree.petal_arcs:
         word = petal_word(e.skeleton, tree, arc_idx)

@@ -17,9 +17,15 @@ a recursive basis, and every element of the intersection with free length
 at most 2n is already recognized by the n-th stage.  In the finitely
 generated case the Cayley graph is finite and the stream runs to
 completion; the core of its last stage, canonically numbered, is the
-Stallings automaton of the intersection.  cayley_multidigraph,
-vertex_expand, doubly_reduce and equalize remain as the paper's separate
-steps.
+Stallings automaton of the intersection.
+
+The IntersectionReport that intersection_matrices returns is the
+intersection's context: the letter order, the normalized product and its
+spanning tree are checked and built there once and kept in the report, and
+the petal words, D, M and the stream (report.stages()) all read them.
+intersect_fg, intersect_stages and the CLI stream from one report.
+cayley_multidigraph, vertex_expand, doubly_reduce and equalize remain as
+the paper's separate steps.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .words import (
     _core_keep,
     canonical_renumber,
     check_order,
-    default_order,
     invert,
     petal_word,
     product_with_provenance,
@@ -169,9 +174,14 @@ def doubly_completion(x: DoublyEnrichedAutomaton, w: Sequence[int]):
 
 @dataclass(frozen=True)
 class IntersectionReport:
-    """Everything the finite-generation decision and the constructions need."""
+    """The intersection's context: its letter order, its normalized product
+    and the product's spanning tree, and what the finite-generation decision
+    reads off them.  The constructions stream from it (see stages)."""
 
     ambient: Ambient
+    order: tuple[int, ...]  # checked letter order
+    prod: DoublyEnrichedAutomaton  # normalized on tree
+    tree: SpanningTree  # of prod.skeleton under order
     words: tuple[Word, ...]  # free-basis w_1..w_r of H1pi & H2pi
     petal_labels: tuple[tuple[Vector, Vector], ...]  # (a_i, b_i) per word
     A1: Matrix
@@ -199,6 +209,10 @@ class IntersectionReport:
     def deltas(self) -> Vector:
         return self.snf.deltas_padded(self.r)
 
+    def stages(self) -> Iterator[IntersectionStage]:
+        """Stages of radius 0, 1, ..., ending with the first complete one."""
+        return _ExpansionStream(self).stages()
+
 
 def decide_finitely_generated(r: int, s: int, deltas: Sequence[int]):
     """Finite-generation verdict and predicted rank of the free projection.
@@ -225,20 +239,19 @@ def decide_finitely_generated(r: int, s: int, deltas: Sequence[int]):
 def intersection_matrices(
     e1: EnrichedAutomaton,
     e2: EnrichedAutomaton,
-    prod: Optional[DoublyEnrichedAutomaton] = None,
     order: Optional[Sequence[int]] = None,
 ) -> IntersectionReport:
-    """Populate the intersection diagram matrices and the verdict.
+    """Build the intersection's context and populate its matrices and verdict.
 
     The rows of B_i express each product petal word in the basis of the
     corresponding factor (abelianized); A_i stacks the factor's basis
     vectors, so B_i A_i is a completion of each word in H_i and
     D = B1 A1 - B2 A2 measures their incompatibility.
     """
-    if prod is None:
-        prod = doubly_enriched_product(e1, e2, order)
     ambient = e1.ambient
     m = ambient.m
+    order = check_order(order, ambient.n)
+    prod = doubly_enriched_product(e1, e2, order)
     tree = spanning_tree_by_order(prod.skeleton, order)
     words = []
     petal_labels = []
@@ -264,6 +277,9 @@ def intersection_matrices(
     total = INFINITY if free_rank is INFINITY else free_rank + base.rank()
     return IntersectionReport(
         ambient=ambient,
+        order=order,
+        prod=prod,
+        tree=tree,
         words=tuple(words),
         petal_labels=tuple(petal_labels),
         A1=a1,
@@ -433,36 +449,31 @@ def intersect_fg(
     e2: EnrichedAutomaton,
     order: Optional[Sequence[int]] = None,
     report: Optional[IntersectionReport] = None,
-    prod: Optional[DoublyEnrichedAutomaton] = None,
 ) -> EnrichedAutomaton:
     """Stallings automaton of H1 & H2; only valid in the f.g. case.
 
-    The expansion stream runs until the finite Cayley graph of Z^r / M is
-    exhausted.  With r = 1 the copies of the product hang stems off the
-    expanded cycle, so the last stage is pruned to its core before it is
-    canonically renumbered and T-normalized.
+    The report's expansion stream runs until the finite Cayley graph of
+    Z^r / M is exhausted.  With r = 1 the copies of the product hang stems
+    off the expanded cycle, so the last stage is pruned to its core before
+    it is canonically renumbered and T-normalized.  A given report must have
+    been built under the same letter order.
     """
-    if prod is None:
-        prod = doubly_enriched_product(e1, e2, order)
+    ambient = e1.ambient
     if report is None:
-        report = intersection_matrices(e1, e2, prod, order)
+        report = intersection_matrices(e1, e2, order)
+    elif check_order(order, ambient.n) != report.order:
+        raise ValueError("the report was built under another letter order")
     if report.verdict != VERDICT_FG:
         raise ValueError("intersection is not finitely generated")
-    ambient = e1.ambient
-    if report.pi_trivial:
-        return EnrichedAutomaton(
-            ambient, Automaton(ambient.n, 1, 0, ()), (), report.base
-        )
-    tree = spanning_tree_by_order(prod.skeleton, order)
-    for stage in _ExpansionStream(prod, report, tree, order).stages():
+    for stage in report.stages():
         last = stage.automaton
     sk = last.skeleton
     _, kept = _core_keep(sk.num_vertices, sk.basepoint, sk.arcs)
     skeleton = _compact(ambient.n, sk.num_vertices, sk.basepoint, [sk.arcs[i] for i in kept])
-    skeleton, _, arc_map = canonical_renumber(skeleton, order)
+    skeleton, _, arc_map = canonical_renumber(skeleton, report.order)
     labels = tuple(last.labels[kept[i]] for i in arc_map)
     core = EnrichedAutomaton(ambient, skeleton, labels, last.base)
-    return normalize(core, spanning_tree_by_order(skeleton, order))
+    return normalize(core, spanning_tree_by_order(skeleton, report.order))
 
 
 @dataclass(frozen=True)
@@ -483,7 +494,7 @@ def intersect_stages(
     max_radius: int = 8,
     order: Optional[Sequence[int]] = None,
 ):
-    """(report, iterator of IntersectionStage) for growing Cayley balls.
+    """(report, its stages up to max_radius) for growing Cayley balls.
 
     Stage n recognizes a subgroup of H1 & H2 containing every element whose
     free part has length at most 2n; spanning trees and bases grow
@@ -491,15 +502,8 @@ def intersect_stages(
     """
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    prod = doubly_enriched_product(e1, e2, order)
-    report = intersection_matrices(e1, e2, prod, order)
-    ambient = e1.ambient
-    if report.pi_trivial:
-        point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), report.base)
-        return report, iter([IntersectionStage(0, point, (), True)])
-    tree = spanning_tree_by_order(prod.skeleton, order)
-    stream = _ExpansionStream(prod, report, tree, order)
-    return report, itertools.islice(stream.stages(), max_radius + 1)
+    report = intersection_matrices(e1, e2, order)
+    return report, itertools.islice(report.stages(), max_radius + 1)
 
 
 def intersect_stream(
@@ -521,7 +525,8 @@ def intersect_stream(
 
 
 class _ExpansionStream:
-    """Incremental vertex-expansion of growing Cayley balls.
+    """Incremental vertex-expansion of growing Cayley balls by the report's
+    product, on the report's spanning tree and letter order.
 
     Vertex ids are stable across stages: Cayley vertex number d (in BFS
     discovery order) occupies the block [d*vt, (d+1)*vt).  The spanning tree
@@ -530,24 +535,21 @@ class _ExpansionStream:
     Each stage touches only the arcs of its own sphere.
     """
 
-    def __init__(self, prod, report, tree, order):
-        self.prod = prod
+    def __init__(self, report: IntersectionReport):
         self.report = report
-        self.tree = tree
-        self.ambient = prod.ambient
-        self.order = (
-            check_order(order, self.ambient.n) if order is not None
-            else default_order(self.ambient.n)
-        )
+        self.prod = report.prod
+        self.tree = report.tree
+        self.order = report.order
+        self.ambient = report.ambient
         self.ball = _CayleyBall(report.deltas, report.snf.Q)
         # expansion state
-        self.vt = prod.skeleton.num_vertices
+        self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
         self.arc_labels: list[tuple[ArcLabel, ArcLabel]] = []
         self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
         # spanning tree state: vertex -> insertion order, parent step, potentials
-        basepoint = prod.skeleton.basepoint
+        basepoint = self.prod.skeleton.basepoint
         zero = self.ambient.zero()
         self.age = {basepoint: 0}
         self.parent: dict[int, tuple[int, int]] = {}
@@ -652,7 +654,14 @@ class _ExpansionStream:
         Stage n adds the blocks of the Cayley sphere of radius n, then its
         arcs: those from the inner ball into the sphere, ordered by origin
         and generator, then those from the sphere into the ball of radius n.
+        A trivial free projection is the one complete stage of radius 0, the
+        point automaton carrying L1 & L2.
         """
+        ambient = self.ambient
+        if self.report.pi_trivial:
+            point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
+            yield IntersectionStage(0, point, (), True)
+            return
         ball = self.ball
         for radius in itertools.count():
             sphere = ball.sphere
@@ -678,14 +687,9 @@ class _ExpansionStream:
             new_elements = self._equalize_new_arcs(start_arc)
             complete = not ball.sphere
             skeleton = Automaton(
-                self.ambient.n,
-                sphere.stop * self.vt,
-                self.prod.skeleton.basepoint,
-                tuple(self.arcs),
+                ambient.n, sphere.stop * self.vt, self.prod.skeleton.basepoint, tuple(self.arcs)
             )
-            automaton = EnrichedAutomaton(
-                self.ambient, skeleton, tuple(self.labels), self.report.base
-            )
+            automaton = EnrichedAutomaton(ambient, skeleton, tuple(self.labels), self.report.base)
             yield IntersectionStage(radius, automaton, new_elements, complete)
             if complete:
                 return

@@ -49,7 +49,10 @@ def default_order(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_order(order: Sequence[int], n: int) -> tuple[int, ...]:
+def check_order(order: Optional[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The letter order as a tuple; None stands for default_order(n)."""
+    if order is None:
+        return default_order(n)
     if sorted(order) != sorted(default_order(n)):
         raise ValueError(f"order must be a permutation of the {2 * n} signed letters")
     return tuple(order)
@@ -95,9 +98,6 @@ class Automaton:
         except ValueError:
             return False
         return True
-
-    def degree(self, vertex: int) -> int:
-        return sum((o == vertex) + (t == vertex) for o, _, t in self.arcs)
 
 
 def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
@@ -311,7 +311,7 @@ def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
     Returns (automaton, vertex_map, arc_map) with arc_map[new] = old index.
     Requires a deterministic connected automaton.
     """
-    order = check_order(order, a.n) if order is not None else default_order(a.n)
+    order = check_order(order, a.n)
     bfs = _bfs_order(a, order)
     if len(bfs) != a.num_vertices:
         raise ValueError("automaton is not connected")
@@ -363,7 +363,7 @@ def spanning_tree_by_order(
     With strategy "first-seen" the directions at each vertex are tried in
     arc storage order instead of letter order.
     """
-    order = check_order(order, a.n) if order is not None else default_order(a.n)
+    order = check_order(order, a.n)
     if strategy not in ("order", "first-seen"):
         raise ValueError(f"unknown tree strategy {strategy!r}")
     if strategy == "first-seen":
@@ -513,7 +513,7 @@ def schreier_transversal(
     is a fresh coset.  Complete when the automaton is saturated; otherwise
     infinite, so truncate it with itertools.islice.
     """
-    order = check_order(order, a.n) if order is not None else default_order(a.n)
+    order = check_order(order, a.n)
     yield ()
     seen = {a.basepoint}
     queue: deque[tuple[Optional[int], Word]] = deque([(a.basepoint, ())])
@@ -534,10 +534,6 @@ def schreier_transversal(
                 seen.add(nxt[0])
                 yield word + (s,)
                 queue.append((nxt[0], word + (s,)))
-
-
-def letter_str(l: int) -> str:
-    return f"x{l}" if l > 0 else f"x{-l}^-1"
 
 
 def word_str(w: Sequence[int]) -> str:

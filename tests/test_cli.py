@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from stallings_fta import cli, intersection
 from stallings_fta.cli import main
 from stallings_fta.syntax import (
     MAX_WORD_LETTERS,
@@ -130,6 +131,20 @@ class TestCommands:
         assert payload["rank"] == "infinity"
         assert payload["truncated"] is True
         assert "x2" in payload["basis_prefix"]
+
+    def test_intersect_builds_one_report(self, moldavanski_file, capsys, monkeypatch):
+        calls = []
+        real = intersection.intersection_matrices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "intersection_matrices", counted)
+        monkeypatch.setattr(intersection, "intersection_matrices", counted)
+        assert main(["intersect", moldavanski_file, "H1", "H2"]) == 0
+        assert len(calls) == 1
+        assert "x2" in json.loads(capsys.readouterr().out)["basis_prefix"]
 
     def test_intersect_strict_truncation(self, moldavanski_file):
         assert main(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stallings_fta import intersection
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
 from stallings_fta.enriched import (
     Ambient,
@@ -223,7 +224,7 @@ class TestExpansion:
         h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
         p = doubly_enriched_product(h1, h2)
         tree = spanning_tree_by_order(p.skeleton)
-        rep = intersection_matrices(h1, h2, p)
+        rep = intersection_matrices(h1, h2)
         delta, _ = cayley_multidigraph(rep.deltas, rep.snf.Q)
         x = vertex_expand(delta, p, tree)
         assert x.skeleton.num_vertices == 54
@@ -374,8 +375,8 @@ class TestFgPipelineAgainstPaperSteps:
 
     @staticmethod
     def paper_steps(e1, e2, order):
-        prod = doubly_enriched_product(e1, e2, order)
-        report = intersection_matrices(e1, e2, prod, order)
+        report = intersection_matrices(e1, e2, order)
+        prod = report.prod
         delta_aut, _ = cayley_multidigraph(report.deltas, report.snf.Q)
         x = vertex_expand(delta_aut, prod, spanning_tree_by_order(prod.skeleton, order))
         x = doubly_reduce(x, order)
@@ -413,6 +414,94 @@ class TestFgPipelineAgainstPaperSteps:
                 continue
             self.check(e1, e2, order)
             checked += 1
+
+
+class TestOneContext:
+    """The report is the intersection's context: its order, product and tree
+    are built once, and later steps read them instead of rebuilding them."""
+
+    TORSION = Ambient(2, AbelianSpec(1, (6,)))
+    ORDER = (-1, 2, -2, 1)  # x1^-1, x2, x2^-1, x1
+
+    def torsion_gens(self):
+        amb = self.TORSION
+        g1 = [amb.element((2, -1, -1), (-2, 0)), amb.element((2,), (1, 1))]
+        g2 = [amb.element((1, 1), (0, 4)), amb.element((-2, -1), (2, 0))]
+        return g1, g2
+
+    def test_basis_reads_a_factor_on_another_orders_tree(self):
+        g1, _ = self.torsion_gens()
+        h1 = stallings(self.TORSION, g1)
+        tree = spanning_tree_by_order(h1.skeleton, self.ORDER)
+        free = basis(h1, tree).free_part
+        assert [g.word for g in free] == [(2,), (1, 1)]
+        assert all(member(h1, g) for g in free)
+
+    def test_factors_built_under_another_order(self):
+        g1, g2 = self.torsion_gens()
+        h1, h2 = stallings(self.TORSION, g1), stallings(self.TORSION, g2)
+        mixed = intersection_matrices(h1, h2, order=self.ORDER)
+        consistent = intersection_matrices(
+            stallings(self.TORSION, g1, self.ORDER),
+            stallings(self.TORSION, g2, self.ORDER),
+            order=self.ORDER,
+        )
+        for rep in (mixed, consistent, intersection_matrices(h1, h2)):
+            assert rep.verdict == VERDICT_NOT_FG and rep.deltas == (1, 0)
+        assert mixed.D == consistent.D
+
+    @pytest.mark.parametrize("name", ["F2xZ", "F3xZ2", "F2x(Z+Z6)"])
+    def test_random_factors_under_either_order(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"one-context:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        for _ in range(80):
+            order = tuple(rng.sample(letters, len(letters)))
+            g1 = random_subgroup_gens(rng, ambient)
+            g2 = random_subgroup_gens(rng, ambient)
+            built = [
+                (stallings(ambient, g1, o), stallings(ambient, g2, o)) for o in (None, order)
+            ]
+            reps = [intersection_matrices(e1, e2, order=order) for e1, e2 in built]
+            assert reps[0].verdict == reps[1].verdict
+            assert reps[0].deltas == reps[1].deltas
+            assert reps[0].D == reps[1].D
+            if reps[1].verdict == VERDICT_FG:
+                assert intersect_fg(*built[0], order, report=reps[0]) == intersect_fg(
+                    *built[1], order, report=reps[1]
+                )
+
+    def test_intersect_fg_reuses_the_reports_product(self, monkeypatch):
+        h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        rep = intersection_matrices(h1, h2)
+        calls = []
+        real = intersection.doubly_enriched_product
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(intersection, "doubly_enriched_product", counted)
+        e = intersect_fg(h1, h2, report=rep)
+        assert calls == []
+        assert len(e.skeleton.arcs) - e.skeleton.num_vertices + 1 == 7
+
+    def test_report_under_another_order_is_rejected(self):
+        h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        rep = intersection_matrices(h1, h2)
+        with pytest.raises(ValueError, match="another letter order"):
+            intersect_fg(h1, h2, (2, -2, 1, -1), report=rep)
+        assert intersect_fg(h1, h2, (1, -1, 2, -2), report=rep) == intersect_fg(h1, h2)
+
+    def test_stages_carry_the_reports_order(self):
+        h1, h2 = moldavanski()
+        order = (2, -1, -2, 1)
+        rep, stages = intersect_stages(h1, h2, max_radius=2, order=order)
+        assert rep.order == order
+        assert rep.tree == spanning_tree_by_order(rep.prod.skeleton, order)
+        assert [s.automaton for s in stages] == [
+            s.automaton for s in itertools.islice(rep.stages(), 3)
+        ]
 
 
 class TestStreams:
