@@ -169,19 +169,30 @@ def solve_left(
     if width is None:
         width = len(rows[0]) if rows else len(target)
     h, trans, pivots = hnf_with_transform(rows, width)
+    coeff = _solve_hnf(h, pivots, target)
+    return None if coeff is None else vec_mat(coeff, trans, len(rows))
+
+
+def _solve_hnf(
+    h: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]],
+    target: Sequence[int],
+) -> Optional[list[int]]:
+    """Some x with x @ h == target, for h in Hermite form with the given
+    (row, column) pivots; None if target is not in h's row space."""
     resid = list(target)
     coeff = [0] * len(h)
     for r, c in pivots:
-        q, rem = divmod(resid[c], h[r][c])
+        row = h[r]
+        q, rem = divmod(resid[c], row[c])
         if rem:
             return None
         if q:
             coeff[r] = q
-            for j in range(width):
-                resid[j] -= q * h[r][j]
+            for j in range(c, len(row)):
+                resid[j] -= q * row[j]
     if any(resid):
         return None
-    return vec_mat(coeff, trans, len(rows))
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -529,6 +540,42 @@ def canonicalize(vec: Sequence[int], spec: AbelianSpec) -> Vector:
     return spec.canonicalize(vec)
 
 
+class CosetIntersection:
+    """Witnesses of (a + L1) & (b + L2) for one fixed pair L1, L2.
+
+    The Hermite form of [L1; -L2] and the L1-part of its transform are
+    computed once; each witness is then one triangular solve, reduced modulo
+    base = L1 & L2 (computed here unless the caller already has it).
+    """
+
+    def __init__(
+        self, l1: AbelianSubgroup, l2: AbelianSubgroup,
+        base: Optional[AbelianSubgroup] = None,
+    ):
+        if l1.spec != l2.spec:
+            raise ValueError("mismatched ambient abelian groups")
+        self.m = m = l1.spec.m
+        self.base = l1.intersect(l2) if base is None else base
+        b1 = l1.lattice_basis
+        stacked = list(b1) + [vec_neg(r) for r in l2.lattice_basis]
+        self._h, trans, self._pivots = hnf_with_transform(stacked, m)
+        # the L1-part of each row of the Hermite form, as a vector
+        self._lifts = [vec_mat(t[: len(b1)], b1, m) for t in trans]
+
+    def witness(self, a: Sequence[int], b: Sequence[int]) -> Optional[Vector]:
+        """Some c in (a + L1) & (b + L2), canonical mod L1 & L2; None iff empty.
+
+        Nonempty exactly when b - a lies in L1 + L2.
+        """
+        m = self.m
+        if len(a) != m or len(b) != m:
+            raise ValueError("dimension mismatch")
+        coeff = _solve_hnf(self._h, self._pivots, vec_sub(b, a))
+        if coeff is None:
+            return None
+        return self.base.reduce_mod(vec_add(a, vec_mat(coeff, self._lifts, m)))
+
+
 def coset_intersection_witness(
     a: Sequence[int],
     l1: AbelianSubgroup,
@@ -537,21 +584,9 @@ def coset_intersection_witness(
 ) -> Optional[Vector]:
     """Some c in (a + L1) & (b + L2), canonical mod L1 & L2; None iff empty.
 
-    Nonempty exactly when b - a lies in L1 + L2.
+    One-shot form of CosetIntersection(l1, l2).witness(a, b).
     """
-    if l1.spec != l2.spec:
-        raise ValueError("mismatched ambient abelian groups")
-    m = l1.spec.m
-    if len(a) != m or len(b) != m:
-        raise ValueError("dimension mismatch")
-    b1, b2 = l1.lattice_basis, l2.lattice_basis
-    stacked = list(b1) + [vec_neg(r) for r in b2]
-    sol = solve_left(stacked, vec_sub(b, a), m)
-    if sol is None:
-        return None
-    shift = vec_mat(sol[: len(b1)], b1, m)
-    witness = vec_add(a, shift)
-    return l1.intersect(l2).reduce_mod(witness)
+    return CosetIntersection(l1, l2).witness(a, b)
 
 
 def preimage_under_matrix(
@@ -572,3 +607,37 @@ def preimage_under_matrix(
     ker = kernel(stacked, m)
     rows = [k[:r] for k in ker]
     return AbelianSubgroup.from_generators(AbelianSpec(r), rows)
+
+
+def image_invariants(
+    l: AbelianSubgroup, d_rows: Sequence[Sequence[int]]
+) -> tuple[Vector, Matrix]:
+    """Invariant factors of Z^r / (L)D^-1 and the image of each e_i, from
+    matrices with at most m rows and columns; r is the number of rows of D.
+
+    v -> vD + L maps Z^r / (L)D^-1 isomorphically onto (rowspace D + L) / L.
+    With G the Hermite form of [D; L] (at most m rows) and C the rows of L
+    in G's basis, that group is Z^len(G) / rowspace C, and the Smith form
+    P C Q = S of C splits it into cyclic factors.  Returns (deltas, gens):
+    deltas equals the Smith form of the (L)D^-1 basis padded to length r
+    (r - k ones, then the k non-unit factors, then zeros), and gens[i] is
+    the image of e_i in the k coordinates of the non-unit factors, reduced
+    modulo them.
+    """
+    m = l.spec.m
+    for row in d_rows:
+        if len(row) != m:
+            raise ValueError("dimension mismatch")
+    g = [list(row) for row in d_rows] + [list(row) for row in l.lattice_basis]
+    pivots = _hnf_inplace(g, m)
+    del g[len(pivots):]
+    # every row of D and L lies in G's row space, so these solves are exact
+    dec = snf([_solve_hnf(g, pivots, row) for row in l.lattice_basis], len(g))
+    factors = dec.deltas_padded(len(g))
+    keep = [j for j, d in enumerate(factors) if d != 1]
+    deltas = (1,) * (len(d_rows) - len(keep)) + tuple(factors[j] for j in keep)
+    gens = []
+    for row in d_rows:
+        y = vec_mat(_solve_hnf(g, pivots, row), dec.Q, len(g))
+        gens.append(tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep))
+    return deltas, tuple(gens)

@@ -2,7 +2,8 @@
 indices, transversals, and DOT exports for free-times-abelian groups.
 
 Exit codes: 0 success (and "is a member"), 1 "is not a member",
-2 parse or usage error, 3 budget exhausted under --strict.
+2 parse or usage error, or memory or recursion depth exhausted,
+3 budget exhausted under --strict.
 
 The environment variable STALLINGS_FTA_SEED is reserved; all computations
 are fully deterministic and it is never read.
@@ -150,16 +151,6 @@ def _intersection_context(args, problem, order):
 
 def cmd_intersect(args, problem, order) -> int:
     e1, e2, report = _intersection_context(args, problem, order)
-    payload = {
-        "schema": SCHEMA,
-        "r": report.r,
-        "s": report.s,
-        "deltas": list(report.deltas),
-        "D": _matrix(report.D),
-        "M": _matrix(report.M.lattice_basis),
-        "verdict": report.verdict,
-        "rank": _fin(report.total_rank),
-    }
     abelian_elements = [
         format_element(GroupElement((), row)) for row in report.base.generator_rows()
     ]
@@ -167,7 +158,7 @@ def cmd_intersect(args, problem, order) -> int:
     if report.verdict == VERDICT_FG:
         result = intersect_fg(e1, e2, order, report=report)
         b = basis(result, spanning_tree_by_order(result.skeleton, order))
-        payload["basis"] = [format_element(g) for g in b.free_part] + abelian_elements
+        listing = {"basis": [format_element(g) for g in b.free_part] + abelian_elements}
     else:
         prefix = []
         result = None
@@ -175,13 +166,26 @@ def cmd_intersect(args, problem, order) -> int:
             prefix.extend(format_element(g) for g in stage.new_elements)
             result = stage.automaton
         truncated = True
-        payload["basis_prefix"] = abelian_elements + prefix
-        payload["truncated"] = True
-        payload["max_radius"] = args.max_radius
+        listing = {
+            "basis_prefix": abelian_elements + prefix,
+            "truncated": True,
+            "max_radius": args.max_radius,
+        }
     if args.dot:
         print(enriched_dot(result, name="intersection"))
     else:
-        print(_dump(payload))
+        # report.M is the r x r preimage lattice, built here on first read
+        print(_dump({
+            "schema": SCHEMA,
+            "r": report.r,
+            "s": report.s,
+            "deltas": list(report.deltas),
+            "D": _matrix(report.D),
+            "M": _matrix(report.M.lattice_basis),
+            "verdict": report.verdict,
+            "rank": _fin(report.total_rank),
+            **listing,
+        }))
     if truncated and args.strict:
         return 3
     return 0
@@ -270,6 +274,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ProblemParseError, OSError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: recursion depth exceeded", file=sys.stderr)
         return 2
 
 

@@ -4,10 +4,14 @@ The pipeline: form the product of the two enriched Stallings automata,
 keeping both abelian label systems and the pair of basepoint subgroups
 (L1, L2); normalize it and read off the petal words w_1..w_r of the free
 projection intersection.  The difference matrix D = B1 A1 - B2 A2 measures
-how the two completions of each w_j disagree, and the preimage lattice
-M = (L1 + L2) D^-1 <= Z^r controls everything: the intersection's free
-projection is the Cayley multidigraph of Z^r / M, finitely generated
-exactly when r = 0, r = 1, or rank(M) = r.
+how the two completions of each w_j disagree, and with the preimage lattice
+M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls everything: the
+intersection's free projection is its Cayley multidigraph on the images of
+e_1..e_r, finitely generated exactly when r = 0, r = 1, or Z^r / M is
+finite.  v -> vD + (L1 + L2) maps Z^r / M isomorphically onto a subgroup of
+Z^m / (L1 + L2), so its invariant factors and the images of the e_i are
+computed there, from matrices of at most m rows and columns
+(abelian.image_invariants); no r x r matrix is built unless M is read.
 
 The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
@@ -33,15 +37,17 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .abelian import (
     INFINITY,
     AbelianSubgroup,
+    CosetIntersection,
     Matrix,
     SnfDecomposition,
     Vector,
-    coset_intersection_witness,
+    image_invariants,
     preimage_under_matrix,
     snf,
     vec_add,
@@ -67,11 +73,11 @@ from .words import (
     _core_keep,
     canonical_renumber,
     check_order,
-    invert,
     petal_word,
     product_with_provenance,
     recognizes,
     spanning_tree_by_order,
+    tree_petal_word,
     word_coordinates,
 )
 
@@ -176,7 +182,12 @@ def doubly_completion(x: DoublyEnrichedAutomaton, w: Sequence[int]):
 class IntersectionReport:
     """The intersection's context: its letter order, its normalized product
     and the product's spanning tree, and what the finite-generation decision
-    reads off them.  The constructions stream from it (see stages)."""
+    reads off them.  The constructions stream from it (see stages).
+
+    deltas and generators are computed in Z^m.  M and snf, the r x r lattice
+    and its Smith form, are cached properties built on first read; the CLI
+    reads them for the JSON "M" of intersect and the vertex labels of
+    cayley, and the paper-case checks and the tests read them too."""
 
     ambient: Ambient
     order: tuple[int, ...]  # checked letter order
@@ -189,8 +200,8 @@ class IntersectionReport:
     B1: Matrix
     B2: Matrix
     D: Matrix  # r x m difference matrix
-    M: AbelianSubgroup  # (L1 + L2) D^-1 <= Z^r
-    snf: SnfDecomposition  # of the M lattice basis
+    deltas: Vector  # invariant factors of Z^r / M, padded to length r
+    generators: Matrix  # image of each e_i in the non-unit factors of deltas
     base: AbelianSubgroup  # L1 & L2
     verdict: str
     pi_trivial: bool
@@ -203,11 +214,17 @@ class IntersectionReport:
 
     @property
     def s(self) -> int:
-        return self.snf.s
+        return sum(1 for d in self.deltas if d)
 
-    @property
-    def deltas(self) -> Vector:
-        return self.snf.deltas_padded(self.r)
+    @cached_property
+    def M(self) -> AbelianSubgroup:
+        """(L1 + L2) D^-1 <= Z^r, built on first use."""
+        return preimage_under_matrix(self.prod.base1.sum(self.prod.base2), self.D, r=self.r)
+
+    @cached_property
+    def snf(self) -> SnfDecomposition:
+        """Smith form of the M lattice basis, built on first use."""
+        return snf(self.M.lattice_basis, width=self.r)
 
     def stages(self) -> Iterator[IntersectionStage]:
         """Stages of radius 0, 1, ..., ending with the first complete one."""
@@ -268,10 +285,9 @@ def intersection_matrices(
     d = tuple(
         vec_sub(vec_mat(r1, a1, m), vec_mat(r2, a2, m)) for r1, r2 in zip(b1, b2)
     )
-    lat_m = preimage_under_matrix(e1.base.sum(e2.base), d, r=len(words))
-    dec = snf(lat_m.lattice_basis, width=len(words))
+    deltas, gens = image_invariants(e1.base.sum(e2.base), d)
     verdict, pi_trivial, free_rank = decide_finitely_generated(
-        len(words), dec.s, dec.deltas_padded(len(words))
+        len(words), sum(1 for x in deltas if x), deltas
     )
     base = e1.base.intersect(e2.base)
     total = INFINITY if free_rank is INFINITY else free_rank + base.rank()
@@ -287,8 +303,8 @@ def intersection_matrices(
         B1=b1,
         B2=b2,
         D=d,
-        M=lat_m,
-        snf=dec,
+        deltas=deltas,
+        generators=gens,
         base=base,
         verdict=verdict,
         pi_trivial=pi_trivial,
@@ -299,12 +315,13 @@ def intersection_matrices(
 
 class _CayleyBall:
     """Breadth-first ball of the Cayley multidigraph of Z/delta_1 + ... +
-    Z/delta_r on the rows of Q, grown one sphere at a time.
+    Z/delta_k on the given generator rows, grown one sphere at a time.
 
-    Vertices are numbered in discovery order.  Growing reduces each vertex of
-    the outer sphere's v + g_i and v - g_i once, numbers those not seen yet
-    as the next sphere, and records plus[v][i] and minus[v][i], the numbers
-    of v + g_i and v - g_i.
+    Vertices are numbered in discovery order, so any isomorphic presentation
+    of the group, with the generators in the same order, numbers them alike.
+    Growing reduces each vertex of the outer sphere's v + g_i and v - g_i
+    once, numbers those not seen yet as the next sphere, and records
+    plus[v][i] and minus[v][i], the numbers of v + g_i and v - g_i.
     """
 
     def __init__(self, deltas: Sequence[int], q_rows: Sequence[Sequence[int]]):
@@ -427,6 +444,7 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
     tree = tree or spanning_tree_by_order(x.skeleton)
     x = normalize_doubly(x, tree)
     base = x.base1.intersect(x.base2)
+    witness = CosetIntersection(x.base1, x.base2, base).witness
     zero = x.ambient.zero()
     labels = []
     for arc_idx in range(len(x.skeleton.arcs)):
@@ -435,7 +453,7 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
             continue
         a = x.labels1[arc_idx][1]
         b = x.labels2[arc_idx][1]
-        c = coset_intersection_witness(a, x.base1, b, x.base2)
+        c = witness(a, b)
         if c is None:
             raise NotEqualizableError(
                 f"arc {arc_idx}: ({a} + L1) and ({b} + L2) do not meet"
@@ -541,7 +559,8 @@ class _ExpansionStream:
         self.tree = report.tree
         self.order = report.order
         self.ambient = report.ambient
-        self.ball = _CayleyBall(report.deltas, report.snf.Q)
+        self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
+        self.witness = CosetIntersection(self.prod.base1, self.prod.base2, report.base).witness
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
@@ -552,7 +571,7 @@ class _ExpansionStream:
         basepoint = self.prod.skeleton.basepoint
         zero = self.ambient.zero()
         self.age = {basepoint: 0}
-        self.parent: dict[int, tuple[int, int]] = {}
+        self.parent: dict[int, Optional[tuple[int, int]]] = {basepoint: None}
         self.tree_arcs: set[int] = set()
         self.phi1: dict[int, Vector] = {basepoint: zero}
         self.phi2: dict[int, Vector] = {basepoint: zero}
@@ -613,21 +632,6 @@ class _ExpansionStream:
                     self.phi2[w] = vec_add(self.phi2[v], vec_sub(lab2_2, lab1_2))
                 queue.append(w)
 
-    def _petal_word(self, arc_idx):
-        o, k, t = self.arcs[arc_idx]
-
-        def path(v):
-            out = []
-            while v in self.parent:
-                a_idx, d = self.parent[v]
-                out.append(self.arcs[a_idx][1] * d)
-                ao, _, at = self.arcs[a_idx]
-                v = ao if d == 1 else at
-            out.reverse()
-            return tuple(out)
-
-        return path(o) + (k,) + invert(path(t))
-
     def _equalize_new_arcs(self, start_arc):
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
@@ -640,10 +644,11 @@ class _ExpansionStream:
             (l1a, l1b), (l2a, l2b) = self.arc_labels[arc_idx]
             val1 = vec_sub(vec_add(l1b, self.phi1[t]), vec_add(l1a, self.phi1[o]))
             val2 = vec_sub(vec_add(l2b, self.phi2[t]), vec_add(l2a, self.phi2[o]))
-            c = coset_intersection_witness(val1, self.prod.base1, val2, self.prod.base2)
+            c = self.witness(val1, val2)
             if c is None:
                 raise NotEqualizableError("vertex expansion must be equalizable")
-            element = GroupElement(self._petal_word(arc_idx), self.ambient.abelian.canonicalize(c))
+            word = tree_petal_word(self.arcs, self.parent, arc_idx)
+            element = GroupElement(word, self.ambient.abelian.canonicalize(c))
             self.labels.append((zero, element.vec))
             out.append(element)
         return tuple(out)

@@ -336,22 +336,6 @@ class SpanningTree:
     vertex_age: tuple[int, ...]  # insertion order -> vertex
     petal_arcs: tuple[int, ...]  # positive non-tree arcs, emission order
 
-    def path_to(self, a: Automaton, v: int) -> list[tuple[int, int]]:
-        """Tree walk basepoint -> v as (arc index, direction) steps."""
-        steps = []
-        while v != self.root:
-            arc_idx, d = self.parent[v]
-            steps.append((arc_idx, d))
-            o, _, t = a.arcs[arc_idx]
-            v = o if d == 1 else t
-        steps.reverse()
-        return steps
-
-    def word_to(self, a: Automaton, v: int) -> Word:
-        return tuple(
-            a.arcs[i][1] * d for i, d in self.path_to(a, v)
-        )
-
 
 def spanning_tree_by_order(
     a: Automaton, order: Optional[Sequence[int]] = None, strategy: str = "order"
@@ -427,9 +411,25 @@ def spanning_tree_by_order(
 
 def petal_word(a: Automaton, t: SpanningTree, arc_idx: int) -> Word:
     """Label of the petal: basepoint ~> origin, the arc, target ~> basepoint."""
-    o, k, tgt = a.arcs[arc_idx]
-    back = t.word_to(a, tgt)
-    return t.word_to(a, o) + (k,) + invert(back)
+    return tree_petal_word(a.arcs, t.parent, arc_idx)
+
+
+def tree_petal_word(arcs: Sequence[Arc], parent, arc_idx: int) -> Word:
+    """petal_word over bare arcs and a parent map (vertex -> (arc index,
+    direction), None at the root), for trees still being grown."""
+
+    def walk(v: int) -> Word:
+        out = []
+        while parent[v] is not None:
+            i, d = parent[v]
+            o, k, t = arcs[i]
+            out.append(k * d)
+            v = o if d == 1 else t
+        out.reverse()
+        return tuple(out)
+
+    o, k, t = arcs[arc_idx]
+    return walk(o) + (k,) + invert(walk(t))
 
 
 def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:

@@ -9,6 +9,7 @@ from stallings_fta.abelian import (
     canonicalize,
     coset_intersection_witness,
     hnf,
+    image_invariants,
     kernel,
     mat_identity,
     mat_mul,
@@ -262,6 +263,43 @@ class TestPreimage:
             for v in itertools.product(range(-4, 5), repeat=r):
                 if l.contains(vec_mat(v, d, m)):
                     assert pre.contains(v)
+
+
+class TestImageInvariants:
+    """image_invariants works in Z^m; the r x r Smith form of the preimage is
+    its oracle."""
+
+    SPECS = (AbelianSpec(1), AbelianSpec(2), AbelianSpec(1, (6,)), AbelianSpec(0, (2, 4)))
+
+    def test_divisibility_chain_example(self):
+        deltas, gens = image_invariants(sub(Z2, (0, 6), (3, -3)), ((2, -3), (1, 0)))
+        assert deltas == (1, 6)
+        assert len(gens) == 2 and all(len(g) == 1 for g in gens)
+
+    def test_empty_matrix(self):
+        assert image_invariants(sub(Z1), ()) == ((), ())
+
+    def test_against_preimage_smith_form(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            spec = rng.choice(self.SPECS)
+            m, r = spec.m, rng.randint(0, 4)
+            l = sub(spec, *[tuple(rng.randint(-4, 4) for _ in range(m))
+                            for _ in range(rng.randint(0, 2))])
+            d = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(r)]
+            deltas, gens = image_invariants(l, d)
+            pre = preimage_under_matrix(l, d, r)
+            assert deltas == snf(pre.lattice_basis, r).deltas_padded(r)
+            factors = [x for x in deltas if x != 1]
+            assert len(gens) == r and all(len(g) == len(factors) for g in gens)
+
+            def image(v):
+                total = vec_mat(v, gens, len(factors))
+                return tuple(a % f if f else a for a, f in zip(total, factors))
+
+            zero = (0,) * len(factors)
+            for v in itertools.product(range(-2, 3), repeat=r):
+                assert (image(v) == zero) == pre.contains(v)
 
 
 class TestIndexTransversal:

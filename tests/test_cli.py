@@ -146,6 +146,25 @@ class TestCommands:
         assert len(calls) == 1
         assert "x2" in json.loads(capsys.readouterr().out)["basis_prefix"]
 
+    @pytest.mark.parametrize("dot, builds", [(False, 1), (True, 0)])
+    def test_intersect_builds_m_for_json_only(
+        self, case1_file, capsys, monkeypatch, dot, builds
+    ):
+        # --dot prints no "M", so it never builds the r x r preimage lattice
+        calls = []
+        real = intersection.preimage_under_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(intersection, "preimage_under_matrix", counted)
+        argv = ["intersect", case1_file, "H1", "H2"] + (["--dot"] if dot else [])
+        assert main(argv) == 0
+        assert len(calls) == builds
+        out = capsys.readouterr().out
+        assert out.startswith("digraph") if dot else "M" in json.loads(out)
+
     def test_intersect_strict_truncation(self, moldavanski_file):
         assert main(
             ["intersect", moldavanski_file, "H1", "H2", "--max-radius", "2", "--strict"]
@@ -219,6 +238,17 @@ class TestCommands:
         path.write_text("group F2 x Z\nH: x9\n")
         assert main(["basis", str(path), "H"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_resource_error_exit(self, moldavanski_file, capsys, monkeypatch, error):
+        # exit 1 would read as "not a member"
+        def exhausted(*args):
+            raise error()
+
+        monkeypatch.setattr(cli, "cmd_member", exhausted)
+        assert main(["member", moldavanski_file, "H1", "x1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_unknown_subgroup(self, moldavanski_file, capsys):
         assert main(["basis", moldavanski_file, "H9"]) == 2

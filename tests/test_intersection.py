@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from stallings_fta import intersection
-from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
+from stallings_fta import abelian, intersection
+from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup, snf
 from stallings_fta.enriched import (
     Ambient,
+    EnrichedAutomaton,
     GroupElement,
     basis,
     completion_table,
@@ -502,6 +503,85 @@ class TestOneContext:
         assert [s.automaton for s in stages] == [
             s.automaton for s in itertools.islice(rep.stages(), 3)
         ]
+
+
+class TestAgainstSmithForm:
+    """The verdict and the Cayley ball come from matrices of at most m rows
+    and columns; the r x r Smith form of M is their oracle."""
+
+    @staticmethod
+    def stage_against_paper_steps(rep, stage):
+        """The stage equals the vertex expansion of the Cayley ball of its
+        radius on the Smith form's generators, equalized."""
+        ball, _ = cayley_multidigraph(rep.deltas, rep.snf.Q, radius=stage.radius)
+        x = vertex_expand(ball, rep.prod, rep.tree)
+        got = stage.automaton
+        assert got.skeleton.num_vertices == x.skeleton.num_vertices
+        assert got.skeleton.basepoint == x.skeleton.basepoint
+        assert sorted(got.skeleton.arcs) == sorted(x.skeleton.arcs)
+        at = {arc: i for i, arc in enumerate(got.skeleton.arcs)}
+        labels = tuple(got.labels[at[arc]] for arc in x.skeleton.arcs)
+        tree = spanning_tree_by_order(x.skeleton, rep.order)
+        ours = EnrichedAutomaton(got.ambient, x.skeleton, labels, got.base)
+        assert normalize(ours, tree) == normalize(equalize(x, tree), tree)
+
+    @pytest.mark.parametrize("name", list(TestFgPipelineAgainstPaperSteps.AMBIENTS))
+    def test_random_pairs(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"smith-oracle:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        for i in range(30):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            e2 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            rep = intersection_matrices(e1, e2, order=order)
+            dec = snf(rep.M.lattice_basis, rep.r)
+            assert rep.snf == dec
+            assert rep.deltas == dec.deltas_padded(rep.r) and rep.s == dec.s
+            assert (rep.verdict, rep.pi_trivial, rep.free_rank) == decide_finitely_generated(
+                rep.r, dec.s, dec.deltas_padded(rep.r)
+            )
+            if rep.pi_trivial:
+                continue
+            for stage in itertools.islice(rep.stages(), 3):
+                self.stage_against_paper_steps(rep, stage)
+
+    def test_no_r_by_r_work_on_the_verdict_or_stream(self, monkeypatch):
+        # x1-exponent sums divisible by 8 and by 9, tails mod 2: r = 73, m = 1
+        h1, h2 = (
+            stallings(F2Z, [F2Z.element((1,) * n, (1,)), F2Z.element((), (2,))] + [
+                F2Z.element((1,) * i + (2,) + (-1,) * i, (i,)) for i in range(n)
+            ])
+            for n in (8, 9)
+        )
+        widths, preimages, solvers = [], [], []
+        real_snf, real_pre = abelian.snf, abelian.preimage_under_matrix
+        real_solver = abelian.CosetIntersection
+
+        def counted_snf(rows, width=None):
+            widths.append(width)
+            return real_snf(rows, width)
+
+        def counted_pre(*args, **kwargs):
+            preimages.append(args)
+            return real_pre(*args, **kwargs)
+
+        def counted_solver(*args, **kwargs):
+            solvers.append(args)
+            return real_solver(*args, **kwargs)
+
+        for module in (abelian, intersection):
+            monkeypatch.setattr(module, "snf", counted_snf)
+            monkeypatch.setattr(module, "preimage_under_matrix", counted_pre)
+        monkeypatch.setattr(intersection, "CosetIntersection", counted_solver)
+        rep = intersection_matrices(h1, h2)
+        list(itertools.islice(rep.stages(), 3))
+        assert rep.r == 73 and rep.verdict == VERDICT_FG
+        assert preimages == [] and widths and all(w <= F2Z.m for w in widths)
+        assert len(solvers) == 1
+        # M and its Smith form stay available, built on first use
+        assert rep.deltas == rep.snf.deltas_padded(rep.r)
+        assert len(preimages) == 1 and max(widths) == rep.r
 
 
 class TestStreams:
