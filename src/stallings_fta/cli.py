@@ -161,10 +161,9 @@ def cmd_intersect(args, problem, order) -> int:
         listing = {"basis": [format_element(g) for g in b.free_part] + abelian_elements}
     else:
         prefix = []
-        result = None
         for stage in itertools.islice(report.stages(), args.max_radius + 1):
             prefix.extend(format_element(g) for g in stage.new_elements)
-            result = stage.automaton
+        result = stage.automaton  # the only stage automaton built
         truncated = True
         listing = {
             "basis_prefix": abelian_elements + prefix,

@@ -18,8 +18,11 @@ product automaton and equalizing each double label (a, b) to a witness in
 (a+L1) & (b+L2).  One stream does both, one Cayley sphere per stage: the
 stages form a strictly increasing chain of automata whose petals enumerate
 a recursive basis, and every element of the intersection with free length
-at most 2n is already recognized by the n-th stage.  In the finitely
-generated case the Cayley graph is finite and the stream runs to
+at most 2n is already recognized by the n-th stage.  A stage costs time in
+proportion to its new sphere, not to the ball: it copies no arc of earlier
+stages, cuts its petal words from the root paths of the two spheres its
+arcs join, and builds its automaton only when that is read.  In the
+finitely generated case the Cayley graph is finite and the stream runs to
 completion; the core of its last stage, canonically numbered, is the
 Stallings automaton of the intersection.
 
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import neg
+from typing import Callable, Iterator, Optional, Sequence
 
 from .abelian import (
     INFINITY,
@@ -77,7 +81,6 @@ from .words import (
     product_with_provenance,
     recognizes,
     spanning_tree_by_order,
-    tree_petal_word,
     word_coordinates,
 )
 
@@ -484,7 +487,8 @@ def intersect_fg(
     if report.verdict != VERDICT_FG:
         raise ValueError("intersection is not finitely generated")
     for stage in report.stages():
-        last = stage.automaton
+        pass
+    last = stage.automaton
     sk = last.skeleton
     _, kept = _core_keep(sk.num_vertices, sk.basepoint, sk.arcs)
     skeleton = _compact(ambient.n, sk.num_vertices, sk.basepoint, [sk.arcs[i] for i in kept])
@@ -496,14 +500,30 @@ def intersect_fg(
 
 @dataclass(frozen=True)
 class IntersectionStage:
-    """One step of the recursive construction: the ball radius, the equalized
-    automaton so far, the basis elements new to this stage, and whether the
-    Cayley graph is exhausted."""
+    """One step of the recursive construction: the ball radius, the basis
+    elements new to this stage, whether the Cayley graph is exhausted, and
+    the equalized automaton so far.
+
+    The automaton is built on first read, by the build closure, from
+    prefixes of the stream's append-only arc and label lists; so a stage
+    read after the stream has moved on gives the same automaton.  Equality
+    compares the automaton too."""
 
     radius: int
-    automaton: EnrichedAutomaton
     new_elements: tuple[GroupElement, ...]
     complete: bool
+    build: Callable[[], EnrichedAutomaton] = field(compare=False, repr=False)
+
+    @cached_property
+    def automaton(self) -> EnrichedAutomaton:
+        return self.build()
+
+    def __eq__(self, other):
+        if not isinstance(other, IntersectionStage):
+            return NotImplemented
+        return (self.radius, self.new_elements, self.complete) == (
+            other.radius, other.new_elements, other.complete
+        ) and self.automaton == other.automaton
 
 
 def intersect_stages(
@@ -542,6 +562,29 @@ def intersect_stream(
     return report, automata, elements
 
 
+def _label_differences(labels: Sequence[ArcLabel]) -> list[Optional[Vector]]:
+    """lab2 - lab1 for each arc label, None where it is zero."""
+    out = []
+    for lab1, lab2 in labels:
+        diff = vec_sub(lab2, lab1)
+        out.append(diff if any(diff) else None)
+    return out
+
+
+def _crossed(phi: Vector, diff: Optional[Vector], d: int) -> Vector:
+    """The potential across an arc read in direction d, from potential phi."""
+    if diff is None:
+        return phi
+    return vec_sub(phi, diff) if d == 1 else vec_add(phi, diff)
+
+
+def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
+    """An arc's label difference diff after the potentials: phi(t) - phi(o) + diff."""
+    if diff is None:
+        return vec_sub(phi[t], phi[o])
+    return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
+
+
 class _ExpansionStream:
     """Incremental vertex-expansion of growing Cayley balls by the report's
     product, on the report's spanning tree and letter order.
@@ -550,7 +593,13 @@ class _ExpansionStream:
     discovery order) occupies the block [d*vt, (d+1)*vt).  The spanning tree
     is extended breadth-first from the already-visited vertices, so earlier
     stages are full subautomata of later ones and petals never disappear.
-    Each stage touches only the arcs of its own sphere.
+
+    A stage costs time in proportion to its sphere.  It touches only the
+    arcs of its own sphere, and each of them records the product arc it
+    copies, whose label differences are computed once.  Every new arc of
+    stage n joins blocks of spheres n-1 and n, since breadth-first distances
+    differ by at most one, so only those blocks keep the root-path words that
+    petal words are cut from.  A stage's automaton is built when it is read.
     """
 
     def __init__(self, report: IntersectionReport):
@@ -561,10 +610,13 @@ class _ExpansionStream:
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
         self.witness = CosetIntersection(self.prod.base1, self.prod.base2, report.base).witness
+        self.diff1 = _label_differences(self.prod.labels1)
+        self.diff2 = _label_differences(self.prod.labels2)
+        self.block_arcs = sorted(self.tree.tree_arcs)
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
-        self.arc_labels: list[tuple[ArcLabel, ArcLabel]] = []
+        self.source: list[int] = []  # the product arc each arc copies
         self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
         # spanning tree state: vertex -> insertion order, parent step, potentials
@@ -572,34 +624,29 @@ class _ExpansionStream:
         zero = self.ambient.zero()
         self.age = {basepoint: 0}
         self.parent: dict[int, Optional[tuple[int, int]]] = {basepoint: None}
+        self.path: dict[int, Word] = {basepoint: ()}  # root-path words, two spheres only
         self.tree_arcs: set[int] = set()
         self.phi1: dict[int, Vector] = {basepoint: zero}
         self.phi2: dict[int, Vector] = {basepoint: zero}
 
-    def _add_arc(self, o, k, t, lab1, lab2):
+    def _add_arc(self, o, k, t, src):
         idx = len(self.arcs)
         self.arcs.append((o, k, t))
-        self.arc_labels.append((lab1, lab2))
+        self.source.append(src)
         self.steps[(o, k)] = (t, idx, 1)
         self.steps[(t, -k)] = (o, idx, -1)
 
     def _add_block(self, d):
-        sk = self.prod.skeleton
+        arcs = self.prod.skeleton.arcs
         base = d * self.vt
-        for arc_idx in sorted(self.tree.tree_arcs):
-            o, k, t = sk.arcs[arc_idx]
-            self._add_arc(
-                base + o, k, base + t,
-                self.prod.labels1[arc_idx], self.prod.labels2[arc_idx],
-            )
+        for arc_idx in self.block_arcs:
+            o, k, t = arcs[arc_idx]
+            self._add_arc(base + o, k, base + t, arc_idx)
 
     def _add_delta_arc(self, do, i, dt):
         arc_idx = self.tree.petal_arcs[i]
         o, k, t = self.prod.skeleton.arcs[arc_idx]
-        self._add_arc(
-            do * self.vt + o, k, dt * self.vt + t,
-            self.prod.labels1[arc_idx], self.prod.labels2[arc_idx],
-        )
+        self._add_arc(do * self.vt + o, k, dt * self.vt + t, arc_idx)
 
     def _extend_tree(self, start_arc):
         """Continue the breadth-first spanning tree over the arcs from start_arc on.
@@ -622,36 +669,44 @@ class _ExpansionStream:
                 self.age[w] = len(self.age)
                 self.parent[w] = (arc_idx, d)
                 self.tree_arcs.add(arc_idx)
-                lab1_1, lab2_1 = self.arc_labels[arc_idx][0]
-                lab1_2, lab2_2 = self.arc_labels[arc_idx][1]
-                if d == 1:
-                    self.phi1[w] = vec_add(self.phi1[v], vec_sub(lab1_1, lab2_1))
-                    self.phi2[w] = vec_add(self.phi2[v], vec_sub(lab1_2, lab2_2))
-                else:
-                    self.phi1[w] = vec_add(self.phi1[v], vec_sub(lab2_1, lab1_1))
-                    self.phi2[w] = vec_add(self.phi2[v], vec_sub(lab2_2, lab1_2))
+                self.path[w] = self.path[v] + (s,)
+                src = self.source[arc_idx]
+                self.phi1[w] = _crossed(self.phi1[v], self.diff1[src], d)
+                self.phi2[w] = _crossed(self.phi2[v], self.diff2[src], d)
                 queue.append(w)
 
     def _equalize_new_arcs(self, start_arc):
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
+        path = self.path
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
             if arc_idx in self.tree_arcs:
                 self.labels.append((zero, zero))
                 continue
-            o, _, t = self.arcs[arc_idx]
-            (l1a, l1b), (l2a, l2b) = self.arc_labels[arc_idx]
-            val1 = vec_sub(vec_add(l1b, self.phi1[t]), vec_add(l1a, self.phi1[o]))
-            val2 = vec_sub(vec_add(l2b, self.phi2[t]), vec_add(l2a, self.phi2[o]))
-            c = self.witness(val1, val2)
+            o, k, t = self.arcs[arc_idx]
+            src = self.source[arc_idx]
+            c = self.witness(
+                _arc_value(self.phi1, o, t, self.diff1[src]),
+                _arc_value(self.phi2, o, t, self.diff2[src]),
+            )
             if c is None:
                 raise NotEqualizableError("vertex expansion must be equalizable")
-            word = tree_petal_word(self.arcs, self.parent, arc_idx)
+            word = path[o] + (k,) + tuple(map(neg, reversed(path[t])))
             element = GroupElement(word, self.ambient.abelian.canonicalize(c))
             self.labels.append((zero, element.vec))
             out.append(element)
         return tuple(out)
+
+    def _automaton(self, num_vertices: int, num_arcs: int) -> EnrichedAutomaton:
+        """The equalized automaton on the first vertices and arcs."""
+        skeleton = Automaton(
+            self.ambient.n, num_vertices, self.prod.skeleton.basepoint,
+            tuple(self.arcs[:num_arcs]),
+        )
+        return EnrichedAutomaton(
+            self.ambient, skeleton, tuple(self.labels[:num_arcs]), self.report.base
+        )
 
     def stages(self) -> Iterator[IntersectionStage]:
         """Stages of radius 0, 1, ..., ending with the first complete one.
@@ -659,15 +714,18 @@ class _ExpansionStream:
         Stage n adds the blocks of the Cayley sphere of radius n, then its
         arcs: those from the inner ball into the sphere, ordered by origin
         and generator, then those from the sphere into the ball of radius n.
-        A trivial free projection is the one complete stage of radius 0, the
-        point automaton carrying L1 & L2.
+        Then the root paths of sphere n-1 are dropped: no later arc reaches
+        it.  A trivial free projection is the one complete stage of radius
+        0, the point automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
             point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
-            yield IntersectionStage(0, point, (), True)
+            yield IntersectionStage(0, (), True, lambda: point)
             return
         ball = self.ball
+        vt = self.vt
+        previous = range(0)
         for radius in itertools.count():
             sphere = ball.sphere
             ball.grow()
@@ -690,11 +748,10 @@ class _ExpansionStream:
                 self._add_delta_arc(do, i, dt)
             self._extend_tree(start_arc)
             new_elements = self._equalize_new_arcs(start_arc)
-            complete = not ball.sphere
-            skeleton = Automaton(
-                ambient.n, sphere.stop * self.vt, self.prod.skeleton.basepoint, tuple(self.arcs)
-            )
-            automaton = EnrichedAutomaton(ambient, skeleton, tuple(self.labels), self.report.base)
-            yield IntersectionStage(radius, automaton, new_elements, complete)
-            if complete:
+            for v in range(previous.start * vt, previous.stop * vt):
+                del self.path[v]
+            previous = sphere
+            build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
+            yield IntersectionStage(radius, new_elements, not ball.sphere, build)
+            if not ball.sphere:
                 return

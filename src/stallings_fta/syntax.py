@@ -45,12 +45,23 @@ class ProblemFile:
 
 
 MAX_WORD_LETTERS = 10**6  # before free reduction; bounds what parsing allocates
+MAX_RANK = 10**4  # free rank n and abelian rank m; work such as letter orders grows with them
 
 _LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 _VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$")
 _GROUP_RE = re.compile(r"F(\d+)$")
 _FREE_PART_RE = re.compile(r"Z(?:\^(\d+))?$")
 _TORSION_RE = re.compile(r"Z/(\d+)Z?$")
+
+
+def _literal(digits: str, line: int, col: int) -> int:
+    """int(digits), or a ProblemParseError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ProblemParseError(
+            f"integer literal of {len(digits)} digits is too long", line, col
+        ) from None
 
 
 def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0) -> GroupElement:
@@ -66,12 +77,12 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
             continue
         m = _LETTER_RE.match(token)
         if m:
-            idx = int(m.group(1))
+            idx = _literal(m.group(1), line, col)
             if not (1 <= idx <= ambient.n):
                 raise ProblemParseError(
                     f"generator x{idx} out of range (free rank {ambient.n})", line, col
                 )
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            exp = _literal(m.group(2), line, col) if m.group(2) is not None else 1
             if len(word) + abs(exp) > MAX_WORD_LETTERS:
                 raise ProblemParseError(
                     f"word longer than {MAX_WORD_LETTERS} letters", line, col
@@ -81,9 +92,9 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
         m = _VECTOR_RE.match(token)
         if m:
             if m.group(2) is not None:
-                coords = (int(m.group(2)),)
+                coords = (_literal(m.group(2), line, col),)
             elif m.group(1):
-                coords = tuple(int(p) for p in m.group(1).split(","))
+                coords = tuple(_literal(p, line, col) for p in m.group(1).split(","))
             else:
                 coords = ()
             if len(coords) != ambient.m:
@@ -117,7 +128,9 @@ def parse_group(text: str, line: int = 0) -> Ambient:
         raise ProblemParseError(
             "group must start with the free part, e.g. 'F2'", line, 1
         )
-    n = int(_GROUP_RE.match(parts[0]).group(1))
+    n = _literal(_GROUP_RE.match(parts[0]).group(1), line, 1)
+    if n > MAX_RANK:
+        raise ProblemParseError(f"free rank {n} is above {MAX_RANK}", line, 1)
     m_free = 0
     torsion: list[int] = []
     for part in parts[1:]:
@@ -125,13 +138,17 @@ def parse_group(text: str, line: int = 0) -> Ambient:
         if m:
             if torsion:
                 raise ProblemParseError("free factors must precede torsion", line, 1)
-            m_free += int(m.group(1)) if m.group(1) is not None else 1
+            m_free += _literal(m.group(1), line, 1) if m.group(1) is not None else 1
             continue
         m = _TORSION_RE.match(part)
         if m:
-            torsion.append(int(m.group(1)))
+            torsion.append(_literal(m.group(1), line, 1))
             continue
         raise ProblemParseError(f"cannot read group factor {part!r}", line, 1)
+    if m_free + len(torsion) > MAX_RANK:
+        raise ProblemParseError(
+            f"abelian rank {m_free + len(torsion)} is above {MAX_RANK}", line, 1
+        )
     try:
         spec = AbelianSpec(m_free, tuple(torsion))
     except ValueError as exc:

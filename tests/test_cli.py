@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from stallings_fta import cli, intersection
+from stallings_fta import cli, enriched, intersection, words
 from stallings_fta.cli import main
 from stallings_fta.syntax import (
+    MAX_RANK,
     MAX_WORD_LETTERS,
     ProblemParseError,
     format_problem,
@@ -99,6 +100,26 @@ class TestParsing:
         with pytest.raises(ProblemParseError):
             parse_element(f"x1^{half} x2^-{half}", ambient)
 
+    @pytest.mark.parametrize("group", [f"F{MAX_RANK + 1} x Z", f"F2 x Z^{MAX_RANK + 1}",
+                                       f"F2 x Z^{MAX_RANK} x Z/2Z"])
+    def test_rank_above_bound_rejected(self, group):
+        with pytest.raises(ProblemParseError, match=f"above {MAX_RANK}") as info:
+            parse_problem(f"# ranks\ngroup {group}\nH: x1\n")
+        assert info.value.line == 2
+        ambient = parse_problem(f"group F{MAX_RANK} x Z^{MAX_RANK}\n").ambient
+        assert (ambient.n, ambient.m) == (MAX_RANK, MAX_RANK)
+
+    @pytest.mark.parametrize("token", ["x1^", "t^", "t^(1,", "x"])
+    def test_oversized_literal_reports_position(self, token):
+        digits = "7" * 5000  # past the interpreter's integer-string limit
+        tail = ")" if "(" in token else ""
+        with pytest.raises(ProblemParseError, match="5000 digits") as info:
+            parse_problem(f"group F2 x Z^2\nH: x2,  {token}{digits}{tail}\n")
+        assert (info.value.line, info.value.col) == (2, 9)
+        with pytest.raises(ProblemParseError, match="5000 digits") as info:
+            parse_problem(f"group F{digits}\n")
+        assert info.value.line == 1
+
     def test_identity_and_scalar_tail(self):
         problem = parse_problem("group F1 x Z\nH: 1, x1 t^3\n")
         gens = problem.subgroup("H")
@@ -145,6 +166,43 @@ class TestCommands:
         assert main(["intersect", moldavanski_file, "H1", "H2"]) == 0
         assert len(calls) == 1
         assert "x2" in json.loads(capsys.readouterr().out)["basis_prefix"]
+
+    @pytest.mark.parametrize("dot", [False, True])
+    def test_non_fg_intersect_builds_one_stage_automaton(
+        self, moldavanski_file, capsys, monkeypatch, dot
+    ):
+        built = []
+        real = intersection._ExpansionStream._automaton
+
+        def counted(stream, *args):
+            built.append(args)
+            return real(stream, *args)
+
+        monkeypatch.setattr(intersection._ExpansionStream, "_automaton", counted)
+        argv = ["intersect", moldavanski_file, "H1", "H2", "--max-radius", "5"]
+        assert main(argv + (["--dot"] if dot else [])) == 0
+        assert len(built) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("digraph") if dot else json.loads(out)["max_radius"] == 5
+
+    def test_huge_free_rank_fails_fast(self, tmp_path, capsys, monkeypatch):
+        orders = []
+        real = words.default_order
+
+        def recorded(n):
+            orders.append(n)
+            assert n <= MAX_RANK, "a letter order of the huge rank was built"
+            return real(n)
+
+        for module in (words, enriched):
+            monkeypatch.setattr(module, "default_order", recorded)
+        path = tmp_path / "huge.txt"
+        path.write_text("group F100000000 x Z\nH: x1 t^1, x2\n")
+        assert main(["basis", str(path), "H"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 1, col 1: free rank 100000000 is above {MAX_RANK}\n"
+        )
+        assert orders == []
 
     @pytest.mark.parametrize("dot, builds", [(False, 1), (True, 0)])
     def test_intersect_builds_m_for_json_only(

@@ -33,8 +33,8 @@ from stallings_fta.intersection import (
     is_equalizable,
     vertex_expand,
 )
-from stallings_fta.words import core, product, recognizes, spanning_tree_by_order
-from support import random_subgroup_gens
+from stallings_fta.words import core, product, spanning_tree_by_order, tree_petal_word
+from support import random_element, random_subgroup_gens
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -662,6 +662,107 @@ class TestStreams:
             for stage in stages:
                 for g in stage.new_elements:
                     assert len(g.word) >= 2 * stage.radius
+
+
+class TestStageCost:
+    """A stage costs its new sphere: petal words are cut from cached root
+    paths, and a stage's automaton is built only when it is read."""
+
+    @staticmethod
+    def same_words_pair(rng, ambient, order):
+        """<w_i t^a_i> and <w_i t^b_i> on one list of words; where the
+        ambient has a Z factor, most such pairs are not finitely generated."""
+        words = [random_element(rng, ambient, 4).word for _ in range(rng.randint(2, 3))]
+        h1, h2 = (
+            stallings(ambient, [
+                ambient.element(w, tuple(rng.randint(-2, 2) for _ in range(ambient.m)))
+                for w in words
+            ], order)
+            for _ in range(2)
+        )
+        return h1, h2
+
+    @pytest.mark.parametrize("name", list(TestFgPipelineAgainstPaperSteps.AMBIENTS))
+    def test_petal_words_match_the_tree_walk(self, name):
+        # F2x(Z2+Z4) has only finite Cayley graphs; its streams run to completion
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"stage-cost:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        checked = 0
+        while checked < 24:
+            order = None if checked % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            rep = intersection_matrices(*self.same_words_pair(rng, ambient, order), order)
+            if ambient.abelian.m_free and rep.verdict != VERDICT_NOT_FG:
+                continue
+            checked += 1
+            stream = intersection._ExpansionStream(rep)
+            cut = [(stage, len(stream.arcs)) for stage in itertools.islice(stream.stages(), 6)]
+            start = 0
+            for stage, end in cut:
+                petals = [i for i in range(start, end) if i not in stream.tree_arcs]
+                assert [g.word for g in stage.new_elements] == [
+                    tree_petal_word(stream.arcs, stream.parent, i) for i in petals
+                ]
+                start = end
+
+    def test_automaton_read_late_is_the_same(self):
+        rng = random.Random("stage-cost:late")
+        torsion = Ambient(2, AbelianSpec(1, (6,)))
+        pairs = [moldavanski(), parameterized((3, 3), (2, 2), [(1, 2)], [])]
+        while len(pairs) < 4:
+            h1, h2 = self.same_words_pair(rng, torsion, None)
+            if intersection_matrices(h1, h2).verdict == VERDICT_NOT_FG:
+                pairs.append((h1, h2))
+        for h1, h2 in pairs:
+            rep = intersection_matrices(h1, h2)
+            at_once = []
+            for stage in itertools.islice(rep.stages(), 4):
+                stage.automaton  # read as soon as the stage is yielded
+                at_once.append(stage)
+            for k, stage in enumerate(at_once):
+                advanced = list(itertools.islice(rep.stages(), k + 4))  # to stage k + 3
+                assert advanced[k].automaton == stage.automaton
+                assert advanced[k] == stage
+                assert advanced[k + 3].automaton != stage.automaton
+
+    def test_stage_equality_compares_the_automaton(self):
+        # the same radius, petals and completeness, over L1 & L2 = 0 and 5Z
+        five = F2Z.element((), (5,))
+        k1 = stallings(F2Z, elems(F2Z, ((1,), (1,)), ((2,), ())) + [five])
+        k2 = stallings(F2Z, elems(F2Z, ((1,), ()), ((2,), ())) + [five])
+        a = next(intersection_matrices(*moldavanski()).stages())
+        b = next(intersection_matrices(k1, k2).stages())
+        assert (a.radius, a.new_elements, a.complete) == (b.radius, b.new_elements, b.complete)
+        assert a != b and a.automaton.base != b.automaton.base
+
+    def test_stream_builds_no_automaton_and_two_spheres_of_paths(self, monkeypatch):
+        built, cached = [], []
+        real_automaton = intersection.Automaton
+        real_equalize = intersection._ExpansionStream._equalize_new_arcs
+
+        def counted(*args):
+            built.append(args)
+            return real_automaton(*args)
+
+        def observed(stream, start_arc):
+            # the path cache is fullest here: sphere n is in, sphere n-1 not yet out
+            cached.append((stream.ball.sphere.start, set(stream.path)))
+            return real_equalize(stream, start_arc)
+
+        monkeypatch.setattr(intersection, "Automaton", counted)
+        monkeypatch.setattr(intersection._ExpansionStream, "_equalize_new_arcs", observed)
+        rep = intersection_matrices(*moldavanski())
+        stream = intersection._ExpansionStream(rep)
+        stages = list(itertools.islice(stream.stages(), 257))
+        assert stages[-1].radius == 256 and built == []
+        vt, basepoint = stream.vt, rep.prod.skeleton.basepoint
+        stops = [0, 0] + [stop for stop, _ in cached]  # stops[n]: where sphere n-1 starts
+        for n, (stop, paths) in enumerate(cached):
+            assert paths <= set(range(stops[n] * vt, stop * vt)) | {basepoint}
+        assert max(len(paths) for _, paths in cached) <= 4 * vt + 1
+        assert len(stream.age) == stops[-1] * vt == 513 * vt
+        stages[-1].automaton
+        assert len(built) == 1
 
 
 class TestTorsionAmbient:
