@@ -35,6 +35,7 @@ from .intersection import (
     intersection_matrices,
 )
 from .syntax import (
+    MAX_RANK,
     ProblemParseError,
     format_element,
     format_group,
@@ -58,9 +59,13 @@ def _parse_order(text: str, n: int):
 
 
 def _letter_index(token: str, n: int) -> int:
-    if not token.startswith("x") or not token[1:].isdigit():
+    digits = token[1:]
+    # ASCII digits, no more of them than MAX_RANK has: int() never sees a
+    # Unicode digit or a literal past the interpreter's digit limit
+    if (not token.startswith("x") or not (digits.isascii() and digits.isdigit())
+            or len(digits) > len(str(MAX_RANK))):
         raise ProblemParseError(f"bad letter {token!r} in --order")
-    idx = int(token[1:])
+    idx = int(digits)
     if not (1 <= idx <= n):
         raise ProblemParseError(f"letter {token} out of range for free rank {n}")
     return idx

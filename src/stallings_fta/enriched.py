@@ -10,7 +10,9 @@ walks, with elements of L freely insertable at the basepoint.
 The construction pipeline (flower -> enriched folding -> core -> canonical
 renumbering -> tree normalization with canonical label representatives
 modulo L) produces one automaton value per subgroup, so value equality
-decides subgroup equality.
+decides subgroup equality.  stallings() reaches the same automaton without
+building the flower: it reads each generator into the graph folded so far
+and adds arcs only for what cannot be read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .words import (
     Word,
     _compact,
     _core_keep,
-    _fold_arcs,
+    _Folding,
     canonical_renumber,
     default_order,
     free_reduce,
@@ -262,16 +264,30 @@ def _reduce_layers(
     folding reads them side by side as one vector per arc.  Returns
     (skeleton, per-layer labels, per-layer closed-fold vectors).
     """
+    vectors = []
+    for labs in zip(*layers):
+        vec = tuple(b - a for lab1, lab2 in labs for a, b in zip(lab1, lab2))
+        vectors.append(vec if any(vec) else None)
+    folding = _Folding(skeleton.num_vertices, skeleton.arcs, vectors)
+    return _folded_core(ambient, folding, skeleton.basepoint, layers, order)
+
+
+def _folded_core(
+    ambient: Ambient,
+    folding: _Folding,
+    basepoint: int,
+    layers: Sequence[Sequence[ArcLabel]],
+    order: Optional[Sequence[int]],
+):
+    """Core and canonical renumbering of a folded graph, with the layers'
+    labels shifted by the vertex potentials; see _reduce_layers."""
     m = ambient.m
-
-    def vector(x: int) -> Vector:
-        return tuple(b - a for layer in layers for a, b in zip(*layer[x]))
-
-    rep, potential, kept, gained = _fold_arcs(skeleton.num_vertices, skeleton.arcs, vector)
-    resolved = [(rep[o], k, rep[t]) for o, k, t in (skeleton.arcs[x] for x in kept)]
-    bp = rep[skeleton.basepoint]
-    _, core_idx = _core_keep(skeleton.num_vertices, bp, resolved)
-    folded = _compact(ambient.n, skeleton.num_vertices, bp, [resolved[i] for i in core_idx])
+    rep, potential, kept, gained = folding.result()
+    arcs = folding.arcs
+    resolved = [(rep[o], k, rep[t]) for o, k, t in (arcs[x] for x in kept)]
+    bp = rep[basepoint]
+    _, core_idx = _core_keep(len(rep), bp, resolved)
+    folded = _compact(ambient.n, len(rep), bp, [resolved[i] for i in core_idx])
     folded, _, arc_map = canonical_renumber(folded, order)
     survivors = [kept[core_idx[i]] for i in arc_map]
 
@@ -281,7 +297,7 @@ def _reduce_layers(
     def shifted(lab: Vector, v: int, li: int) -> Vector:
         return lab if potential[v] is None else vec_add(lab, part(potential[v], li))
 
-    ends = [(x, skeleton.arcs[x][0], skeleton.arcs[x][2]) for x in survivors]
+    ends = [(x, arcs[x][0], arcs[x][2]) for x in survivors]
     labels = [
         tuple((shifted(layer[x][0], o, li), shifted(layer[x][1], t, li)) for x, o, t in ends)
         for li, layer in enumerate(layers)
@@ -294,6 +310,8 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
 
     Closed folds feed the basepoint subgroup; pruned hanging arcs may carry
     labels, which is sound because no reduced basepoint walk crosses them.
+    This is the paper's folding of a whole automaton, such as a flower;
+    stallings() reaches the same result without building the flower.
     """
     skeleton, (labels,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
@@ -352,10 +370,31 @@ def stallings(
     """The canonical enriched Stallings automaton of <gens>.
 
     Value equality of outputs is equivalent to equality of the subgroups.
+    Equal to normalize(reduce(enriched_flower(ambient, gens), order), tree)
+    on the tree of `order`, but built without the flower: each generator
+    with a nonempty word is read into the folded graph so far, which gains
+    arcs only for the part that cannot be read, and folds only where they
+    meet it.  Purely abelian generators populate the basepoint subgroup.
     """
-    e = reduce(enriched_flower(ambient, gens), order)
-    tree = spanning_tree_by_order(e.skeleton, order)
-    return normalize(e, tree)
+    folding = _Folding(1, (), [])
+    abelian_gens = []
+    for g in gens:
+        if len(g.vec) != ambient.m:
+            raise ValueError("abelian part has the wrong length")
+        if not g.word:
+            if any(g.vec):
+                abelian_gens.append(g.vec)
+            continue
+        if 0 in g.word or max(map(abs, g.word)) > ambient.n:
+            bad = next(l for l in g.word if not 1 <= abs(l) <= ambient.n)
+            raise ValueError(f"letter {abs(bad)} out of range")
+        folding.read_word(g.word, g.vec if any(g.vec) else None)
+    zero = ambient.zero()
+    layer = [(zero, zero if vec is None else vec) for vec in folding.vectors]
+    skeleton, (labels,), (gained,) = _folded_core(ambient, folding, 0, [layer], order)
+    base = AbelianSubgroup.from_generators(ambient.abelian, abelian_gens + gained)
+    e = EnrichedAutomaton(ambient, skeleton, labels, base)
+    return normalize(e, spanning_tree_by_order(skeleton, order))
 
 
 def completion(e: EnrichedAutomaton, w: Sequence[int]):

@@ -47,11 +47,12 @@ class ProblemFile:
 MAX_WORD_LETTERS = 10**6  # before free reduction; bounds what parsing allocates
 MAX_RANK = 10**4  # free rank n and abelian rank m; work such as letter orders grows with them
 
-_LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
-_VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$")
-_GROUP_RE = re.compile(r"F(\d+)$")
-_FREE_PART_RE = re.compile(r"Z(?:\^(\d+))?$")
-_TORSION_RE = re.compile(r"Z/(\d+)Z?$")
+# re.ASCII: \d is 0-9 only, so a digit of another script is a bad token
+_LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$", re.ASCII)
+_VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$", re.ASCII)
+_GROUP_RE = re.compile(r"F(\d+)$", re.ASCII)
+_FREE_PART_RE = re.compile(r"Z(?:\^(\d+))?$", re.ASCII)
+_TORSION_RE = re.compile(r"Z/(\d+)Z?$", re.ASCII)
 
 
 def _literal(digits: str, line: int, col: int) -> int:

@@ -12,9 +12,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from operator import neg
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .abelian import Vector, vec_add, vec_neg, vec_sub
+from .abelian import Vector, vec_add, vec_neg
 
 Word = tuple[int, ...]
 Arc = tuple[int, int, int]  # (origin, letter in 1..n, target)
@@ -124,35 +125,48 @@ def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
     return Automaton(n, num, 0, tuple(arcs))
 
 
-def _fold_arcs(num_vertices: int, arcs: Sequence[Arc], vector=None):
-    """Stallings folding driven by a worklist of colliding arc pairs.
+class _Folding:
+    """One Stallings folding state: a union-find over vertices whose classes
+    keep a map from signed letter to the arc leaving them that way, plus a
+    worklist of colliding arcs.
 
-    A union-find merges vertex classes.  Each class keeps a map from signed
-    letter to the arc leaving it that way; a union merges the smaller map
-    into the larger one and queues the arcs that collide.  Of two colliding
-    arcs, the one with the larger index is folded onto the other.
+    A union merges the smaller map into the larger one and queues the arcs
+    that collide.  Of two colliding arcs, the one with the larger index is
+    folded onto the other.
 
-    With `vector` (arc index -> abelian vector read crossing it forward),
-    each vertex also carries a potential: the vertex transformations applied
-    to it so far, stored relative to its union-find parent.  Let e be the
-    vector read along an arc in the fold's direction, potentials included.
-    An open fold of arc j onto arc i adds e_i - e_j to the class of j's
-    target; a closed fold gains e_j - e_i for the basepoint subgroup.  No
-    arc label is rewritten, and vectors are read only when a fold needs them.
+    With `vectors` (arc index -> abelian vector read crossing it forward,
+    None for zero), each vertex also carries a potential: the vertex
+    transformations applied to it so far, stored relative to its union-find
+    parent.  Let e be the vector read along an arc in the fold's direction,
+    potentials included.  An open fold of arc j onto arc i adds e_i - e_j
+    to the class of j's target; a closed fold gains e_j - e_i for the
+    basepoint subgroup.  No arc vector is rewritten.
 
-    Returns (rep, potential, kept, gained): rep[v] is the least vertex of v's
-    class, potential[v] the potential of v (None when zero), kept the
-    surviving arc indices in increasing order, gained the nonzero closed-fold
-    vectors.
+    Arcs come in two ways.  `fold`, `reduce` and `doubly_reduce` hand all
+    their arcs to the constructor, which queues every arc end and folds.
+    `stallings` starts from the basepoint alone and reads each generator
+    into the folded graph with `read_word`, which adds arcs only for the
+    part that cannot be read and queues only the collisions at its seams.
     """
-    parent = list(range(num_vertices))
-    pot: list[Optional[Vector]] = [None] * num_vertices
-    least = list(range(num_vertices))
-    out: list[Optional[dict[int, int]]] = [{} for _ in range(num_vertices)]
-    alive = [True] * len(arcs)
-    gained: list[Vector] = []
 
-    def find(v: int) -> int:
+    def __init__(self, num_vertices: int, arcs: Sequence[Arc], vectors: Optional[list] = None):
+        self.parent = list(range(num_vertices))
+        self.pot: list[Optional[Vector]] = [None] * num_vertices
+        self.least = list(range(num_vertices))
+        self.out: list[Optional[dict[int, int]]] = [{} for _ in range(num_vertices)]
+        self.arcs = list(arcs)
+        self.vectors = vectors
+        self.alive = [True] * len(self.arcs)
+        self.gained: list[Vector] = []
+        self.work = [(x, v, s) for x, (o, k, t) in enumerate(self.arcs) for v, s in ((o, k), (t, -k))]
+        self.run()
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        root = parent[v]
+        if parent[root] == root:  # v is a root or hangs off one
+            return root
+        pot = self.pot
         path = []
         while parent[v] != v:
             path.append(v)
@@ -162,55 +176,145 @@ def _fold_arcs(num_vertices: int, arcs: Sequence[Arc], vector=None):
             parent[u] = v
         return v
 
-    def potential(v: int) -> Optional[Vector]:
-        root = find(v)
-        return pot[v] if v == root else _add(pot[v], pot[root])
+    def potential(self, v: int) -> Optional[Vector]:
+        root = self.find(v)
+        return self.pot[v] if v == root else _add(self.pot[v], self.pot[root])
 
-    def read(x: int, s: int) -> Vector:
-        o, _, t = arcs[x]
-        if s > 0:
-            e = vector(x)
-        else:
-            e, o, t = vec_neg(vector(x)), t, o
-        return _sub(_add(e, potential(t)), potential(o))
+    def read(self, x: int, s: int) -> Optional[Vector]:
+        """The vector read crossing arc x in direction s, potentials included."""
+        o, _, t = self.arcs[x]
+        e = self.vectors[x]
+        if s < 0:
+            o, t = t, o
+            if e is not None:
+                e = vec_neg(e)
+        return _sub(_add(e, self.potential(t)), self.potential(o))
 
-    work = [(x, v, s) for x, (o, k, t) in enumerate(arcs) for v, s in ((o, k), (t, -k))]
-    while work:
-        a, v, s = work.pop()
-        if not alive[a]:
-            continue
-        slots = out[find(v)]
-        b = slots.setdefault(s, a)
-        if b == a:
-            continue
-        i, j = (a, b) if a < b else (b, a)
-        slots[s] = i
-        alive[j] = False
-        end = 2 if s > 0 else 0
-        ri, rj = find(arcs[i][end]), find(arcs[j][end])
-        if out[rj].get(-s) == j:
-            del out[rj][-s]
-        c = vec_sub(read(i, s), read(j, s)) if vector is not None else ()
-        if ri == rj:
-            if any(c):
-                gained.append(vec_neg(c))
-            continue
-        if any(c):
-            pot[rj] = _add(pot[rj], c)
-        if len(out[ri]) < len(out[rj]):
-            ri, rj = rj, ri
-        parent[rj] = ri
-        pot[rj] = _sub(pot[rj], pot[ri])
-        least[ri] = min(least[ri], least[rj])
-        big = out[ri]
-        for s2, x in out[rj].items():
-            if big.setdefault(s2, x) != x:
-                work.append((x, ri, s2))
-        out[rj] = None
+    def run(self) -> None:
+        """Fold until no two arcs leave one class by the same signed letter."""
+        find, out, arcs, alive, pot, work = (
+            self.find, self.out, self.arcs, self.alive, self.pot, self.work)
+        read = self.read if self.vectors is not None else None
+        while work:
+            a, v, s = work.pop()
+            if not alive[a]:
+                continue
+            slots = out[find(v)]
+            b = slots.setdefault(s, a)
+            if b == a:
+                continue
+            i, j = (a, b) if a < b else (b, a)
+            slots[s] = i
+            alive[j] = False
+            end = 2 if s > 0 else 0
+            ri, rj = find(arcs[i][end]), find(arcs[j][end])
+            if out[rj].get(-s) == j:
+                del out[rj][-s]
+            c = _sub(read(i, s), read(j, s)) if read is not None else None
+            if c is not None and not any(c):
+                c = None
+            if ri == rj:
+                if c is not None:
+                    self.gained.append(vec_neg(c))
+                continue
+            if c is not None:
+                pot[rj] = _add(pot[rj], c)
+            if len(out[ri]) < len(out[rj]):
+                ri, rj = rj, ri
+            self.parent[rj] = ri
+            pot[rj] = _sub(pot[rj], pot[ri])
+            self.least[ri] = min(self.least[ri], self.least[rj])
+            big = out[ri]
+            for s2, x in out[rj].items():
+                if big.setdefault(s2, x) != x:
+                    work.append((x, ri, s2))
+            out[rj] = None
 
-    rep = [least[find(v)] for v in range(num_vertices)]
-    kept = [x for x in range(len(arcs)) if alive[x]]
-    return rep, [potential(v) for v in range(num_vertices)], kept, gained
+    def _walk(self, v: int, letters: Iterable[int], stop: int):
+        """Follow letters from class v while they read, at most stop of them.
+
+        Returns (steps, end class, value, class and value one step earlier).
+        """
+        find, out, arcs, read = self.find, self.out, self.arcs, self.read
+        value = before = back = None
+        steps = 0
+        for s in letters:
+            if steps == stop:
+                break
+            x = out[v].get(s)
+            if x is None:
+                break
+            back, before = v, value
+            value = _add(value, read(x, s))
+            v = find(arcs[x][2] if s > 0 else arcs[x][0])
+            steps += 1
+        return steps, v, value, back, before
+
+    def read_word(self, word: Sequence[int], vec: Optional[Vector]) -> None:
+        """Add the generator word t^vec (vec None for zero) to the subgroup
+        of the folded graph.
+
+        The longest prefix of word readable from the basepoint (vertex 0) is
+        walked forward to p, and the longest remaining suffix backward from
+        the basepoint to q.  If they meet at one class, the generator reads
+        as a closed walk and only vec minus the walk's value joins the
+        gained vectors.  Otherwise a fresh path p ~> q spells the unread
+        middle and carries the residual vector on its last arc; an empty
+        middle keeps one read letter, whose arc then collides.  Only such
+        seam collisions reach the worklist, which is run to completion.
+        """
+        n = len(word)
+        base = self.find(0)
+        i, p, a, p_back, a_back = self._walk(base, word, n)
+        k, q, b, q_back, b_back = self._walk(base, map(neg, reversed(word)), n - i)
+        j = n - k
+        if i == j:
+            if p == q:
+                closed = _sub(_add(vec, b), a)
+                if closed is not None and any(closed):
+                    self.gained.append(closed)
+                return
+            if i:
+                i, p, a = i - 1, p_back, a_back
+            else:
+                j, q, b = j + 1, q_back, b_back
+        # a root may carry a potential too: the new path reads from p to q
+        residual = _sub(_add(_add(vec, b), self.potential(p)), _add(a, self.potential(q)))
+        arcs, vectors, out, work = self.arcs, self.vectors, self.out, self.work
+        here = p
+        for r in range(i, j):
+            l = word[r]
+            if r == j - 1:
+                there, e = q, residual
+            else:
+                there, e = len(self.parent), None
+                self.parent.append(there)
+                self.pot.append(None)
+                self.least.append(there)
+                out.append({})
+            x = len(arcs)
+            if l > 0:
+                arcs.append((here, l, there))
+            else:
+                arcs.append((there, -l, here))
+                e = None if e is None else vec_neg(e)
+            vectors.append(e)
+            self.alive.append(True)
+            for v, s in ((here, l), (there, -l)):
+                if out[v].setdefault(s, x) != x:
+                    work.append((x, v, s))
+            here = there
+        self.run()
+
+    def result(self):
+        """(rep, potential, kept, gained): rep[v] is the least vertex of v's
+        class, potential[v] the potential of v (None when zero), kept the
+        surviving arc indices in increasing order, gained the nonzero
+        closed-fold vectors."""
+        num_vertices = len(self.parent)
+        rep = [self.least[self.find(v)] for v in range(num_vertices)]
+        kept = [x for x, ok in enumerate(self.alive) if ok]
+        return rep, [self.potential(v) for v in range(num_vertices)], kept, self.gained
 
 
 def _add(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
@@ -226,7 +330,7 @@ def _sub(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
 
 def fold(a: Automaton) -> Automaton:
     """Fold to a deterministic automaton recognizing the same subgroup."""
-    rep, _, kept, _ = _fold_arcs(a.num_vertices, a.arcs)
+    rep, _, kept, _ = _Folding(a.num_vertices, a.arcs).result()
     arcs = [(rep[o], k, rep[t]) for o, k, t in (a.arcs[x] for x in kept)]
     return _compact(a.n, a.num_vertices, rep[a.basepoint], arcs)
 

@@ -120,6 +120,23 @@ class TestParsing:
             parse_problem(f"group F{digits}\n")
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("token, col", [
+        ("x\u0661", 9),           # ARABIC-INDIC DIGIT ONE
+        ("x1^\u0663", 9),
+        ("t^(\u0663,0)", 9),
+        ("t^\uff13", 9),          # FULLWIDTH DIGIT THREE
+    ])
+    def test_non_ascii_digit_token_rejected(self, token, col):
+        with pytest.raises(ProblemParseError, match="cannot read token") as info:
+            parse_problem(f"group F2 x Z^2\nH: x2,  {token}\n")
+        assert (info.value.line, info.value.col) == (2, col)
+
+    @pytest.mark.parametrize("group", ["F\u0662 x Z", "F2 x Z^\u0662", "F2 x Z/\u0666Z"])
+    def test_non_ascii_digit_group_rejected(self, group):
+        with pytest.raises(ProblemParseError) as info:
+            parse_problem(f"# ranks\ngroup {group}\nH: x1\n")
+        assert (info.value.line, info.value.col) == (2, 1)
+
     def test_identity_and_scalar_tail(self):
         problem = parse_problem("group F1 x Z\nH: 1, x1 t^3\n")
         gens = problem.subgroup("H")
@@ -339,6 +356,22 @@ class TestCommands:
     def test_order_flag_repeated_letter(self, moldavanski_file, capsys):
         assert main(["--order", "x1,x1,x2,x2^-1", "basis", moldavanski_file, "H1"]) == 2
         assert "permutation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("letter", [
+        "x" + "1" * 5000,  # past the interpreter's integer-string limit
+        "x" + "0" * 4 + "12",  # more digits than MAX_RANK has
+        "x\u00b2",  # SUPERSCRIPT TWO: isdigit() but not int()
+        "x\u0661",  # ARABIC-INDIC DIGIT ONE: int() reads it as 1
+        "y1",
+    ], ids=["5000-digits", "6-digits", "superscript", "arabic-indic", "not-x"])
+    def test_order_flag_bad_letter(self, moldavanski_file, capsys, letter):
+        argv = ["--order", f"{letter},x1^-1,x2,x2^-1", "basis", moldavanski_file, "H1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad letter ") and "in --order" in captured.err
+        assert main(["--order", f"x2,{letter}^-1,x1,x2^-1", "basis", moldavanski_file, "H1"]) == 2
+        assert "bad letter" in capsys.readouterr().err
 
     def test_tree_strategy_flag(self, index_file, capsys):
         assert main(["--tree", "first-seen", "basis", index_file, "H"]) == 0

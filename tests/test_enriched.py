@@ -3,7 +3,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from support import random_subgroup_gens
 
+from stallings_fta import enriched, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
 from stallings_fta.enriched import (
     Ambient,
@@ -237,6 +239,134 @@ class TestFoldEngineAgainstPaperSteps:
             plain = flower(ambient.n, [g.word for g in gens if g.word])
             folded = reduce(enriched_flower(ambient, gens))
             assert canonical_renumber(core(fold(plain)))[0] == folded.skeleton
+
+
+def flower_reference(ambient, gens, order=None):
+    """The paper's construction: fold the whole flower, then normalize."""
+    e = reduce(enriched_flower(ambient, gens), order)
+    return normalize(e, spanning_tree_by_order(e.skeleton, order))
+
+
+def folding_of(monkeypatch):
+    """Record the folding state each stallings() call ends with."""
+    seen = []
+    real = words._Folding.result
+
+    def result(self):
+        seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(words._Folding, "result", result)
+    return seen
+
+
+READ_AMBIENTS = [
+    Ambient(2, AbelianSpec(1)),
+    Ambient(3, AbelianSpec(2)),
+    Ambient(2, AbelianSpec(1, (6,))),
+    Ambient(2, AbelianSpec(0, (2, 4))),
+]
+
+
+class TestStallingsReadsGenerators:
+    """stallings() reads each generator into the folded graph instead of
+    folding a flower; its value must be the flower construction's."""
+
+    @pytest.mark.parametrize("ambient", READ_AMBIENTS, ids=["F2xZ", "F3xZ2", "F2xZ+Z6", "F2xZ2+Z4"])
+    def test_random_sets_match_flower(self, ambient):
+        rng = random.Random(f"read:{ambient}")
+        for trial in range(250):
+            gens = random_subgroup_gens(rng, ambient, max_gens=4, maxlen=6)
+            for a, b in itertools.combinations(list(gens), 2):
+                if rng.random() < 0.3:  # products read partly or wholly
+                    gens.append(ambient.multiply(a, ambient.invert(b)))
+            rng.shuffle(gens)
+            order = None
+            if trial % 2:
+                order = list(words.default_order(ambient.n))
+                rng.shuffle(order)
+            assert stallings(ambient, gens, order) == flower_reference(ambient, gens, order)
+
+    def test_schreier_basis_needs_no_fold(self, monkeypatch):
+        # index 2 in F2, transversal {1, x1}: every arc read in survives
+        gens = elems(F2Z, ((1, 1), (1,)), ((2,), (0,)), ((1, 2, -1), (2,)))
+        seen = folding_of(monkeypatch)
+        e = stallings(F2Z, gens)
+        (folding,) = seen
+        assert e == flower_reference(F2Z, gens)
+        assert all(folding.alive) and not folding.gained
+        assert len(folding.arcs) == len(e.skeleton.arcs) == 4
+
+    def test_closed_walk_only_grows_base(self, monkeypatch):
+        gens = elems(F2Z, ((1,), (1,)), ((1, 1), (5,)), ((-1,), (2,)))
+        seen = folding_of(monkeypatch)
+        e = stallings(F2Z, gens)
+        (folding,) = seen
+        assert e == flower_reference(F2Z, gens)
+        assert len(folding.arcs) == 1  # x1^2 and x1^-1 read on the first arc
+        assert e.base == AbelianSubgroup.from_generators(F2Z.abelian, [(3,)])
+
+    def test_full_read_off_basepoint_cascades(self, monkeypatch):
+        # x1 reads along the triangle of x1^3 to a vertex that is not the
+        # basepoint; its last letter gets a new arc, whose fold collapses it
+        gens = elems(F2Z, ((1, 1, 1), (1,)), ((2, 1, -2), (0,)), ((1,), (0,)))
+        seen = folding_of(monkeypatch)
+        e = stallings(F2Z, gens)
+        (folding,) = seen
+        assert e == flower_reference(F2Z, gens)
+        assert e == stallings(F2Z, elems(F2Z, ((1,), (0,)), ((2, 1, -2), (0,)), ((), (1,))))
+        assert len(folding.arcs) == 3 + 3 + 1 and not all(folding.alive)
+        assert e.skeleton.num_vertices == 2
+
+    def test_repeated_and_inverse_generators_with_torsion(self):
+        amb = Ambient(2, AbelianSpec(0, (2, 4)))
+        g = amb.element((1, 2), (1, 1))
+        gens = [g, g, amb.invert(g), amb.element((-2, -1), (0, 1)), amb.element((-2, -1), (1, 3))]
+        e = stallings(amb, gens)
+        assert e == flower_reference(amb, gens)
+        assert e == stallings(amb, [g, amb.element((), (1, 2))])
+        assert e.base == AbelianSubgroup.from_generators(amb.abelian, [(1, 2)])
+        assert len(e.skeleton.arcs) == 2
+
+    def test_seam_at_a_root_with_potential(self):
+        # the first two generators fold x2 x1^3 x2^-1 and x2 x1^-1 x2^-1 so
+        # that the class reached by x2 is a root carrying a potential; the
+        # third generator's new arc starts there
+        amb = Ambient(2, AbelianSpec(1, (6,)))
+        gens = elems(amb, ((2, 1, 1, 1, -2), (-1, 5)), ((2, -1, -2), (-1, 5)), ((2, 1), (1, 4)))
+        e = stallings(amb, gens)
+        assert e == flower_reference(amb, gens)
+        assert dict(zip((k for _, k, _ in e.skeleton.arcs), e.labels))[2] == ((0, 0), (0, 3))
+
+    @pytest.mark.parametrize("word", [(1, 0), (0,), (3,), (1, -3), (2, 1, 4)])
+    def test_letter_out_of_range(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            stallings(F2Z, [F2Z.element((1,)), GroupElement(word, (0,))])
+
+    def test_vector_of_wrong_length(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            stallings(F2Z, [F2Z.element((1,)), GroupElement((2,), (0, 0))])
+        with pytest.raises(ValueError, match="wrong length"):
+            stallings(F2Z2, [GroupElement((), (1,))])
+
+    def test_builds_no_flower(self, monkeypatch):
+        calls = []
+        for module, name in ((enriched, "enriched_flower"), (enriched, "reduce"),
+                             (enriched, "_reduce_layers"), (words, "flower")):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        gens = elems(F2Z2, ((1, 1, 1), (1, 0)), ((2, 1), (0, 0)),
+                     ((2, 2, 2, 1, -2, -2), (0, 0)), ((), (0, 6)))
+        e = stallings(F2Z2, gens)
+        assert calls == []
+        folded = enriched.reduce(enriched.enriched_flower(F2Z2, gens))  # the counters count
+        assert e == normalize(folded, spanning_tree_by_order(folded.skeleton))
+        assert calls == ["enriched_flower", "reduce", "_reduce_layers"]
 
 
 class TestStallingsCanonical:
