@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -412,26 +413,25 @@ class AbelianSubgroup:
         if len(vec) != self.spec.m:
             raise ValueError("dimension mismatch")
         resid = list(vec)
-        col_of_row = {c: r for r, c in self._pivots()}
+        pivots = self._pivots
         for col in range(self.spec.m):
             if resid[col] == 0:
                 continue
-            r = col_of_row.get(col)
-            if r is None:
+            row = pivots.get(col)
+            if row is None:
                 return False
-            q, rem = divmod(resid[col], self.lattice_basis[r][col])
+            q, rem = divmod(resid[col], row[col])
             if rem:
                 return False
             for j in range(col, self.spec.m):
-                resid[j] -= q * self.lattice_basis[r][j]
+                resid[j] -= q * row[j]
         return True
 
-    def _pivots(self) -> list[tuple[int, int]]:
-        out = []
-        for r, row in enumerate(self.lattice_basis):
-            c = next(j for j, a in enumerate(row) if a)
-            out.append((r, c))
-        return out
+    @cached_property
+    def _pivots(self) -> dict[int, Vector]:
+        """Pivot column -> the HNF row whose pivot is there, in row order;
+        computed once per subgroup."""
+        return {next(j for j, a in enumerate(row) if a): row for row in self.lattice_basis}
 
     def generator_rows(self) -> Matrix:
         """Lattice rows with nontrivial image in A (drops pure relation rows)."""
@@ -445,11 +445,11 @@ class AbelianSubgroup:
         if len(vec) != self.spec.m:
             raise ValueError("dimension mismatch")
         resid = list(vec)
-        for r, c in self._pivots():
-            q = resid[c] // self.lattice_basis[r][c]
+        for c, row in self._pivots.items():
+            q = resid[c] // row[c]
             if q:
                 for j in range(c, self.spec.m):
-                    resid[j] -= q * self.lattice_basis[r][j]
+                    resid[j] -= q * row[j]
         return tuple(resid)
 
     def sum(self, other: "AbelianSubgroup") -> "AbelianSubgroup":
@@ -474,8 +474,8 @@ class AbelianSubgroup:
         if len(self.lattice_basis) < self.spec.m:
             return INFINITY
         out = 1
-        for r, c in self._pivots():
-            out *= self.lattice_basis[r][c]
+        for c, row in self._pivots.items():
+            out *= row[c]
         return out
 
     def rank(self) -> int:

@@ -262,7 +262,8 @@ def _reduce_layers(
 
     layers are independent (lab1, lab2) systems riding on the arcs; the
     folding reads them side by side as one vector per arc.  Returns
-    (skeleton, per-layer labels, per-layer closed-fold vectors).
+    (skeleton, its spanning tree under order, per-layer labels, per-layer
+    closed-fold vectors).
     """
     vectors = []
     for labs in zip(*layers):
@@ -280,7 +281,8 @@ def _folded_core(
     order: Optional[Sequence[int]],
 ):
     """Core and canonical renumbering of a folded graph, with the layers'
-    labels shifted by the vertex potentials; see _reduce_layers."""
+    labels shifted by the vertex potentials; see _reduce_layers.  The tree
+    comes from the renumbering's own search."""
     m = ambient.m
     rep, potential, kept, gained = folding.result()
     arcs = folding.arcs
@@ -288,7 +290,7 @@ def _folded_core(
     bp = rep[basepoint]
     _, core_idx = _core_keep(len(rep), bp, resolved)
     folded = _compact(ambient.n, len(rep), bp, [resolved[i] for i in core_idx])
-    folded, _, arc_map = canonical_renumber(folded, order)
+    folded, tree, arc_map = canonical_renumber(folded, order)
     survivors = [kept[core_idx[i]] for i in arc_map]
 
     def part(vec: Vector, li: int) -> Vector:
@@ -302,7 +304,7 @@ def _folded_core(
         tuple((shifted(layer[x][0], o, li), shifted(layer[x][1], t, li)) for x, o, t in ends)
         for li, layer in enumerate(layers)
     ]
-    return folded, labels, [[part(g, li) for g in gained] for li in range(len(layers))]
+    return folded, tree, labels, [[part(g, li) for g in gained] for li in range(len(layers))]
 
 
 def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> EnrichedAutomaton:
@@ -313,7 +315,7 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
     This is the paper's folding of a whole automaton, such as a flower;
     stallings() reaches the same result without building the flower.
     """
-    skeleton, (labels,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
+    skeleton, _, (labels,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
     return EnrichedAutomaton(e.ambient, skeleton, labels, base)
 
@@ -391,10 +393,9 @@ def stallings(
         folding.read_word(g.word, g.vec if any(g.vec) else None)
     zero = ambient.zero()
     layer = [(zero, zero if vec is None else vec) for vec in folding.vectors]
-    skeleton, (labels,), (gained,) = _folded_core(ambient, folding, 0, [layer], order)
+    skeleton, tree, (labels,), (gained,) = _folded_core(ambient, folding, 0, [layer], order)
     base = AbelianSubgroup.from_generators(ambient.abelian, abelian_gens + gained)
-    e = EnrichedAutomaton(ambient, skeleton, labels, base)
-    return normalize(e, spanning_tree_by_order(skeleton, order))
+    return normalize(EnrichedAutomaton(ambient, skeleton, labels, base), tree)
 
 
 def completion(e: EnrichedAutomaton, w: Sequence[int]):
@@ -414,6 +415,8 @@ def completion(e: EnrichedAutomaton, w: Sequence[int]):
 
 def member(e: EnrichedAutomaton, g: GroupElement) -> bool:
     """Subgroup membership of w t^a via its completion."""
+    if len(g.vec) != e.ambient.m:
+        raise ValueError("abelian part has the wrong length")
     result = completion(e, g.word)
     if result is None:
         return False
@@ -527,10 +530,9 @@ def finite_index_factor_extension(
         e.base.finite_index_completion(),
     )
     # re-canonicalize: the new arcs change the spanning tree
-    skeleton2, _, arc_map = canonical_renumber(extended.skeleton, order)
+    skeleton2, tree, arc_map = canonical_renumber(extended.skeleton, order)
     relabeled = tuple(extended.labels[i] for i in arc_map)
     out = EnrichedAutomaton(e.ambient, skeleton2, relabeled, extended.base)
-    tree = spanning_tree_by_order(skeleton2, order)
     return normalize(out, tree)
 
 

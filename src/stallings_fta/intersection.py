@@ -131,12 +131,11 @@ def doubly_enriched_product(
     labels1 = [labels1[i] for i in kept]
     labels2 = [labels2[i] for i in kept]
     skeleton = _compact(ambient.n, raw.num_vertices, raw.basepoint, arcs)
-    skeleton, _, arc_map = canonical_renumber(skeleton, order)
+    skeleton, tree, arc_map = canonical_renumber(skeleton, order)
     labels1 = tuple(labels1[i] for i in arc_map)
     labels2 = tuple(labels2[i] for i in arc_map)
 
     out = DoublyEnrichedAutomaton(ambient, skeleton, labels1, labels2, e1.base, e2.base)
-    tree = spanning_tree_by_order(skeleton, order)
     return normalize_doubly(out, tree)
 
 
@@ -157,7 +156,7 @@ def doubly_reduce(
     x: DoublyEnrichedAutomaton, order: Optional[Sequence[int]] = None
 ) -> DoublyEnrichedAutomaton:
     """Fold a doubly-enriched automaton; closed folds feed both subgroups."""
-    skeleton, layers, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
+    skeleton, _, layers, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
     spec = x.ambient.abelian
     base1 = AbelianSubgroup.from_generators(spec, x.base1.lattice_basis + tuple(gained[0]))
     base2 = AbelianSubgroup.from_generators(spec, x.base2.lattice_basis + tuple(gained[1]))
@@ -492,10 +491,9 @@ def intersect_fg(
     sk = last.skeleton
     _, kept = _core_keep(sk.num_vertices, sk.basepoint, sk.arcs)
     skeleton = _compact(ambient.n, sk.num_vertices, sk.basepoint, [sk.arcs[i] for i in kept])
-    skeleton, _, arc_map = canonical_renumber(skeleton, report.order)
+    skeleton, tree, arc_map = canonical_renumber(skeleton, report.order)
     labels = tuple(last.labels[kept[i]] for i in arc_map)
-    core = EnrichedAutomaton(ambient, skeleton, labels, last.base)
-    return normalize(core, spanning_tree_by_order(skeleton, report.order))
+    return normalize(EnrichedAutomaton(ambient, skeleton, labels, last.base), tree)
 
 
 @dataclass(frozen=True)

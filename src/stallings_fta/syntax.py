@@ -191,7 +191,7 @@ def parse_problem(text: str) -> ProblemFile:
             raise ProblemParseError(f"duplicate subgroup name {name!r}", lineno, 1)
         names.add(name)
         gens = []
-        offset = len(raw) - len(raw.lstrip()) + len(name) + 1
+        offset = raw.index(":") + 1  # rest starts just after the colon
         for chunk, start in _split_outside_parens(rest):
             if chunk.strip():
                 gens.append(parse_element(chunk, ambient, lineno, offset + start))

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import Vector, vec_add, vec_neg
 
@@ -89,6 +89,11 @@ class Automaton:
                     raise ValueError("automaton is not deterministic")
                 out[key] = val
         return out
+
+    @cached_property
+    def _trees(self) -> dict[tuple[int, ...], SpanningTree]:
+        """Spanning trees by checked letter order; see spanning_tree_by_order."""
+        return {}
 
     def step(self, vertex: int, letter: int):
         return self._steps.get((vertex, letter))
@@ -392,53 +397,87 @@ def core(a: Automaton) -> Automaton:
     return _compact(a.n, a.num_vertices, a.basepoint, arcs)
 
 
-def _bfs_order(a: Automaton, order: Sequence[int]) -> list[int]:
-    """Vertices reachable from the basepoint, in breadth-first order under `order`."""
-    seen = [False] * a.num_vertices
-    seen[a.basepoint] = True
-    out = [a.basepoint]
-    queue = deque([a.basepoint])
-    while queue:
-        v = queue.popleft()
-        for s in order:
-            nxt = a.step(v, s)
-            if nxt is not None and not seen[nxt[0]]:
-                seen[nxt[0]] = True
-                out.append(nxt[0])
-                queue.append(nxt[0])
-    return out
-
-
-def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
-    """Renumber vertices in BFS order from the basepoint; sorts arcs.
-
-    Returns (automaton, vertex_map, arc_map) with arc_map[new] = old index.
-    Requires a deterministic connected automaton.
-    """
-    order = check_order(order, a.n)
-    bfs = _bfs_order(a, order)
-    if len(bfs) != a.num_vertices:
-        raise ValueError("automaton is not connected")
-    vmap = {v: i for i, v in enumerate(bfs)}
-    decorated = sorted(
-        range(len(a.arcs)),
-        key=lambda i: (vmap[a.arcs[i][0]], a.arcs[i][1], vmap[a.arcs[i][2]]),
-    )
-    arcs = tuple(
-        (vmap[a.arcs[i][0]], a.arcs[i][1], vmap[a.arcs[i][2]]) for i in decorated
-    )
-    return Automaton(a.n, a.num_vertices, 0, arcs), vmap, tuple(decorated)
-
-
 @dataclass(frozen=True)
 class SpanningTree:
-    """Breadth-first spanning tree plus the induced petal (cyclomatic) arc order."""
+    """Breadth-first spanning tree plus the induced petal (cyclomatic) arc order.
+
+    Built by the one search _breadth_first, either through
+    spanning_tree_by_order or, for a renumbered automaton, by
+    canonical_renumber.
+    """
 
     root: int
     parent: tuple[Optional[tuple[int, int]], ...]  # vertex -> (arc index, direction)
     tree_arcs: frozenset[int]
     vertex_age: tuple[int, ...]  # insertion order -> vertex
     petal_arcs: tuple[int, ...]  # positive non-tree arcs, emission order
+
+
+def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
+    """The one breadth-first spanning-tree search, over a's own numbering.
+
+    From the basepoint, each vertex in insertion order tries the signed
+    letters directions(v) in turn; an arc reaching a new vertex joins the
+    tree, and any other arc not in the tree is a petal, emitted the first
+    time it is met.  An arc meeting two visited vertices can never join the
+    tree later, so one pass decides both.
+    """
+    steps = a._steps
+    parent: list[Optional[tuple[int, int]]] = [None] * a.num_vertices
+    seen = [False] * a.num_vertices
+    seen[a.basepoint] = True
+    ages = [a.basepoint]
+    tree: set[int] = set()
+    petals: list[int] = []
+    emitted: set[int] = set()
+    for v in ages:  # ages grows while it is read: it is the queue
+        for s in directions(v):
+            nxt = steps.get((v, s))
+            if nxt is None:
+                continue
+            w, arc_idx, d = nxt
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = (arc_idx, d)
+                tree.add(arc_idx)
+                ages.append(w)
+            elif arc_idx not in tree and arc_idx not in emitted:
+                emitted.add(arc_idx)
+                petals.append(arc_idx)
+    if len(ages) != a.num_vertices:
+        raise ValueError("automaton is not connected")
+    return SpanningTree(a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals))
+
+
+def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
+    """Renumber vertices in breadth-first order from the basepoint; sort arcs.
+
+    One search of `a` under `order` gives the numbering and the spanning tree
+    of the renumbered automaton (vertex_age is 0..V-1), which is stored in
+    its tree memo, so spanning_tree_by_order(automaton, order) returns it
+    without searching again.  Returns (automaton, tree, arc_map) with
+    arc_map[new] = old index.  Requires a deterministic connected automaton.
+    """
+    order = check_order(order, a.n)
+    found = _breadth_first(a, lambda v: order)
+    new = [0] * a.num_vertices
+    for i, v in enumerate(found.vertex_age):
+        new[v] = i
+    renumbered = [(new[o], k, new[t]) for o, k, t in a.arcs]
+    arc_map = sorted(range(len(renumbered)), key=renumbered.__getitem__)
+    new_arc = [0] * len(arc_map)
+    for i, x in enumerate(arc_map):
+        new_arc[x] = i
+    out = Automaton(a.n, a.num_vertices, 0, tuple(renumbered[x] for x in arc_map))
+    parent = [found.parent[v] for v in found.vertex_age]
+    out._trees[order] = tree = SpanningTree(
+        root=0,
+        parent=tuple(None if p is None else (new_arc[p[0]], p[1]) for p in parent),
+        tree_arcs=frozenset(new_arc[x] for x in found.tree_arcs),
+        vertex_age=tuple(range(a.num_vertices)),
+        petal_arcs=tuple(new_arc[x] for x in found.petal_arcs),
+    )
+    return out, tree, tuple(arc_map)
 
 
 def spanning_tree_by_order(
@@ -448,69 +487,25 @@ def spanning_tree_by_order(
 
     This realizes the rule "attach the smallest-labelled arc at the oldest
     tree vertex that does not close a cycle"; vertex age is insertion order.
+    The tree of each checked order is kept in the automaton's memo, which
+    canonical_renumber seeds, so a second call returns the same object.
     With strategy "first-seen" the directions at each vertex are tried in
-    arc storage order instead of letter order.
+    arc storage order instead of letter order; those trees are searched on
+    every call and never memoized.
     """
     order = check_order(order, a.n)
     if strategy not in ("order", "first-seen"):
         raise ValueError(f"unknown tree strategy {strategy!r}")
-    if strategy == "first-seen":
-        per_vertex: dict[int, list[int]] = {}
-        for o, k, t in a.arcs:
-            per_vertex.setdefault(o, []).append(k)
-            per_vertex.setdefault(t, []).append(-k)
-
-        def directions(v: int) -> Sequence[int]:
-            out, seen = [], set()
-            for s in per_vertex.get(v, ()):
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-            return out
-    else:
-        def directions(v: int) -> Sequence[int]:
-            return order
-
-    parent: list[Optional[tuple[int, int]]] = [None] * a.num_vertices
-    seen = [False] * a.num_vertices
-    seen[a.basepoint] = True
-    ages = [a.basepoint]
-    tree: set[int] = set()
-    queue = deque([a.basepoint])
-    while queue:
-        v = queue.popleft()
-        for s in directions(v):
-            nxt = a.step(v, s)
-            if nxt is None:
-                continue
-            w, arc_idx, d = nxt
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = (arc_idx, d)
-                tree.add(arc_idx)
-                ages.append(w)
-                queue.append(w)
-    if not all(seen):
-        raise ValueError("automaton is not connected")
-
-    petals: list[int] = []
-    emitted: set[int] = set()
-    for v in ages:
-        for s in directions(v):
-            nxt = a.step(v, s)
-            if nxt is None:
-                continue
-            _, arc_idx, _ = nxt
-            if arc_idx not in tree and arc_idx not in emitted:
-                emitted.add(arc_idx)
-                petals.append(arc_idx)
-    return SpanningTree(
-        root=a.basepoint,
-        parent=tuple(parent),
-        tree_arcs=frozenset(tree),
-        vertex_age=tuple(ages),
-        petal_arcs=tuple(petals),
-    )
+    if strategy == "order":
+        tree = a._trees.get(order)
+        if tree is None:
+            tree = a._trees[order] = _breadth_first(a, lambda v: order)
+        return tree
+    per_vertex: dict[int, list[int]] = {}
+    for o, k, t in a.arcs:
+        per_vertex.setdefault(o, []).append(k)
+        per_vertex.setdefault(t, []).append(-k)
+    return _breadth_first(a, lambda v: dict.fromkeys(per_vertex.get(v, ())))
 
 
 def petal_word(a: Automaton, t: SpanningTree, arc_idx: int) -> Word:

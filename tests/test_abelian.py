@@ -189,6 +189,41 @@ class TestSubgroups:
                     # in the lattice but beyond the oracle box: certify exactly
                     assert solve_left(gens, vec, m) is not None
 
+    def test_cached_pivots_match_a_fresh_computation(self):
+        def pivots(l):
+            return [(row, next(j for j, a in enumerate(row) if a)) for row in l.lattice_basis]
+
+        def reduce_mod(l, vec):
+            resid = list(vec)
+            for row, c in pivots(l):
+                q = resid[c] // row[c]
+                resid = [a - q * b for a, b in zip(resid, row)]
+            return tuple(resid)
+
+        def contains(l, vec):
+            resid = list(vec)
+            for row, c in pivots(l):
+                if any(resid[:c]):
+                    return False
+                q, rem = divmod(resid[c], row[c])
+                if rem:
+                    return False
+                resid = [a - q * b for a, b in zip(resid, row)]
+            return not any(resid)
+
+        rng = random.Random(17)
+        specs = [AbelianSpec(2), AbelianSpec(1, (6,)), AbelianSpec(0, (2, 4)), AbelianSpec(2, (3,))]
+        for i in range(120):
+            spec = specs[i % len(specs)]
+            gens = [tuple(rng.randint(-6, 6) for _ in range(spec.m))
+                    for _ in range(rng.randint(0, 3))]
+            l = sub(spec, *gens)
+            for _ in range(12):
+                vec = tuple(rng.randint(-20, 20) for _ in range(spec.m))
+                assert l.reduce_mod(vec) == reduce_mod(l, vec)
+                assert l.contains(vec) == contains(l, vec) == sub(spec, *gens).contains(vec)
+                assert l.contains(vec_sub(vec, l.reduce_mod(vec)))
+
     def test_sum_intersect(self):
         l1, l2 = sub(Z2, (0, 6)), sub(Z2, (3, -3))
         assert l1.sum(l2) == sub(Z2, (3, 3), (0, 6))

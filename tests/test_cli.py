@@ -131,6 +131,16 @@ class TestParsing:
             parse_problem(f"group F2 x Z^2\nH: x2,  {token}\n")
         assert (info.value.line, info.value.col) == (2, col)
 
+    @pytest.mark.parametrize("line, col", [
+        ("H1: x9", 5),
+        ("H1 : x9", 6),
+        ("  H1   :   x9", 12),
+    ])
+    def test_column_counts_from_the_colon(self, line, col):
+        with pytest.raises(ProblemParseError, match="generator x9 out of range") as info:
+            parse_problem(f"group F2 x Z\n{line}\n")
+        assert (info.value.line, info.value.col) == (2, col)
+
     @pytest.mark.parametrize("group", ["F\u0662 x Z", "F2 x Z^\u0662", "F2 x Z/\u0666Z"])
     def test_non_ascii_digit_group_rejected(self, group):
         with pytest.raises(ProblemParseError) as info:

@@ -438,6 +438,15 @@ class TestCompletionMembership:
         assert not member(self.h1, F2Z.element((1,), (0,)))
         assert member(self.h1, F2Z.element((1, 2, -1), (0,)))
 
+    def test_member_rejects_a_vector_of_the_wrong_length(self):
+        e = stallings(F2Z, elems(F2Z, ((1,), (2,))))  # <x1 t^2>
+        assert member(e, GroupElement((1,), (2,)))
+        for vec in ((2, 7), (), (2, 0)):
+            with pytest.raises(ValueError, match="abelian part has the wrong length"):
+                member(e, GroupElement((1,), vec))
+        with pytest.raises(ValueError, match="abelian part has the wrong length"):
+            member(e, GroupElement((2,), (0, 0)))  # not read by the skeleton either
+
     def test_member_against_brute_force(self):
         rng = random.Random(7)
         for _ in range(25):

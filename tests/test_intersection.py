@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stallings_fta import abelian, intersection
+from stallings_fta import abelian, intersection, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup, snf
 from stallings_fta.enriched import (
     Ambient,
@@ -486,6 +486,29 @@ class TestOneContext:
         e = intersect_fg(h1, h2, report=rep)
         assert calls == []
         assert len(e.skeleton.arcs) - e.skeleton.num_vertices + 1 == 7
+
+    def test_one_op_searches_only_inside_its_two_renumberings(self, monkeypatch):
+        h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        searches, inside = [], []
+        search, renumber = words._breadth_first, words.canonical_renumber
+
+        def counted_search(*args):
+            searches.append(bool(inside))
+            return search(*args)
+
+        def counted_renumber(*args):
+            inside.append(True)
+            try:
+                return renumber(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(words, "_breadth_first", counted_search)
+        monkeypatch.setattr(intersection, "canonical_renumber", counted_renumber)
+        rep = intersection_matrices(h1, h2)
+        b = basis(intersect_fg(h1, h2, report=rep))
+        assert searches == [True, True]
+        assert rep.verdict == VERDICT_FG and len(b.free_part) == 7
 
     def test_report_under_another_order_is_rejected(self):
         h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])

@@ -183,6 +183,117 @@ class TestSpanningTree:
                 assert recognizes(a, w) is not None
 
 
+def random_automaton(rng, n, max_vertices=9, extra=6):
+    """A deterministic connected automaton with a random basepoint and arc
+    storage order: a random tree first, then arcs into free letter slots."""
+    num = rng.randint(1, max_vertices)
+    used, arcs = set(), []
+
+    def add(o, s, t):
+        if s < 0:
+            o, s, t = t, -s, o
+        if (o, s) in used or (t, -s) in used:
+            return False
+        used.update({(o, s), (t, -s)})
+        arcs.append((o, s, t))
+        return True
+
+    signed = [s for k in range(1, n + 1) for s in (k, -k)]
+    for v in range(1, num):
+        while not add(rng.randrange(v), rng.choice(signed), v):
+            pass
+    for _ in range(extra):
+        add(rng.randrange(num), rng.choice(signed), rng.randrange(num))
+    perm = list(range(num))
+    rng.shuffle(perm)
+    rng.shuffle(arcs)
+    return Automaton(n, num, perm[0], tuple((perm[o], k, perm[t]) for o, k, t in arcs))
+
+
+def reference_tree(a, order, strategy="order"):
+    """Two breadth-first passes, one for the tree and one for the petals."""
+    if strategy == "order":
+        directions = {v: order for v in range(a.num_vertices)}
+    else:
+        directions = {v: [] for v in range(a.num_vertices)}
+        for o, k, t in a.arcs:
+            directions[o].append(k)
+            directions[t].append(-k)
+        directions = {v: list(dict.fromkeys(ds)) for v, ds in directions.items()}
+    parent = [None] * a.num_vertices
+    ages, tree = [a.basepoint], set()
+    for v in ages:
+        for s in directions[v]:
+            nxt = a.step(v, s)
+            if nxt is not None and nxt[0] not in ages:
+                parent[nxt[0]] = nxt[1:]
+                tree.add(nxt[1])
+                ages.append(nxt[0])
+    petals = []
+    for v in ages:
+        for s in directions[v]:
+            nxt = a.step(v, s)
+            if nxt is not None and nxt[1] not in tree and nxt[1] not in petals:
+                petals.append(nxt[1])
+    return a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals)
+
+
+def as_tuple(t):
+    return t.root, t.parent, t.tree_arcs, t.vertex_age, t.petal_arcs
+
+
+def fresh(a):
+    return Automaton(a.n, a.num_vertices, a.basepoint, a.arcs)
+
+
+class TestTreeFromRenumbering:
+    @staticmethod
+    def cases(count=240):
+        """Seeded random automata of ranks 1-3, half under a permuted order."""
+        rng = random.Random(11)
+        for i in range(count):
+            n = 1 + i % 3
+            order = None
+            if i % 2:
+                order = list(default_order(n))
+                rng.shuffle(order)
+            yield random_automaton(rng, n), order
+
+    def test_renumbering_tree_is_the_search_of_a_fresh_copy(self):
+        for a, order in self.cases():
+            b, tree, arc_map = canonical_renumber(a, order)
+            assert tree == spanning_tree_by_order(fresh(b), order)
+            assert as_tuple(tree) == reference_tree(fresh(b), check_order(order, a.n))
+            assert tree.vertex_age == tuple(range(b.num_vertices))
+            assert sorted(arc_map) == list(range(len(a.arcs)))
+            assert spanning_tree_by_order(b, order) is tree
+
+    def test_search_matches_two_pass_reference(self):
+        for a, order in self.cases():
+            checked = check_order(order, a.n)
+            for strategy in ("order", "first-seen"):
+                t = spanning_tree_by_order(fresh(a), order, strategy)
+                assert as_tuple(t) == reference_tree(a, checked, strategy)
+
+    def test_second_call_returns_the_same_tree(self):
+        for a, order in self.cases(60):
+            a = fresh(a)
+            t = spanning_tree_by_order(a, order)
+            assert spanning_tree_by_order(a, order) is t
+            assert spanning_tree_by_order(a, check_order(order, a.n)) is t
+
+    def test_first_seen_trees_bypass_the_memo(self):
+        for a, order in self.cases(60):
+            a = fresh(a)
+            expected = reference_tree(a, check_order(order, a.n), "first-seen")
+            t = spanning_tree_by_order(a, order, "first-seen")
+            assert as_tuple(t) == expected
+            assert a._trees == {}
+            a._trees[check_order(order, a.n)] = "memo"
+            again = spanning_tree_by_order(a, order, "first-seen")
+            assert again is not t and as_tuple(again) == expected
+
+
 class TestBasisAndCoordinates:
     def test_bouquet(self):
         a = stallings_skeleton(2, [(1,), (2,)])
