@@ -83,17 +83,15 @@ def _matrix(rows):
     return [list(row) for row in rows]
 
 
-def _automaton_for(problem, name, order, tree_strategy):
-    gens = problem.subgroup(name)
-    e = stallings(problem.ambient, gens, order)
+def _automaton_on_tree(problem, name, order, tree_strategy):
+    """The automaton normalized on the --tree strategy's tree, and the tree."""
+    e = stallings(problem.ambient, problem.subgroup(name), order)
     tree = spanning_tree_by_order(e.skeleton, order, tree_strategy)
-    if tree_strategy != "order":
-        e = normalize(e, tree)
-    return e, tree
+    return normalize(e, tree), tree
 
 
 def cmd_basis(args, problem, order) -> int:
-    e, tree = _automaton_for(problem, args.subgroup, order, args.tree)
+    e, tree = _automaton_on_tree(problem, args.subgroup, order, args.tree)
     b = basis(e, tree)
     payload = {
         "schema": SCHEMA,
@@ -107,7 +105,7 @@ def cmd_basis(args, problem, order) -> int:
 
 
 def cmd_member(args, problem, order) -> int:
-    e, _ = _automaton_for(problem, args.subgroup, order, args.tree)
+    e = stallings(problem.ambient, problem.subgroup(args.subgroup), order)
     g = parse_element(args.element, problem.ambient)
     verdict = member(e, g)
     if args.json:
@@ -118,7 +116,7 @@ def cmd_member(args, problem, order) -> int:
 
 
 def cmd_index(args, problem, order) -> int:
-    e, _ = _automaton_for(problem, args.subgroup, order, args.tree)
+    e = stallings(problem.ambient, problem.subgroup(args.subgroup), order)
     free, abelian, total = index_report(e)
     print(_dump({
         "schema": SCHEMA,
@@ -130,7 +128,7 @@ def cmd_index(args, problem, order) -> int:
 
 
 def cmd_transversal(args, problem, order) -> int:
-    e, _ = _automaton_for(problem, args.subgroup, order, args.tree)
+    e = stallings(problem.ambient, problem.subgroup(args.subgroup), order)
     _, _, total = index_report(e)
     if total is INFINITY and args.limit is None:
         print("error: infinite index; use --limit", file=sys.stderr)
@@ -148,8 +146,8 @@ def cmd_transversal(args, problem, order) -> int:
 
 
 def _intersection_context(args, problem, order):
-    e1, _ = _automaton_for(problem, args.subgroup1, order, "order")
-    e2, _ = _automaton_for(problem, args.subgroup2, order, "order")
+    e1 = stallings(problem.ambient, problem.subgroup(args.subgroup1), order)
+    e2 = stallings(problem.ambient, problem.subgroup(args.subgroup2), order)
     report = intersection_matrices(e1, e2, order=order)
     return e1, e2, report
 
@@ -215,7 +213,7 @@ def cmd_cayley(args, problem, order) -> int:
 
 
 def cmd_dot(args, problem, order) -> int:
-    e, _ = _automaton_for(problem, args.subgroup, order, args.tree)
+    e, _ = _automaton_on_tree(problem, args.subgroup, order, args.tree)
     print(enriched_dot(e, name=args.subgroup))
     return 0
 

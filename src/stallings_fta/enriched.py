@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     INFINITY,
@@ -31,6 +31,7 @@ from .abelian import (
     vec_sub,
 )
 from .words import (
+    Arc,
     Automaton,
     SpanningTree,
     Word,
@@ -43,10 +44,10 @@ from .words import (
     invert,
     is_saturated,
     multiply,
-    petal_word,
     recognizes,
     schreier_transversal,
     spanning_tree_by_order,
+    t_basis,
     word_str,
 )
 
@@ -325,43 +326,53 @@ def normalize(e: EnrichedAutomaton, tree: SpanningTree) -> EnrichedAutomaton:
 
     After this, lab1 = 0 everywhere, lab2 = 0 on tree arcs, and each
     non-tree lab2 is the canonical representative of its coset modulo L.
+    The result remembers the tree object, outside its fields, so
+    normalizing it on that tree again returns it as it is.
     """
-    phi = _tree_potentials(e.skeleton, tree, e.labels)
-    labels = _normalized_labels(e.skeleton, tree, e.labels, phi, e.base.reduce_mod)
-    return replace(e, labels=labels)
+    if e.__dict__.get("_normalized_on") is tree:
+        return e
+    labels = _normalized_labels(e.skeleton, tree, e.labels, e.ambient.zero(), e.base.reduce_mod)
+    out = replace(e, labels=labels)
+    out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
+    return out
 
 
-def _tree_potentials(
-    skeleton: Automaton, tree: SpanningTree, labels: Sequence[ArcLabel]
-) -> list[Vector]:
-    """Vertex transformation vectors zeroing all tree-arc labels."""
-    m = len(labels[0][0]) if labels else 0
-    zero = (0,) * m
+def _label_differences(labels: Sequence[ArcLabel]) -> list[Optional[Vector]]:
+    """lab2 - lab1 for each arc label, None where it is zero."""
+    diffs = [vec_sub(lab2, lab1) for lab1, lab2 in labels]
+    return [diff if any(diff) else None for diff in diffs]
+
+
+def _fill_potentials(phi, vertices: Iterable[int], parent, arcs: Sequence[Arc], diffs) -> None:
+    """Set phi[w], zeroing w's tree-arc label, for each w of vertices in insertion
+    order, from its parent's phi and diffs[arc] (lab2 - lab1, None for zero)."""
+    for w in vertices:
+        arc_idx, d = parent[w]
+        o, _, t = arcs[arc_idx]
+        diff = diffs[arc_idx]
+        if d == 1:  # stored o(parent) -> t(=w)
+            phi[w] = phi[o] if diff is None else vec_sub(phi[o], diff)
+        else:  # stored o(=w) -> t(parent)
+            phi[w] = phi[t] if diff is None else vec_add(phi[t], diff)
+
+
+def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
+    """An arc's label difference diff after the potentials: phi(t) - phi(o) + diff."""
+    if diff is None:
+        return vec_sub(phi[t], phi[o])
+    return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
+
+
+def _normalized_labels(skeleton: Automaton, tree: SpanningTree, labels, zero: Vector, reduce_mod):
+    """The labels T-normalized on tree."""
+    diffs = _label_differences(labels)
     phi: list[Optional[Vector]] = [None] * skeleton.num_vertices
     phi[tree.root] = zero
-    for v in tree.vertex_age:
-        if v == tree.root:
-            continue
-        arc_idx, d = tree.parent[v]
-        o, _, t = skeleton.arcs[arc_idx]
-        lab1, lab2 = labels[arc_idx]
-        if d == 1:  # stored o(parent) -> t(=v)
-            phi[v] = vec_add(phi[o], vec_sub(lab1, lab2))
-        else:  # stored o(=v) -> t(parent)
-            phi[v] = vec_add(phi[t], vec_sub(lab2, lab1))
-    return phi
-
-
-def _normalized_labels(skeleton, tree, labels, phi, reduce_mod):
-    zero = tuple(0 for _ in phi[tree.root])
-    out = []
-    for idx, ((o, _, t), (lab1, lab2)) in enumerate(zip(skeleton.arcs, labels)):
-        if idx in tree.tree_arcs:
-            out.append((zero, zero))
-        else:
-            val = vec_sub(vec_add(lab2, phi[t]), vec_add(lab1, phi[o]))
-            out.append((zero, reduce_mod(val)))
-    return tuple(out)
+    _fill_potentials(phi, tree.vertex_age[1:], tree.parent, skeleton.arcs, diffs)
+    return tuple(
+        (zero, zero if idx in tree.tree_arcs else reduce_mod(_arc_value(phi, o, t, diff)))
+        for idx, ((o, _, t), diff) in enumerate(zip(skeleton.arcs, diffs))
+    )
 
 
 def stallings(
@@ -428,15 +439,15 @@ def basis(e: EnrichedAutomaton, tree: Optional[SpanningTree] = None) -> Subgroup
     """Enriched labels of the positive tree petals plus the basepoint subgroup.
 
     e is normalized on the tree it is read on (by default the tree of the
-    default letter order), whatever tree its labels were normalized on.
+    default letter order), whatever tree its labels were normalized on;
+    that costs nothing when normalize last left it on that very tree.
     """
     if tree is None:
         tree = spanning_tree_by_order(e.skeleton)
     e = normalize(e, tree)
-    free = []
-    for arc_idx in tree.petal_arcs:
-        word = petal_word(e.skeleton, tree, arc_idx)
-        free.append(GroupElement(word, e.ambient.abelian.canonicalize(e.labels[arc_idx][1])))
+    words = t_basis(e.skeleton, tree)
+    canonicalize = e.ambient.abelian.canonicalize
+    free = [GroupElement(w, canonicalize(e.labels[i][1])) for w, i in zip(words, tree.petal_arcs)]
     return SubgroupBasis(tuple(free), e.base)
 
 

@@ -38,10 +38,8 @@ the paper's separate steps.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from operator import neg
 from typing import Callable, Iterator, Optional, Sequence
 
 from .abelian import (
@@ -63,9 +61,11 @@ from .enriched import (
     ArcLabel,
     EnrichedAutomaton,
     GroupElement,
+    _arc_value,
+    _fill_potentials,
+    _label_differences,
     _normalized_labels,
     _reduce_layers,
-    _tree_potentials,
     basis,
     normalize,
 )
@@ -75,12 +75,15 @@ from .words import (
     Word,
     _compact,
     _core_keep,
+    _petal_cut,
+    _root_path,
+    _TreeSearch,
     canonical_renumber,
     check_order,
-    petal_word,
     product_with_provenance,
     recognizes,
     spanning_tree_by_order,
+    t_basis,
     word_coordinates,
 )
 
@@ -143,13 +146,10 @@ def normalize_doubly(
     x: DoublyEnrichedAutomaton, tree: SpanningTree
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
-    phi1 = _tree_potentials(x.skeleton, tree, x.labels1)
-    phi2 = _tree_potentials(x.skeleton, tree, x.labels2)
-    labels1 = _normalized_labels(x.skeleton, tree, x.labels1, phi1, x.base1.reduce_mod)
-    labels2 = _normalized_labels(x.skeleton, tree, x.labels2, phi2, x.base2.reduce_mod)
-    return DoublyEnrichedAutomaton(
-        x.ambient, x.skeleton, labels1, labels2, x.base1, x.base2
-    )
+    zero = x.ambient.zero()
+    labels1 = _normalized_labels(x.skeleton, tree, x.labels1, zero, x.base1.reduce_mod)
+    labels2 = _normalized_labels(x.skeleton, tree, x.labels2, zero, x.base2.reduce_mod)
+    return replace(x, labels1=labels1, labels2=labels2)
 
 
 def doubly_reduce(
@@ -272,11 +272,8 @@ def intersection_matrices(
     order = check_order(order, ambient.n)
     prod = doubly_enriched_product(e1, e2, order)
     tree = spanning_tree_by_order(prod.skeleton, order)
-    words = []
-    petal_labels = []
-    for arc_idx in tree.petal_arcs:
-        words.append(petal_word(prod.skeleton, tree, arc_idx))
-        petal_labels.append((prod.labels1[arc_idx][1], prod.labels2[arc_idx][1]))
+    words = t_basis(prod.skeleton, tree)
+    petal_labels = [(prod.labels1[i][1], prod.labels2[i][1]) for i in tree.petal_arcs]
 
     tree1 = spanning_tree_by_order(e1.skeleton, order)
     tree2 = spanning_tree_by_order(e2.skeleton, order)
@@ -321,14 +318,16 @@ class _CayleyBall:
 
     Vertices are numbered in discovery order, so any isomorphic presentation
     of the group, with the generators in the same order, numbers them alike.
-    Growing reduces each vertex of the outer sphere's v + g_i and v - g_i
-    once, numbers those not seen yet as the next sphere, and records
-    plus[v][i] and minus[v][i], the numbers of v + g_i and v - g_i.
+    Growing computes and reduces each v + g_i and v - g_i of the outer
+    sphere in one pass, numbers those not seen yet as the next sphere, and
+    records plus[v][i] and minus[v][i], the numbers of v + g_i and v - g_i;
+    a zero generator gives v itself, a loop.
     """
 
     def __init__(self, deltas: Sequence[int], q_rows: Sequence[Sequence[int]]):
         self.deltas = tuple(deltas)
-        self.gens = [self._reduce(row) for row in q_rows]
+        gens = [tuple(a % d if d else a for a, d in zip(row, self.deltas)) for row in q_rows]
+        self.gens = [g if any(g) else None for g in gens]  # None for zero
         zero = (0,) * len(self.deltas)
         self.elements = [zero]
         self.index = {zero: 0}
@@ -336,11 +335,7 @@ class _CayleyBall:
         self.minus: list[tuple[int, ...]] = []
         self.sphere = range(0, 1)  # the outer sphere, not grown yet
 
-    def _reduce(self, vec: Sequence[int]) -> Vector:
-        return tuple(a % d if d else a for a, d in zip(vec, self.deltas))
-
     def _number(self, vec: Vector) -> int:
-        vec = self._reduce(vec)
         v = self.index.get(vec)
         if v is None:
             v = self.index[vec] = len(self.elements)
@@ -349,14 +344,21 @@ class _CayleyBall:
 
     def grow(self) -> None:
         """Grow the outer sphere; the sphere it numbers becomes the outer one."""
+        deltas, number = self.deltas, self._number
         for v in self.sphere:
             vec = self.elements[v]
-            steps = [
-                (self._number(vec_add(vec, g)), self._number(vec_sub(vec, g)))
-                for g in self.gens
-            ]
-            self.plus.append(tuple(p for p, _ in steps))
-            self.minus.append(tuple(m for _, m in steps))
+            plus, minus = [], []
+            for g in self.gens:
+                if g is None:
+                    plus.append(v)
+                    minus.append(v)
+                    continue
+                plus.append(number(tuple([
+                    (a + b) % d if d else a + b for a, b, d in zip(vec, g, deltas)])))
+                minus.append(number(tuple([
+                    (a - b) % d if d else a - b for a, b, d in zip(vec, g, deltas)])))
+            self.plus.append(tuple(plus))
+            self.minus.append(tuple(minus))
         self.sphere = range(self.sphere.stop, len(self.elements))
 
 
@@ -560,138 +562,86 @@ def intersect_stream(
     return report, automata, elements
 
 
-def _label_differences(labels: Sequence[ArcLabel]) -> list[Optional[Vector]]:
-    """lab2 - lab1 for each arc label, None where it is zero."""
-    out = []
-    for lab1, lab2 in labels:
-        diff = vec_sub(lab2, lab1)
-        out.append(diff if any(diff) else None)
-    return out
-
-
-def _crossed(phi: Vector, diff: Optional[Vector], d: int) -> Vector:
-    """The potential across an arc read in direction d, from potential phi."""
-    if diff is None:
-        return phi
-    return vec_sub(phi, diff) if d == 1 else vec_add(phi, diff)
-
-
-def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
-    """An arc's label difference diff after the potentials: phi(t) - phi(o) + diff."""
-    if diff is None:
-        return vec_sub(phi[t], phi[o])
-    return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
-
-
 class _ExpansionStream:
     """Incremental vertex-expansion of growing Cayley balls by the report's
     product, on the report's spanning tree and letter order.
 
     Vertex ids are stable across stages: Cayley vertex number d (in BFS
-    discovery order) occupies the block [d*vt, (d+1)*vt).  The spanning tree
-    is extended breadth-first from the already-visited vertices, so earlier
-    stages are full subautomata of later ones and petals never disappear.
+    discovery order) occupies the block [d*vt, (d+1)*vt).  One _TreeSearch
+    over the growing step map resumes at each stage from the tree vertices
+    the new arcs touch, so each stage's tree extends the last, earlier
+    stages are full subautomata of later ones, and petals never disappear.
+    (A whole search of a later stage can reach an old vertex by a new arc.)
 
-    A stage costs time in proportion to its sphere.  It touches only the
-    arcs of its own sphere, and each of them records the product arc it
-    copies, whose label differences are computed once.  Every new arc of
-    stage n joins blocks of spheres n-1 and n, since breadth-first distances
-    differ by at most one, so only those blocks keep the root-path words that
-    petal words are cut from.  A stage's automaton is built when it is read.
-    """
+    A stage costs time in proportion to its sphere: it touches only its own
+    arcs, and fills potentials and root paths, with the routines that serve
+    finished automata, for the vertices the search adds.  Every new arc of
+    stage n joins blocks of spheres n-1 and n, so only those keep them.  A
+    stage's automaton is built when it is read."""
 
     def __init__(self, report: IntersectionReport):
         self.report = report
         self.prod = report.prod
         self.tree = report.tree
-        self.order = report.order
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
         self.witness = CosetIntersection(self.prod.base1, self.prod.base2, report.base).witness
-        self.diff1 = _label_differences(self.prod.labels1)
-        self.diff2 = _label_differences(self.prod.labels2)
+        self.prod_diffs = [_label_differences(x) for x in (self.prod.labels1, self.prod.labels2)]
         self.block_arcs = sorted(self.tree.tree_arcs)
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
-        self.source: list[int] = []  # the product arc each arc copies
+        self.diffs1: list[Optional[Vector]] = []  # per arc, from the product arc it copies
+        self.diffs2: list[Optional[Vector]] = []
         self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
-        # spanning tree state: vertex -> insertion order, parent step, potentials
+        # spanning tree; potentials and root-path words of two spheres only
         basepoint = self.prod.skeleton.basepoint
+        order = report.order  # the search must not keep the stream alive
+        self.search = _TreeSearch(self.steps, basepoint, lambda v: order)
         zero = self.ambient.zero()
-        self.age = {basepoint: 0}
-        self.parent: dict[int, Optional[tuple[int, int]]] = {basepoint: None}
-        self.path: dict[int, Word] = {basepoint: ()}  # root-path words, two spheres only
-        self.tree_arcs: set[int] = set()
         self.phi1: dict[int, Vector] = {basepoint: zero}
         self.phi2: dict[int, Vector] = {basepoint: zero}
+        self.path: dict[int, Word] = {basepoint: ()}
 
-    def _add_arc(self, o, k, t, src):
-        idx = len(self.arcs)
+    def _copy_arc(self, do, dt, src):
+        """Append a copy of product arc src from block do to block dt."""
+        o, k, t = self.prod.skeleton.arcs[src]
+        o, t, idx = do * self.vt + o, dt * self.vt + t, len(self.arcs)
         self.arcs.append((o, k, t))
-        self.source.append(src)
+        self.diffs1.append(self.prod_diffs[0][src])
+        self.diffs2.append(self.prod_diffs[1][src])
         self.steps[(o, k)] = (t, idx, 1)
         self.steps[(t, -k)] = (o, idx, -1)
 
-    def _add_block(self, d):
-        arcs = self.prod.skeleton.arcs
-        base = d * self.vt
-        for arc_idx in self.block_arcs:
-            o, k, t = arcs[arc_idx]
-            self._add_arc(base + o, k, base + t, arc_idx)
-
-    def _add_delta_arc(self, do, i, dt):
-        arc_idx = self.tree.petal_arcs[i]
-        o, k, t = self.prod.skeleton.arcs[arc_idx]
-        self._add_arc(do * self.vt + o, k, dt * self.vt + t, arc_idx)
-
     def _extend_tree(self, start_arc):
-        """Continue the breadth-first spanning tree over the arcs from start_arc on.
-
-        Only tree vertices that these arcs touch can reach new material, so
-        resuming from them, oldest first, adds what a search over every tree
-        vertex in insertion order would.
-        """
-        touched = {v for o, _, t in self.arcs[start_arc:] for v in (o, t) if v in self.age}
-        queue = deque(sorted(touched, key=self.age.__getitem__))
-        while queue:
-            v = queue.popleft()
-            for s in self.order:
-                nxt = self.steps.get((v, s))
-                if nxt is None:
-                    continue
-                w, arc_idx, d = nxt
-                if w in self.age:
-                    continue
-                self.age[w] = len(self.age)
-                self.parent[w] = (arc_idx, d)
-                self.tree_arcs.add(arc_idx)
-                self.path[w] = self.path[v] + (s,)
-                src = self.source[arc_idx]
-                self.phi1[w] = _crossed(self.phi1[v], self.diff1[src], d)
-                self.phi2[w] = _crossed(self.phi2[v], self.diff2[src], d)
-                queue.append(w)
+        """Resume the search over the arcs from start_arc on; fill what it adds."""
+        search = self.search
+        start = len(search.vertices)
+        search.extend({v for o, _, t in self.arcs[start_arc:] for v in (o, t)})
+        added = search.vertices[start:]
+        _fill_potentials(self.phi1, added, search.parent, self.arcs, self.diffs1)
+        _fill_potentials(self.phi2, added, search.parent, self.arcs, self.diffs2)
+        for w in added:
+            _root_path(self.path, w, search.parent, self.arcs)
 
     def _equalize_new_arcs(self, start_arc):
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
-        path = self.path
+        tree_arcs = self.search.tree_arcs
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
-            if arc_idx in self.tree_arcs:
+            if arc_idx in tree_arcs:
                 self.labels.append((zero, zero))
                 continue
-            o, k, t = self.arcs[arc_idx]
-            src = self.source[arc_idx]
+            arc = o, _, t = self.arcs[arc_idx]
             c = self.witness(
-                _arc_value(self.phi1, o, t, self.diff1[src]),
-                _arc_value(self.phi2, o, t, self.diff2[src]),
+                _arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
+                _arc_value(self.phi2, o, t, self.diffs2[arc_idx]),
             )
             if c is None:
                 raise NotEqualizableError("vertex expansion must be equalizable")
-            word = path[o] + (k,) + tuple(map(neg, reversed(path[t])))
-            element = GroupElement(word, self.ambient.abelian.canonicalize(c))
+            element = GroupElement(_petal_cut(self.path, arc), self.ambient.abelian.canonicalize(c))
             self.labels.append((zero, element.vec))
             out.append(element)
         return tuple(out)
@@ -712,9 +662,9 @@ class _ExpansionStream:
         Stage n adds the blocks of the Cayley sphere of radius n, then its
         arcs: those from the inner ball into the sphere, ordered by origin
         and generator, then those from the sphere into the ball of radius n.
-        Then the root paths of sphere n-1 are dropped: no later arc reaches
-        it.  A trivial free projection is the one complete stage of radius
-        0, the point automaton carrying L1 & L2.
+        Then the potentials and root paths of sphere n-1 are dropped: no
+        later arc reaches it.  A trivial free projection is the one complete
+        stage of radius 0, the point automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
@@ -729,7 +679,8 @@ class _ExpansionStream:
             ball.grow()
             start_arc = len(self.arcs)
             for d in sphere:
-                self._add_block(d)
+                for src in self.block_arcs:
+                    self._copy_arc(d, d, src)
             entering = sorted(
                 (u, i, w)
                 for w in sphere
@@ -743,11 +694,11 @@ class _ExpansionStream:
                 if u < sphere.stop
             ]
             for do, i, dt in entering + leaving:
-                self._add_delta_arc(do, i, dt)
+                self._copy_arc(do, dt, self.tree.petal_arcs[i])
             self._extend_tree(start_arc)
             new_elements = self._equalize_new_arcs(start_arc)
             for v in range(previous.start * vt, previous.stop * vt):
-                del self.path[v]
+                del self.path[v], self.phi1[v], self.phi2[v]
             previous = sphere
             build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
             yield IntersectionStage(radius, new_elements, not ball.sphere, build)

@@ -44,7 +44,7 @@ class ProblemFile:
         raise KeyError(f"no subgroup named {name!r} (defined: {known})")
 
 
-MAX_WORD_LETTERS = 10**6  # before free reduction; bounds what parsing allocates
+MAX_WORD_LETTERS = 10**6  # per element and per problem file, before free reduction
 MAX_RANK = 10**4  # free rank n and abelian rank m; work such as letter orders grows with them
 
 # re.ASCII: \d is 0-9 only, so a digit of another script is a bad token
@@ -67,6 +67,11 @@ def _literal(digits: str, line: int, col: int) -> int:
 
 def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0) -> GroupElement:
     """One element in the text syntax, canonicalized."""
+    return _parse_element(text, ambient, line, col_base, MAX_WORD_LETTERS)[0]
+
+
+def _parse_element(text: str, ambient: Ambient, line: int, col_base: int, budget: int):
+    """(element, letters read before free reduction), reading at most budget letters."""
     word: list[int] = []
     vec = None
     for match in re.finditer(r"\S+", text):
@@ -84,9 +89,9 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
                     f"generator x{idx} out of range (free rank {ambient.n})", line, col
                 )
             exp = _literal(m.group(2), line, col) if m.group(2) is not None else 1
-            if len(word) + abs(exp) > MAX_WORD_LETTERS:
+            if len(word) + abs(exp) > budget:
                 raise ProblemParseError(
-                    f"word longer than {MAX_WORD_LETTERS} letters", line, col
+                    f"more than {MAX_WORD_LETTERS} letters before free reduction", line, col
                 )
             word.extend([idx if exp > 0 else -idx] * abs(exp))
             continue
@@ -107,7 +112,7 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
             vec = coords
             continue
         raise ProblemParseError(f"cannot read token {token!r}", line, col)
-    return ambient.element(word, vec if vec is not None else ambient.zero())
+    return ambient.element(word, vec if vec is not None else ambient.zero()), len(word)
 
 
 def format_vector(vec) -> str:
@@ -168,8 +173,10 @@ def format_group(ambient: Ambient) -> str:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem file: a group line, then 'NAME: elem, elem, ...' lines."""
+    """Parse a problem file: a group line, then 'NAME: elem, elem, ...' lines.
+    All its elements together spell at most MAX_WORD_LETTERS letters."""
     ambient = None
+    budget = MAX_WORD_LETTERS
     subgroups: list[tuple[str, tuple[GroupElement, ...]]] = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,7 +201,9 @@ def parse_problem(text: str) -> ProblemFile:
         offset = raw.index(":") + 1  # rest starts just after the colon
         for chunk, start in _split_outside_parens(rest):
             if chunk.strip():
-                gens.append(parse_element(chunk, ambient, lineno, offset + start))
+                g, letters = _parse_element(chunk, ambient, lineno, offset + start, budget)
+                budget -= letters
+                gens.append(g)
         subgroups.append((name, tuple(gens)))
     if ambient is None:
         raise ProblemParseError("empty problem: no 'group' line found")

@@ -4,6 +4,10 @@ A signed letter is a nonzero int: +k for x_k, -k for its inverse.  Words are
 freely reduced tuples of signed letters.  Automata store only their positive
 arcs; every arc (origin, k, target) with k in 1..n can also be crossed
 backwards reading -k.  The basepoint is the unique initial/accepting vertex.
+
+Spanning trees come from one resumable breadth-first search, _TreeSearch,
+run whole for a finished automaton and resumed by the intersection's
+expansion stream; both cut petal words from root paths found by _root_path.
 """
 
 from __future__ import annotations
@@ -399,12 +403,9 @@ def core(a: Automaton) -> Automaton:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Breadth-first spanning tree plus the induced petal (cyclomatic) arc order.
-
-    Built by the one search _breadth_first, either through
-    spanning_tree_by_order or, for a renumbered automaton, by
-    canonical_renumber.
-    """
+    """A finished breadth-first spanning tree plus the induced petal
+    (cyclomatic) arc order: one whole _TreeSearch, frozen by _breadth_first
+    for spanning_tree_by_order or, renumbered, by canonical_renumber."""
 
     root: int
     parent: tuple[Optional[tuple[int, int]], ...]  # vertex -> (arc index, direction)
@@ -413,40 +414,62 @@ class SpanningTree:
     petal_arcs: tuple[int, ...]  # positive non-tree arcs, emission order
 
 
-def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
-    """The one breadth-first spanning-tree search, over a's own numbering.
+class _TreeSearch:
+    """The one breadth-first spanning-tree search; it can be resumed.
 
-    From the basepoint, each vertex in insertion order tries the signed
-    letters directions(v) in turn; an arc reaching a new vertex joins the
-    tree, and any other arc not in the tree is a petal, emitted the first
-    time it is met.  An arc meeting two visited vertices can never join the
-    tree later, so one pass decides both.
-    """
-    steps = a._steps
-    parent: list[Optional[tuple[int, int]]] = [None] * a.num_vertices
-    seen = [False] * a.num_vertices
-    seen[a.basepoint] = True
-    ages = [a.basepoint]
-    tree: set[int] = set()
-    petals: list[int] = []
-    emitted: set[int] = set()
-    for v in ages:  # ages grows while it is read: it is the queue
-        for s in directions(v):
-            nxt = steps.get((v, s))
-            if nxt is None:
-                continue
-            w, arc_idx, d = nxt
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = (arc_idx, d)
-                tree.add(arc_idx)
-                ages.append(w)
-            elif arc_idx not in tree and arc_idx not in emitted:
-                emitted.add(arc_idx)
-                petals.append(arc_idx)
-    if len(ages) != a.num_vertices:
+    steps maps (vertex, signed letter) to (target, arc index, direction), as
+    Automaton._steps does, and may gain arcs between calls to extend.  A
+    scanned vertex tries the letters directions(v) in turn: an arc reaching
+    a new vertex joins the tree; any other non-tree arc is a petal, as it
+    meets two visited vertices.  age (vertex -> insertion index), vertices
+    (in that order) and parent (vertex -> (arc index, direction), None at
+    the root) describe the tree; petals are returned, not kept."""
+
+    def __init__(self, steps: dict, root: int, directions: Callable[[int], Sequence[int]]):
+        self.steps = steps
+        self.directions = directions
+        self.age = {root: 0}
+        self.vertices = [root]
+        self.parent: dict[int, Optional[tuple[int, int]]] = {root: None}
+        self.tree_arcs: set[int] = set()
+
+    def extend(self, vertices: Iterable[int]) -> list[int]:
+        """Scan the given vertices that are in the tree, oldest first, then
+        each vertex this adds; return the petals met, in the order met, each
+        as often as met.  Once arcs join steps, only the tree vertices they
+        touch can reach anything new, so resuming from those adds what
+        resuming from every vertex would."""
+        steps, directions, age, order, parent, tree = (
+            self.steps, self.directions, self.age, self.vertices, self.parent, self.tree_arcs)
+        met = []
+        queue = sorted((v for v in vertices if v in age), key=age.__getitem__)
+        for v in queue:  # queue grows while it is read
+            for s in directions(v):
+                nxt = steps.get((v, s))
+                if nxt is None:
+                    continue
+                w, arc_idx, d = nxt
+                if w not in age:
+                    age[w] = len(order)
+                    order.append(w)
+                    parent[w] = (arc_idx, d)
+                    tree.add(arc_idx)
+                    queue.append(w)
+                elif arc_idx not in tree:
+                    met.append(arc_idx)
+        return met
+
+
+def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
+    """The spanning tree of a whole search of `a` from its basepoint; the
+    petals are in the order first met."""
+    search = _TreeSearch(a._steps, a.basepoint, directions)
+    petals = tuple(dict.fromkeys(search.extend((a.basepoint,))))
+    if len(search.vertices) != a.num_vertices:
         raise ValueError("automaton is not connected")
-    return SpanningTree(a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals))
+    parent = tuple(map(search.parent.get, range(a.num_vertices)))
+    return SpanningTree(a.basepoint, parent, frozenset(search.tree_arcs),
+                        tuple(search.vertices), petals)
 
 
 def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
@@ -508,32 +531,39 @@ def spanning_tree_by_order(
     return _breadth_first(a, lambda v: dict.fromkeys(per_vertex.get(v, ())))
 
 
-def petal_word(a: Automaton, t: SpanningTree, arc_idx: int) -> Word:
-    """Label of the petal: basepoint ~> origin, the arc, target ~> basepoint."""
-    return tree_petal_word(a.arcs, t.parent, arc_idx)
+def _root_path(paths: dict, v: int, parent, arcs: Sequence[Arc]) -> Word:
+    """v's root-path word: walks up the parent map (vertex -> (arc index,
+    direction)) from v to the nearest vertex whose word paths holds, and
+    stores v's word alone there (storing each word walked past costs walk^2)."""
+    letters, u = [], v
+    while (path := paths.get(u)) is None:
+        arc_idx, d = parent[u]
+        o, k, t = arcs[arc_idx]
+        letters.append(k * d)
+        u = o if d == 1 else t
+    if letters:
+        path = paths[v] = path + tuple(reversed(letters))
+    return path
 
 
-def tree_petal_word(arcs: Sequence[Arc], parent, arc_idx: int) -> Word:
-    """petal_word over bare arcs and a parent map (vertex -> (arc index,
-    direction), None at the root), for trees still being grown."""
-
-    def walk(v: int) -> Word:
-        out = []
-        while parent[v] is not None:
-            i, d = parent[v]
-            o, k, t = arcs[i]
-            out.append(k * d)
-            v = o if d == 1 else t
-        out.reverse()
-        return tuple(out)
-
-    o, k, t = arcs[arc_idx]
-    return walk(o) + (k,) + invert(walk(t))
+def _petal_cut(paths, arc: Arc) -> Word:
+    """An arc's petal word: root path of its origin, the arc, back from its target."""
+    o, k, t = arc
+    return paths[o] + (k,) + invert(paths[t])
 
 
 def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:
-    """Petal words; a free basis of the recognized subgroup."""
-    return [petal_word(a, t, i) for i in t.petal_arcs]
+    """Petal words, in petal order; a free basis of the recognized subgroup.
+
+    Root paths are found for petal ends only, oldest first.  A walk stops at
+    the nearest ancestor that is an end too and is no longer than the path
+    it yields, so time and memory stay within the length of the words.
+    """
+    arcs, paths = a.arcs, {t.root: ()}
+    ends = {v for i in t.petal_arcs for v in (arcs[i][0], arcs[i][2])}
+    for v in filter(ends.__contains__, t.vertex_age):
+        _root_path(paths, v, t.parent, arcs)
+    return [_petal_cut(paths, arcs[i]) for i in t.petal_arcs]
 
 
 def recognizes(a: Automaton, w: Sequence[int]) -> Optional[list[tuple[int, int]]]:

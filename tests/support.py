@@ -2,6 +2,7 @@
 
 from stallings_fta.abelian import AbelianSpec
 from stallings_fta.enriched import Ambient, stallings
+from stallings_fta.words import invert
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -55,3 +56,21 @@ def random_subgroup_gens(rng, ambient, max_gens=3, maxlen=3, maxcoord=2,
 def conjugator_word(letter, v, w):
     """x1^v * letter * x1^-w: maps coset x1^v to coset x1^w."""
     return tuple([1] * v + [letter] + [-1] * w)
+
+
+def tree_petal_word(arcs, parent, arc_idx):
+    """Oracle for petal words: walk both root paths up the parent map
+    (vertex -> (arc index, direction), None at the root) anew for each petal."""
+
+    def walk(v):
+        out = []
+        while parent[v] is not None:
+            i, d = parent[v]
+            o, k, t = arcs[i]
+            out.append(k * d)
+            v = o if d == 1 else t
+        out.reverse()
+        return tuple(out)
+
+    o, k, t = arcs[arc_idx]
+    return walk(o) + (k,) + invert(walk(t))

@@ -100,6 +100,20 @@ class TestParsing:
         with pytest.raises(ProblemParseError):
             parse_element(f"x1^{half} x2^-{half}", ambient)
 
+    def test_letter_budget_spans_the_whole_file(self, tmp_path, capsys):
+        half = MAX_WORD_LETTERS // 2 + 1  # each element fits, the two do not
+        line = f"H: x1^{half}, x2^{half}"
+        with pytest.raises(ProblemParseError, match="letters") as info:
+            parse_problem(f"group F2 x Z\n{line}\n")
+        assert (info.value.line, info.value.col) == (2, line.index("x2") + 1)
+        path = tmp_path / "long.txt"
+        path.write_text(f"group F2 x Z\n{line}\n")
+        assert main(["index", str(path), "H"]) == 2
+        assert "line 2" in capsys.readouterr().err
+        inside = MAX_WORD_LETTERS // 2  # both together fill the budget exactly
+        gens = parse_problem(f"group F2 x Z\nH: x1^{inside}, x2^{inside}\n").subgroup("H")
+        assert [len(g.word) for g in gens] == [inside, inside]
+
     @pytest.mark.parametrize("group", [f"F{MAX_RANK + 1} x Z", f"F2 x Z^{MAX_RANK + 1}",
                                        f"F2 x Z^{MAX_RANK} x Z/2Z"])
     def test_rank_above_bound_rejected(self, group):
@@ -387,6 +401,27 @@ class TestCommands:
         assert main(["--tree", "first-seen", "basis", index_file, "H"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rank"] == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "H", "x1^2"], ["index", "H"], ["transversal", "H", "--limit", "5"],
+    ])
+    def test_tree_strategy_is_not_searched_where_no_tree_is_printed(
+        self, index_file, capsys, monkeypatch, argv
+    ):
+        argv = [argv[0], index_file, *argv[1:]]
+        main(argv)
+        plain = capsys.readouterr().out
+        strategies = []
+        real = words.spanning_tree_by_order
+
+        def counted(a, order=None, strategy="order"):
+            strategies.append(strategy)
+            return real(a, order, strategy)
+
+        monkeypatch.setattr(cli, "spanning_tree_by_order", counted)
+        main(["--tree", "first-seen", *argv])
+        assert capsys.readouterr().out == plain
+        assert strategies == []
 
 
 # Stdout of the stream commands, byte for byte: the vertex numbering and

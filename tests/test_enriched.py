@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
-from support import random_subgroup_gens
+from support import parameterized_pair, random_subgroup_gens
 
 from stallings_fta import enriched, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
@@ -27,6 +28,7 @@ from stallings_fta.enriched import (
     transversal_stream,
     vertex_transformation,
 )
+from stallings_fta.intersection import intersect_fg
 from stallings_fta.words import (
     canonical_renumber,
     core,
@@ -416,6 +418,34 @@ class TestStallingsCanonical:
         }
 
 
+class TestNormalizeOnItsOwnTree:
+    def test_basis_normalizes_nothing_again(self, monkeypatch):
+        calls = []
+        real = enriched._normalized_labels
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enriched, "_normalized_labels", counted)
+        e = stallings(F2Z2, elems(F2Z2, ((1, 1, 2), (1, 0)), ((2, -1), (0, 3))))
+        h1, h2 = parameterized_pair((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        x = intersect_fg(h1, h2)
+        before = len(calls)
+        basis(e), basis(x)
+        assert len(calls) == before
+        tree = words.spanning_tree_by_order(e.skeleton, None, "first-seen")
+        on_first = normalize(e, tree)
+        assert len(calls) == before + 1
+        assert normalize(on_first, tree) is on_first
+        basis(on_first, tree)
+        assert len(calls) == before + 1
+        # the remembered tree is not a field: equality and copies ignore it
+        assert replace(e, labels=e.labels) == e
+        assert normalize(replace(e, labels=e.labels), tree) == on_first
+        assert len(calls) == before + 2
+
+
 class TestCompletionMembership:
     def setup_method(self):
         self.h1 = stallings(F2Z, elems(F2Z, ((1,), (1,)), ((2,), (0,))))
@@ -503,6 +533,23 @@ class TestBasis:
         b = basis(e)
         for a in itertools.product(range(-6, 7), repeat=2):
             assert member(e, F2Z2.element((), a)) == b.abelian_part.contains(a)
+
+    def test_thin_automaton_costs_no_more_than_its_words(self):
+        # x1^h x2^h t folds to one cycle of 2h vertices with one petal.  Root
+        # paths of every vertex would hold about h^2 letters (some 200 MB at
+        # this h); those of the petal's two ends hold 2h.
+        half = 5000
+        word = (1,) * half + (2,) * half
+        e = stallings(F2Z, elems(F2Z, (word, (1,))))
+        assert e.skeleton.num_vertices == 2 * half
+        tracemalloc.start()
+        try:
+            b = basis(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(g.word, g.vec) for g in b.free_part] == [(word, (1,))]
+        assert peak < 1 << 20
 
 
 class TestIndex:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -33,8 +35,8 @@ from stallings_fta.intersection import (
     is_equalizable,
     vertex_expand,
 )
-from stallings_fta.words import core, product, spanning_tree_by_order, tree_petal_word
-from support import random_element, random_subgroup_gens
+from stallings_fta.words import core, product, spanning_tree_by_order
+from support import random_element, random_subgroup_gens, tree_petal_word
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -722,11 +724,67 @@ class TestStageCost:
             cut = [(stage, len(stream.arcs)) for stage in itertools.islice(stream.stages(), 6)]
             start = 0
             for stage, end in cut:
-                petals = [i for i in range(start, end) if i not in stream.tree_arcs]
+                petals = [i for i in range(start, end) if i not in stream.search.tree_arcs]
                 assert [g.word for g in stage.new_elements] == [
-                    tree_petal_word(stream.arcs, stream.parent, i) for i in petals
+                    tree_petal_word(stream.arcs, stream.search.parent, i) for i in petals
                 ]
                 start = end
+
+    @staticmethod
+    def extended_tree(skeleton, order, vertices, parent):
+        """Reference: a tree extended breadth-first over a larger automaton,
+        scanning every tree vertex oldest first, then each vertex it adds."""
+        vertices, parent = list(vertices), dict(parent)
+        for v in vertices:  # grows while it is read
+            for s in order:
+                nxt = skeleton.step(v, s)
+                if nxt is not None and nxt[0] not in parent:
+                    parent[nxt[0]] = nxt[1:]
+                    vertices.append(nxt[0])
+        return vertices, parent
+
+    @pytest.mark.parametrize("name", ["F2xZ", "F2x(Z+Z6)", "F3xZ2"])
+    def test_stream_tree_extends_the_one_searchs_tree(self, name):
+        # Stage 0's tree is a whole search of its automaton; each later
+        # stage's tree extends the one before over every old tree vertex.
+        # A whole search of a later stage can differ (F3xZ2, F2x(Z+Z6)):
+        # it may reach an old vertex first through a new arc.
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"stream-tree:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        checked = 0
+        while checked < 12:
+            order = None if checked % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            rep = intersection_matrices(*self.same_words_pair(rng, ambient, order), order)
+            if rep.pi_trivial:
+                continue
+            checked += 1
+            stream = intersection._ExpansionStream(rep)
+            search = stream.search
+            basepoint = rep.prod.skeleton.basepoint
+            vertices, parent = [basepoint], {basepoint: None}
+            for stage in itertools.islice(stream.stages(), 6):
+                skeleton = stage.automaton.skeleton
+                vertices, parent = self.extended_tree(skeleton, rep.order, vertices, parent)
+                assert len(vertices) == skeleton.num_vertices
+                assert search.vertices == vertices and search.parent == parent
+                assert search.tree_arcs == {p[0] for p in parent.values() if p}
+                if stage.radius == 0:
+                    whole = words._breadth_first(skeleton, lambda v: rep.order)
+                    assert tuple(vertices) == whole.vertex_age
+                    assert parent == dict(enumerate(whole.parent))
+
+    def test_stream_is_freed_without_the_cycle_collector(self):
+        # the search's directions callback must not hold the stream
+        stream = intersection._ExpansionStream(intersection_matrices(*moldavanski()))
+        list(itertools.islice(stream.stages(), 4))
+        ref = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_automaton_read_late_is_the_same(self):
         rng = random.Random("stage-cost:late")
@@ -783,7 +841,7 @@ class TestStageCost:
         for n, (stop, paths) in enumerate(cached):
             assert paths <= set(range(stops[n] * vt, stop * vt)) | {basepoint}
         assert max(len(paths) for _, paths in cached) <= 4 * vt + 1
-        assert len(stream.age) == stops[-1] * vt == 513 * vt
+        assert len(stream.search.age) == stops[-1] * vt == 513 * vt
         stages[-1].automaton
         assert len(built) == 1
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from support import tree_petal_word
 
 from stallings_fta.words import (
     Automaton,
@@ -15,7 +16,6 @@ from stallings_fta.words import (
     invert,
     is_saturated,
     multiply,
-    petal_word,
     product,
     recognizes,
     schreier_transversal,
@@ -177,8 +177,8 @@ class TestSpanningTree:
             a = stallings_skeleton(n, gens)
             t = spanning_tree_by_order(a)
             assert len(t.petal_arcs) == len(a.arcs) - a.num_vertices + 1
-            for i in t.petal_arcs:
-                w = petal_word(a, t, i)
+            for i, w in zip(t.petal_arcs, t_basis(a, t)):
+                assert w == tree_petal_word(a.arcs, t.parent, i)
                 assert free_reduce(w) == w
                 assert recognizes(a, w) is not None
 
