@@ -44,21 +44,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """Product of integer matrices given as sequences of rows."""
-    b = [tuple(row) for row in b]
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for coeff, brow in zip(row, b):
-            if coeff:
-                for j in range(cols):
-                    acc[j] += coeff * brow[j]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def vec_mat(v: Sequence[int], b: Sequence[Sequence[int]], width: int) -> Vector:
     """Row vector times matrix; width is the number of columns of b."""
     acc = [0] * width
@@ -453,21 +438,13 @@ class AbelianSubgroup:
         return tuple(resid)
 
     def sum(self, other: "AbelianSubgroup") -> "AbelianSubgroup":
-        self._check_same_spec(other)
+        if self.spec != other.spec:
+            raise ValueError("mismatched ambient abelian groups")
         return AbelianSubgroup(self.spec, self.lattice_basis + other.lattice_basis)
 
     def intersect(self, other: "AbelianSubgroup") -> "AbelianSubgroup":
         """Lattice intersection; correct on subgroups since both contain R."""
-        self._check_same_spec(other)
-        b1, b2 = self.lattice_basis, other.lattice_basis
-        stacked = list(b1) + [vec_neg(r) for r in b2]
-        ker = kernel(stacked, self.spec.m)
-        rows = [vec_mat(k[: len(b1)], b1, self.spec.m) for k in ker]
-        return AbelianSubgroup(self.spec, tuple(rows))
-
-    def _check_same_spec(self, other: "AbelianSubgroup") -> None:
-        if self.spec != other.spec:
-            raise ValueError("mismatched ambient abelian groups")
+        return CosetIntersection(self, other).base
 
     def index(self):
         """[A : L]; finite iff the lattice has full rank."""
@@ -543,24 +520,22 @@ def canonicalize(vec: Sequence[int], spec: AbelianSpec) -> Vector:
 class CosetIntersection:
     """Witnesses of (a + L1) & (b + L2) for one fixed pair L1, L2.
 
-    The Hermite form of [L1; -L2] and the L1-part of its transform are
-    computed once; each witness is then one triangular solve, reduced modulo
-    base = L1 & L2 (computed here unless the caller already has it).
+    The Hermite form of [L1; -L2] and the L1-part of each row of its
+    transform are computed once.  The rows past the pivots span the kernel,
+    so their L1-parts span base = L1 & L2; each witness is then one
+    triangular solve, reduced modulo base.
     """
 
-    def __init__(
-        self, l1: AbelianSubgroup, l2: AbelianSubgroup,
-        base: Optional[AbelianSubgroup] = None,
-    ):
+    def __init__(self, l1: AbelianSubgroup, l2: AbelianSubgroup):
         if l1.spec != l2.spec:
             raise ValueError("mismatched ambient abelian groups")
         self.m = m = l1.spec.m
-        self.base = l1.intersect(l2) if base is None else base
         b1 = l1.lattice_basis
         stacked = list(b1) + [vec_neg(r) for r in l2.lattice_basis]
         self._h, trans, self._pivots = hnf_with_transform(stacked, m)
         # the L1-part of each row of the Hermite form, as a vector
         self._lifts = [vec_mat(t[: len(b1)], b1, m) for t in trans]
+        self.base = AbelianSubgroup(l1.spec, tuple(self._lifts[len(self._pivots):]))
 
     def witness(self, a: Sequence[int], b: Sequence[int]) -> Optional[Vector]:
         """Some c in (a + L1) & (b + L2), canonical mod L1 & L2; None iff empty.

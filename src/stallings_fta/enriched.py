@@ -12,7 +12,10 @@ renumbering -> tree normalization with canonical label representatives
 modulo L) produces one automaton value per subgroup, so value equality
 decides subgroup equality.  stallings() reaches the same automaton without
 building the flower: it reads each generator into the graph folded so far
-and adds arcs only for what cannot be read.
+and adds arcs only for what cannot be read.  Folding ends in
+words._canonical_core, and normalization reads each surviving arc's value
+lab2 - lab1 straight from the folding, as the product's does from its
+factors.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from .words import (
     Automaton,
     SpanningTree,
     Word,
-    _compact,
-    _core_keep,
+    _canonical_core,
     _Folding,
     canonical_renumber,
     default_order,
@@ -263,49 +265,36 @@ def _reduce_layers(
 
     layers are independent (lab1, lab2) systems riding on the arcs; the
     folding reads them side by side as one vector per arc.  Returns
-    (skeleton, its spanning tree under order, per-layer labels, per-layer
-    closed-fold vectors).
+    (skeleton, its spanning tree under order, per-layer arc values,
+    per-layer closed-fold vectors); see _folded_core.
     """
     vectors = []
     for labs in zip(*layers):
         vec = tuple(b - a for lab1, lab2 in labs for a, b in zip(lab1, lab2))
         vectors.append(vec if any(vec) else None)
     folding = _Folding(skeleton.num_vertices, skeleton.arcs, vectors)
-    return _folded_core(ambient, folding, skeleton.basepoint, layers, order)
+    return _folded_core(ambient, folding, skeleton.basepoint, len(layers), order)
 
 
-def _folded_core(
-    ambient: Ambient,
-    folding: _Folding,
-    basepoint: int,
-    layers: Sequence[Sequence[ArcLabel]],
-    order: Optional[Sequence[int]],
-):
-    """Core and canonical renumbering of a folded graph, with the layers'
-    labels shifted by the vertex potentials; see _reduce_layers.  The tree
-    comes from the renumbering's own search."""
+def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int, layers: int,
+                 order: Optional[Sequence[int]]):
+    """The canonical core of a folded graph, with each survivor's value
+    (lab2 - lab1 after the vertex potentials, None for zero) and the
+    closed-fold vectors, both cut into the layers' m coordinates each."""
     m = ambient.m
-    rep, potential, kept, gained = folding.result()
-    arcs = folding.arcs
-    resolved = [(rep[o], k, rep[t]) for o, k, t in (arcs[x] for x in kept)]
-    bp = rep[basepoint]
-    _, core_idx = _core_keep(len(rep), bp, resolved)
-    folded = _compact(ambient.n, len(rep), bp, [resolved[i] for i in core_idx])
-    folded, tree, arc_map = canonical_renumber(folded, order)
-    survivors = [kept[core_idx[i]] for i in arc_map]
+    rep, kept, gained = folding.result()
+    resolved = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
+    skeleton, tree, survivors = _canonical_core(
+        ambient.n, len(rep), rep[basepoint], resolved, order)
+    values = [folding.read(kept[i], 1) for i in survivors]
+    cuts = [slice(li * m, (li + 1) * m) for li in range(layers)]
+    return (skeleton, tree, [[None if v is None else v[cut] for v in values] for cut in cuts],
+            [[g[cut] for g in gained] for cut in cuts])
 
-    def part(vec: Vector, li: int) -> Vector:
-        return vec[li * m:(li + 1) * m]
 
-    def shifted(lab: Vector, v: int, li: int) -> Vector:
-        return lab if potential[v] is None else vec_add(lab, part(potential[v], li))
-
-    ends = [(x, arcs[x][0], arcs[x][2]) for x in survivors]
-    labels = [
-        tuple((shifted(layer[x][0], o, li), shifted(layer[x][1], t, li)) for x, o, t in ends)
-        for li, layer in enumerate(layers)
-    ]
-    return folded, tree, labels, [[part(g, li) for g in gained] for li in range(len(layers))]
+def _value_labels(values, zero: Vector) -> tuple[ArcLabel, ...]:
+    """(0, value) labels for arc values, None standing for zero."""
+    return tuple((zero, zero if v is None else v) for v in values)
 
 
 def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> EnrichedAutomaton:
@@ -313,26 +302,35 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
 
     Closed folds feed the basepoint subgroup; pruned hanging arcs may carry
     labels, which is sound because no reduced basepoint walk crosses them.
-    This is the paper's folding of a whole automaton, such as a flower;
-    stallings() reaches the same result without building the flower.
+    Each arc is labelled (0, value), its value read after the folding's
+    vertex transformations.  This is the paper's folding of a whole
+    automaton, such as a flower; stallings() reaches the same result,
+    normalized, without building the flower.
     """
-    skeleton, _, (labels,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
+    skeleton, _, (values,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
-    return EnrichedAutomaton(e.ambient, skeleton, labels, base)
+    return EnrichedAutomaton(e.ambient, skeleton, _value_labels(values, e.ambient.zero()), base)
 
 
 def normalize(e: EnrichedAutomaton, tree: SpanningTree) -> EnrichedAutomaton:
     """Concentrate abelian mass on the heads of non-tree arcs.
 
-    After this, lab1 = 0 everywhere, lab2 = 0 on tree arcs, and each
+    Only each arc's value lab2 - lab1 is read.  After this, lab1 = 0 everywhere, lab2 = 0 on tree arcs, and each
     non-tree lab2 is the canonical representative of its coset modulo L.
     The result remembers the tree object, outside its fields, so
     normalizing it on that tree again returns it as it is.
     """
     if e.__dict__.get("_normalized_on") is tree:
         return e
-    labels = _normalized_labels(e.skeleton, tree, e.labels, e.ambient.zero(), e.base.reduce_mod)
-    out = replace(e, labels=labels)
+    return _normalized(e.ambient, e.skeleton, tree, _label_differences(e.labels), e.base)
+
+
+def _normalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values,
+                base: AbelianSubgroup) -> EnrichedAutomaton:
+    """The automaton with these arc values (lab2 - lab1, None for zero),
+    T-normalized on tree, remembering tree as normalize does."""
+    labels = _normalized_labels(skeleton, tree, values, ambient.zero(), base.reduce_mod)
+    out = EnrichedAutomaton(ambient, skeleton, labels, base)
     out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
     return out
 
@@ -363,9 +361,8 @@ def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
     return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
 
 
-def _normalized_labels(skeleton: Automaton, tree: SpanningTree, labels, zero: Vector, reduce_mod):
-    """The labels T-normalized on tree."""
-    diffs = _label_differences(labels)
+def _normalized_labels(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector, reduce_mod):
+    """T-normalized labels on tree for the arc values diffs (None for zero)."""
     phi: list[Optional[Vector]] = [None] * skeleton.num_vertices
     phi[tree.root] = zero
     _fill_potentials(phi, tree.vertex_age[1:], tree.parent, skeleton.arcs, diffs)
@@ -402,11 +399,9 @@ def stallings(
             bad = next(l for l in g.word if not 1 <= abs(l) <= ambient.n)
             raise ValueError(f"letter {abs(bad)} out of range")
         folding.read_word(g.word, g.vec if any(g.vec) else None)
-    zero = ambient.zero()
-    layer = [(zero, zero if vec is None else vec) for vec in folding.vectors]
-    skeleton, tree, (labels,), (gained,) = _folded_core(ambient, folding, 0, [layer], order)
+    skeleton, tree, (values,), (gained,) = _folded_core(ambient, folding, 0, 1, order)
     base = AbelianSubgroup.from_generators(ambient.abelian, abelian_gens + gained)
-    return normalize(EnrichedAutomaton(ambient, skeleton, labels, base), tree)
+    return _normalized(ambient, skeleton, tree, values, base)
 
 
 def completion(e: EnrichedAutomaton, w: Sequence[int]):
@@ -523,9 +518,8 @@ def finite_index_factor_extension(
     """Saturate the skeleton with zero-labelled arcs and complete L to finite
     index; the input subgroup is a factor of the finite-index result."""
     skeleton = e.skeleton
-    zero = e.ambient.zero()
     arcs = list(skeleton.arcs)
-    labels = list(e.labels)
+    values = _label_differences(e.labels)
     for k in range(1, e.ambient.n + 1):
         have_out = {o for o, kk, _ in arcs if kk == k}
         have_in = {t for _, kk, t in arcs if kk == k}
@@ -533,18 +527,11 @@ def finite_index_factor_extension(
         missing_in = sorted(set(range(skeleton.num_vertices)) - have_in)
         for o, t in zip(missing_out, missing_in):
             arcs.append((o, k, t))
-            labels.append((zero, zero))
-    extended = EnrichedAutomaton(
-        e.ambient,
-        replace(skeleton, arcs=tuple(arcs)),
-        tuple(labels),
-        e.base.finite_index_completion(),
-    )
+            values.append(None)
     # re-canonicalize: the new arcs change the spanning tree
-    skeleton2, tree, arc_map = canonical_renumber(extended.skeleton, order)
-    relabeled = tuple(extended.labels[i] for i in arc_map)
-    out = EnrichedAutomaton(e.ambient, skeleton2, relabeled, extended.base)
-    return normalize(out, tree)
+    skeleton, tree, arc_map = canonical_renumber(replace(skeleton, arcs=tuple(arcs)), order)
+    return _normalized(e.ambient, skeleton, tree, [values[x] for x in arc_map],
+                       e.base.finite_index_completion())
 
 
 def completion_table(e: EnrichedAutomaton, max_len: int) -> dict[Word, Vector]:

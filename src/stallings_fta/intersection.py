@@ -2,8 +2,10 @@
 
 The pipeline: form the product of the two enriched Stallings automata,
 keeping both abelian label systems and the pair of basepoint subgroups
-(L1, L2); normalize it and read off the petal words w_1..w_r of the free
-projection intersection.  The difference matrix D = B1 A1 - B2 A2 measures
+(L1, L2); keep its core, renumbered canonically as folding's result is
+(words._canonical_core), normalize each system from the factors' arc
+values, and read off the petal words w_1..w_r of the free projection
+intersection.  The difference matrix D = B1 A1 - B2 A2 measures
 how the two completions of each w_j disagree, and with the preimage lattice
 M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls everything: the
 intersection's free projection is its Cayley multidigraph on the images of
@@ -52,7 +54,6 @@ from .abelian import (
     image_invariants,
     preimage_under_matrix,
     snf,
-    vec_add,
     vec_mat,
     vec_sub,
 )
@@ -64,24 +65,23 @@ from .enriched import (
     _arc_value,
     _fill_potentials,
     _label_differences,
+    _normalized,
     _normalized_labels,
     _reduce_layers,
+    _value_labels,
     basis,
-    normalize,
 )
 from .words import (
     Automaton,
     SpanningTree,
     Word,
-    _compact,
-    _core_keep,
+    _canonical_core,
     _petal_cut,
     _root_path,
     _TreeSearch,
-    canonical_renumber,
+    canonical_renumber,  # not called here; bench/tracer.py rebinds it in this namespace too
     check_order,
     product_with_provenance,
-    recognizes,
     spanning_tree_by_order,
     t_basis,
     word_coordinates,
@@ -107,9 +107,7 @@ class DoublyEnrichedAutomaton:
     base2: AbelianSubgroup
 
     def __post_init__(self):
-        if len(self.labels1) != len(self.skeleton.arcs) or len(self.labels2) != len(
-            self.skeleton.arcs
-        ):
+        if not len(self.labels1) == len(self.labels2) == len(self.skeleton.arcs):
             raise ValueError("one label pair per arc and per factor required")
 
 
@@ -126,20 +124,15 @@ def doubly_enriched_product(
         raise ValueError("ambient group mismatch")
     ambient = e1.ambient
     raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
-    labels1 = [e1.labels[i] for i, _ in prov]
-    labels2 = [e2.labels[j] for _, j in prov]
-
-    _, kept = _core_keep(raw.num_vertices, raw.basepoint, raw.arcs)
-    arcs = [raw.arcs[i] for i in kept]
-    labels1 = [labels1[i] for i in kept]
-    labels2 = [labels2[i] for i in kept]
-    skeleton = _compact(ambient.n, raw.num_vertices, raw.basepoint, arcs)
-    skeleton, tree, arc_map = canonical_renumber(skeleton, order)
-    labels1 = tuple(labels1[i] for i in arc_map)
-    labels2 = tuple(labels2[i] for i in arc_map)
-
-    out = DoublyEnrichedAutomaton(ambient, skeleton, labels1, labels2, e1.base, e2.base)
-    return normalize_doubly(out, tree)
+    skeleton, tree, kept = _canonical_core(
+        ambient.n, raw.num_vertices, raw.basepoint, raw.arcs, order)
+    zero = ambient.zero()
+    layers = []
+    for side, e in enumerate((e1, e2)):
+        diffs = _label_differences(e.labels)
+        values = [diffs[prov[x][side]] for x in kept]
+        layers.append(_normalized_labels(skeleton, tree, values, zero, e.base.reduce_mod))
+    return DoublyEnrichedAutomaton(ambient, skeleton, *layers, e1.base, e2.base)
 
 
 def normalize_doubly(
@@ -147,37 +140,23 @@ def normalize_doubly(
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
     zero = x.ambient.zero()
-    labels1 = _normalized_labels(x.skeleton, tree, x.labels1, zero, x.base1.reduce_mod)
-    labels2 = _normalized_labels(x.skeleton, tree, x.labels2, zero, x.base2.reduce_mod)
-    return replace(x, labels1=labels1, labels2=labels2)
+    layers = [_normalized_labels(x.skeleton, tree, _label_differences(labels), zero, base.reduce_mod)
+              for labels, base in ((x.labels1, x.base1), (x.labels2, x.base2))]
+    return replace(x, labels1=layers[0], labels2=layers[1])
 
 
 def doubly_reduce(
     x: DoublyEnrichedAutomaton, order: Optional[Sequence[int]] = None
 ) -> DoublyEnrichedAutomaton:
-    """Fold a doubly-enriched automaton; closed folds feed both subgroups."""
-    skeleton, _, layers, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
-    spec = x.ambient.abelian
+    """Fold a doubly-enriched automaton; closed folds feed both subgroups.
+
+    Each arc is labelled (0, value) in both systems, as reduce does."""
+    skeleton, _, values, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
+    spec, zero = x.ambient.abelian, x.ambient.zero()
     base1 = AbelianSubgroup.from_generators(spec, x.base1.lattice_basis + tuple(gained[0]))
     base2 = AbelianSubgroup.from_generators(spec, x.base2.lattice_basis + tuple(gained[1]))
-    return DoublyEnrichedAutomaton(x.ambient, skeleton, layers[0], layers[1], base1, base2)
-
-
-def doubly_completion(x: DoublyEnrichedAutomaton, w: Sequence[int]):
-    """Pair of abelian sums read along the basepoint walk for w, or None."""
-    walk = recognizes(x.skeleton, w)
-    if walk is None:
-        return None
-    b1 = b2 = x.ambient.zero()
-    for arc_idx, d in walk:
-        for labels, acc in ((x.labels1, 1), (x.labels2, 2)):
-            lab1, lab2 = labels[arc_idx]
-            diff = vec_sub(lab2, lab1) if d == 1 else vec_sub(lab1, lab2)
-            if acc == 1:
-                b1 = vec_add(b1, diff)
-            else:
-                b2 = vec_add(b2, diff)
-    return b1, b2
+    return DoublyEnrichedAutomaton(x.ambient, skeleton, _value_labels(values[0], zero),
+                                   _value_labels(values[1], zero), base1, base2)
 
 
 @dataclass(frozen=True)
@@ -196,7 +175,6 @@ class IntersectionReport:
     prod: DoublyEnrichedAutomaton  # normalized on tree
     tree: SpanningTree  # of prod.skeleton under order
     words: tuple[Word, ...]  # free-basis w_1..w_r of H1pi & H2pi
-    petal_labels: tuple[tuple[Vector, Vector], ...]  # (a_i, b_i) per word
     A1: Matrix
     A2: Matrix
     B1: Matrix
@@ -273,7 +251,6 @@ def intersection_matrices(
     prod = doubly_enriched_product(e1, e2, order)
     tree = spanning_tree_by_order(prod.skeleton, order)
     words = t_basis(prod.skeleton, tree)
-    petal_labels = [(prod.labels1[i][1], prod.labels2[i][1]) for i in tree.petal_arcs]
 
     tree1 = spanning_tree_by_order(e1.skeleton, order)
     tree2 = spanning_tree_by_order(e2.skeleton, order)
@@ -296,7 +273,6 @@ def intersection_matrices(
         prod=prod,
         tree=tree,
         words=tuple(words),
-        petal_labels=tuple(petal_labels),
         A1=a1,
         A2=a2,
         B1=b1,
@@ -447,8 +423,7 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
     """Replace each double label by a witness and (L1, L2) by L1 & L2."""
     tree = tree or spanning_tree_by_order(x.skeleton)
     x = normalize_doubly(x, tree)
-    base = x.base1.intersect(x.base2)
-    witness = CosetIntersection(x.base1, x.base2, base).witness
+    solver = CosetIntersection(x.base1, x.base2)
     zero = x.ambient.zero()
     labels = []
     for arc_idx in range(len(x.skeleton.arcs)):
@@ -457,13 +432,13 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
             continue
         a = x.labels1[arc_idx][1]
         b = x.labels2[arc_idx][1]
-        c = witness(a, b)
+        c = solver.witness(a, b)
         if c is None:
             raise NotEqualizableError(
                 f"arc {arc_idx}: ({a} + L1) and ({b} + L2) do not meet"
             )
         labels.append((zero, c))
-    return EnrichedAutomaton(x.ambient, x.skeleton, tuple(labels), base)
+    return EnrichedAutomaton(x.ambient, x.skeleton, tuple(labels), solver.base)
 
 
 def intersect_fg(
@@ -491,11 +466,11 @@ def intersect_fg(
         pass
     last = stage.automaton
     sk = last.skeleton
-    _, kept = _core_keep(sk.num_vertices, sk.basepoint, sk.arcs)
-    skeleton = _compact(ambient.n, sk.num_vertices, sk.basepoint, [sk.arcs[i] for i in kept])
-    skeleton, tree, arc_map = canonical_renumber(skeleton, report.order)
-    labels = tuple(last.labels[kept[i]] for i in arc_map)
-    return normalize(EnrichedAutomaton(ambient, skeleton, labels, last.base), tree)
+    skeleton, tree, kept = _canonical_core(
+        ambient.n, sk.num_vertices, sk.basepoint, sk.arcs, report.order)
+    # the stream labels every arc (0, value)
+    values = [last.labels[x][1] for x in kept]
+    return _normalized(ambient, skeleton, tree, values, last.base)
 
 
 @dataclass(frozen=True)
@@ -585,7 +560,7 @@ class _ExpansionStream:
         self.tree = report.tree
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
-        self.witness = CosetIntersection(self.prod.base1, self.prod.base2, report.base).witness
+        self.witness = CosetIntersection(self.prod.base1, self.prod.base2).witness
         self.prod_diffs = [_label_differences(x) for x in (self.prod.labels1, self.prod.labels2)]
         self.block_arcs = sorted(self.tree.tree_arcs)
         # expansion state

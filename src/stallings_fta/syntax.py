@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .abelian import AbelianSpec
 from .enriched import Ambient, GroupElement
-from .words import word_str
 
 
 class ProblemParseError(ValueError):
@@ -115,17 +114,9 @@ def _parse_element(text: str, ambient: Ambient, line: int, col_base: int, budget
     return ambient.element(word, vec if vec is not None else ambient.zero()), len(word)
 
 
-def format_vector(vec) -> str:
-    return "t^(" + ",".join(str(a) for a in vec) + ")"
-
-
 def format_element(g: GroupElement) -> str:
-    parts = []
-    if g.word:
-        parts.append(word_str(g.word))
-    if any(g.vec):
-        parts.append(format_vector(g.vec))
-    return " ".join(parts) if parts else "1"
+    """The element as the problem syntax writes it, e.g. "x1^2 x2^-1 t^(1,0)"."""
+    return str(g)
 
 
 def parse_group(text: str, line: int = 0) -> Ambient:

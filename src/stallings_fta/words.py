@@ -8,6 +8,7 @@ backwards reading -k.  The basepoint is the unique initial/accepting vertex.
 Spanning trees come from one resumable breadth-first search, _TreeSearch,
 run whole for a finished automaton and resumed by the intersection's
 expansion stream; both cut petal words from root paths found by _root_path.
+Folding, the product and the intersection end in _canonical_core.
 """
 
 from __future__ import annotations
@@ -101,13 +102,6 @@ class Automaton:
 
     def step(self, vertex: int, letter: int):
         return self._steps.get((vertex, letter))
-
-    def is_deterministic(self) -> bool:
-        try:
-            self._steps
-        except ValueError:
-            return False
-        return True
 
 
 def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
@@ -316,14 +310,12 @@ class _Folding:
         self.run()
 
     def result(self):
-        """(rep, potential, kept, gained): rep[v] is the least vertex of v's
-        class, potential[v] the potential of v (None when zero), kept the
-        surviving arc indices in increasing order, gained the nonzero
-        closed-fold vectors."""
-        num_vertices = len(self.parent)
-        rep = [self.least[self.find(v)] for v in range(num_vertices)]
+        """(rep, kept, gained): rep[v] is the least vertex of v's class, kept
+        the surviving arc indices in increasing order, gained the nonzero
+        closed-fold vectors.  read(x, 1) gives a survivor's vector."""
+        rep = [self.least[self.find(v)] for v in range(len(self.parent))]
         kept = [x for x, ok in enumerate(self.alive) if ok]
-        return rep, [self.potential(v) for v in range(num_vertices)], kept, self.gained
+        return rep, kept, self.gained
 
 
 def _add(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
@@ -339,7 +331,7 @@ def _sub(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
 
 def fold(a: Automaton) -> Automaton:
     """Fold to a deterministic automaton recognizing the same subgroup."""
-    rep, _, kept, _ = _Folding(a.num_vertices, a.arcs).result()
+    rep, kept, _ = _Folding(a.num_vertices, a.arcs).result()
     arcs = [(rep[o], k, rep[t]) for o, k, t in (a.arcs[x] for x in kept)]
     return _compact(a.n, a.num_vertices, rep[a.basepoint], arcs)
 
@@ -501,6 +493,20 @@ def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
         petal_arcs=tuple(new_arc[x] for x in found.petal_arcs),
     )
     return out, tree, tuple(arc_map)
+
+
+def _canonical_core(n: int, num_vertices: int, basepoint: int, arcs: Sequence[Arc],
+                    order: Optional[Sequence[int]]):
+    """The core of the basepoint component, canonically renumbered under
+    order; the one ending of folding, the product and the intersection.
+
+    Returns (automaton, tree, kept) with kept[i] the index in arcs of the
+    automaton's arc i.  The arcs must be deterministic on that component.
+    """
+    _, core_arcs = _core_keep(num_vertices, basepoint, arcs)
+    a = _compact(n, num_vertices, basepoint, [arcs[x] for x in core_arcs])
+    a, tree, arc_map = canonical_renumber(a, order)
+    return a, tree, tuple(core_arcs[i] for i in arc_map)
 
 
 def spanning_tree_by_order(

@@ -1,8 +1,8 @@
 """Shared generators and fixtures for the test suite (deterministic seeds)."""
 
-from stallings_fta.abelian import AbelianSpec
+from stallings_fta.abelian import AbelianSpec, vec_add, vec_sub
 from stallings_fta.enriched import Ambient, stallings
-from stallings_fta.words import invert
+from stallings_fta.words import invert, recognizes
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -74,3 +74,45 @@ def tree_petal_word(arcs, parent, arc_idx):
 
     o, k, t = arcs[arc_idx]
     return walk(o) + (k,) + invert(walk(t))
+
+
+def is_deterministic(a):
+    """True iff no two arcs leave a vertex of automaton a by the same signed letter."""
+    try:
+        a._steps
+    except ValueError:
+        return False
+    return True
+
+
+def mat_mul(a, b):
+    """Product of integer matrices given as sequences of rows."""
+    b = [tuple(row) for row in b]
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for coeff, brow in zip(row, b):
+            if coeff:
+                for j in range(cols):
+                    acc[j] += coeff * brow[j]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def doubly_completion(x, w):
+    """Pair of abelian sums read along the basepoint walk for w in the
+    doubly-enriched automaton x, or None."""
+    walk = recognizes(x.skeleton, w)
+    if walk is None:
+        return None
+    b1 = b2 = x.ambient.zero()
+    for arc_idx, d in walk:
+        for labels, acc in ((x.labels1, 1), (x.labels2, 2)):
+            lab1, lab2 = labels[arc_idx]
+            diff = vec_sub(lab2, lab1) if d == 1 else vec_sub(lab1, lab2)
+            if acc == 1:
+                b1 = vec_add(b1, diff)
+            else:
+                b2 = vec_add(b2, diff)
+    return b1, b2

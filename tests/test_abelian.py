@@ -12,7 +12,6 @@ from stallings_fta.abelian import (
     image_invariants,
     kernel,
     mat_identity,
-    mat_mul,
     preimage_under_matrix,
     snf,
     solve_left,
@@ -20,7 +19,7 @@ from stallings_fta.abelian import (
     vec_sub,
     INFINITY,
 )
-
+from support import mat_mul
 
 Z2 = AbelianSpec(2)
 Z1 = AbelianSpec(1)
@@ -231,6 +230,19 @@ class TestSubgroups:
         assert l1.sum(l1) == l1 and l1.intersect(l1) == l1
         a, b = sub(Z2, (2, 0)), sub(Z2, (3, 0))
         assert a.intersect(b) == sub(Z2, (6, 0))
+
+    def test_intersect_against_membership(self):
+        rng = random.Random(29)
+        specs = [AbelianSpec(1), AbelianSpec(2), AbelianSpec(1, (6,)),
+                 AbelianSpec(0, (2, 4)), AbelianSpec(2, (3,))]
+        for i in range(100):
+            spec = specs[i % len(specs)]
+            l1, l2 = (sub(spec, *[tuple(rng.randint(-6, 6) for _ in range(spec.m))
+                                  for _ in range(rng.randint(0, 3))]) for _ in range(2))
+            both = l1.intersect(l2)
+            assert both == l2.intersect(l1)
+            for v in itertools.product(range(-6, 7), repeat=spec.m):
+                assert both.contains(v) == (l1.contains(v) and l2.contains(v))
 
 
 class TestWitness:

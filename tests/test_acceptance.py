@@ -8,7 +8,6 @@ import itertools
 import random
 
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup, snf
-from stallings_fta.abelian import mat_mul
 from stallings_fta.enriched import (
     GroupElement,
     arc_transformation,
@@ -34,6 +33,7 @@ from support import (
     F2Z2,
     conjugator_word,
     elements,
+    mat_mul,
     moldavanski_pair,
     parameterized_pair,
     random_element,

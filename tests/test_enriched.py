@@ -4,7 +4,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from support import parameterized_pair, random_subgroup_gens
+from support import is_deterministic, parameterized_pair, random_subgroup_gens
 
 from stallings_fta import enriched, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
@@ -235,7 +235,7 @@ class TestFoldEngineAgainstPaperSteps:
         for _ in range(60):
             gens = [random_element(rng, ambient, maxlen=5) for _ in range(rng.randint(1, 4))]
             stepped = fold_by_paper_steps(enriched_flower(ambient, gens))
-            assert stepped.skeleton.is_deterministic()
+            assert is_deterministic(stepped.skeleton)
             e = reduce(stepped)  # deterministic already: core and renumbering only
             assert normalize(e, spanning_tree_by_order(e.skeleton)) == stallings(ambient, gens)
             plain = flower(ambient.n, [g.word for g in gens if g.word])
@@ -288,6 +288,20 @@ class TestStallingsReadsGenerators:
                 order = list(words.default_order(ambient.n))
                 rng.shuffle(order)
             assert stallings(ambient, gens, order) == flower_reference(ambient, gens, order)
+
+    @pytest.mark.parametrize("ambient", READ_AMBIENTS, ids=["F2xZ", "F3xZ2", "F2xZ+Z6", "F2xZ2+Z4"])
+    def test_reduce_labels_each_arc_by_its_value(self, ambient):
+        rng = random.Random(f"reduce-values:{ambient}")
+        zero = ambient.zero()
+        for _ in range(60):
+            gens = random_subgroup_gens(rng, ambient, max_gens=4, maxlen=6)
+            order = list(words.default_order(ambient.n))
+            rng.shuffle(order)
+            e = reduce(enriched_flower(ambient, gens), order)
+            assert all(lab1 == zero for lab1, _ in e.labels)
+            canonical = stallings(ambient, gens, order)
+            assert normalize(e, spanning_tree_by_order(e.skeleton, order)) == canonical
+            assert completion_table(e, 4) == completion_table(canonical, 4)
 
     def test_schreier_basis_needs_no_fold(self, monkeypatch):
         # index 2 in F2, transversal {1, x1}: every arc read in survives

@@ -24,7 +24,6 @@ from stallings_fta.intersection import (
     NotEqualizableError,
     cayley_multidigraph,
     decide_finitely_generated,
-    doubly_completion,
     doubly_enriched_product,
     doubly_reduce,
     equalize,
@@ -36,7 +35,13 @@ from stallings_fta.intersection import (
     vertex_expand,
 )
 from stallings_fta.words import core, product, spanning_tree_by_order
-from support import random_element, random_subgroup_gens, tree_petal_word
+from support import (
+    doubly_completion,
+    is_deterministic,
+    random_element,
+    random_subgroup_gens,
+    tree_petal_word,
+)
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -231,7 +236,7 @@ class TestExpansion:
         delta, _ = cayley_multidigraph(rep.deltas, rep.snf.Q)
         x = vertex_expand(delta, p, tree)
         assert x.skeleton.num_vertices == 54
-        assert x.skeleton.is_deterministic()
+        assert is_deterministic(x.skeleton)
         assert len(x.skeleton.arcs) - x.skeleton.num_vertices + 1 == 7
 
 
@@ -418,6 +423,27 @@ class TestFgPipelineAgainstPaperSteps:
             self.check(e1, e2, order)
             checked += 1
 
+    @pytest.mark.parametrize("name", list(AMBIENTS))
+    def test_doubly_reduce_labels_each_arc_by_its_value(self, name):
+        ambient = self.AMBIENTS[name]
+        zero = ambient.zero()
+        rng = random.Random(f"doubly-reduce:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        checked = 0
+        while checked < 10:
+            order = tuple(rng.sample(letters, len(letters)))
+            e1 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            e2 = stallings(ambient, random_subgroup_gens(rng, ambient), order)
+            rep = intersection_matrices(e1, e2, order=order)
+            if rep.verdict != VERDICT_FG or rep.pi_trivial:
+                continue
+            delta_aut, _ = cayley_multidigraph(rep.deltas, rep.snf.Q)
+            x = doubly_reduce(vertex_expand(delta_aut, rep.prod, rep.tree), order)
+            assert all(lab1 == zero for lab1, _ in x.labels1 + x.labels2)
+            tree = spanning_tree_by_order(x.skeleton, order)
+            assert equalize(x, tree) == intersect_fg(e1, e2, order, report=rep)
+            checked += 1
+
 
 class TestOneContext:
     """The report is the intersection's context: its order, product and tree
@@ -506,7 +532,7 @@ class TestOneContext:
                 inside.pop()
 
         monkeypatch.setattr(words, "_breadth_first", counted_search)
-        monkeypatch.setattr(intersection, "canonical_renumber", counted_renumber)
+        monkeypatch.setattr(words, "canonical_renumber", counted_renumber)
         rep = intersection_matrices(h1, h2)
         b = basis(intersect_fg(h1, h2, report=rep))
         assert searches == [True, True]

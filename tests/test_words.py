@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
-from support import tree_petal_word
+from support import is_deterministic, tree_petal_word
 
 from stallings_fta.words import (
     Automaton,
+    _canonical_core,
     canonical_renumber,
     check_order,
     core,
@@ -100,7 +101,7 @@ class TestFlowerAndFold:
             if not gens:
                 continue
             a = fold(flower(n, gens))
-            assert a.is_deterministic()
+            assert is_deterministic(a)
             for g in gens:
                 assert recognizes(a, g) is not None
             # short products of generators stay recognized
@@ -292,6 +293,53 @@ class TestTreeFromRenumbering:
             a._trees[check_order(order, a.n)] = "memo"
             again = spanning_tree_by_order(a, order, "first-seen")
             assert again is not t and as_tuple(again) == expected
+
+
+def with_hanging_tree_and_second_component(rng, n):
+    """random_automaton plus a hanging path of 1-3 arcs and a disjoint second
+    random automaton, vertices renumbered and arcs shuffled at random."""
+    while True:
+        a = random_automaton(rng, n)
+        used = {(o, k) for o, k, _ in a.arcs} | {(t, -k) for _, k, t in a.arcs}
+        free = [(v, s) for v in range(a.num_vertices)
+                for s in default_order(n) if (v, s) not in used]
+        if free:
+            break
+    num, arcs = a.num_vertices, list(a.arcs)
+    v, s = rng.choice(free)
+    for _ in range(rng.randint(1, 3)):
+        arcs.append((v, s, num) if s > 0 else (num, -s, v))
+        v, s, num = num, rng.choice([l for l in default_order(n) if l != -s]), num + 1
+    b = random_automaton(rng, n)
+    arcs += [(o + num, k, t + num) for o, k, t in b.arcs]
+    num += b.num_vertices
+    perm = list(range(num))
+    rng.shuffle(perm)
+    rng.shuffle(arcs)
+    return Automaton(n, num, perm[a.basepoint], tuple((perm[o], k, perm[t]) for o, k, t in arcs))
+
+
+class TestCanonicalCore:
+    def test_is_the_renumbered_core_and_keeps_arc_provenance(self):
+        rng = random.Random(23)
+        for i in range(240):
+            n = 1 + i % 3
+            order = None
+            if i % 2:
+                order = list(default_order(n))
+                rng.shuffle(order)
+            a = with_hanging_tree_and_second_component(rng, n)
+            out, tree, kept = _canonical_core(n, a.num_vertices, a.basepoint, a.arcs, order)
+            expected, expected_tree, _ = canonical_renumber(core(a), order)
+            assert (out, tree) == (expected, expected_tree)
+            assert spanning_tree_by_order(out, order) is tree
+            assert len(kept) == len(out.arcs) < len(a.arcs)
+            old = {out.basepoint: a.basepoint}  # output vertex -> input vertex
+            for (o, k, t), x in zip(out.arcs, kept):
+                o2, k2, t2 = a.arcs[x]
+                assert k == k2
+                assert old.setdefault(o, o2) == o2 and old.setdefault(t, t2) == t2
+            assert len(set(old.values())) == len(old) == out.num_vertices
 
 
 class TestBasisAndCoordinates:
