@@ -329,7 +329,8 @@ def _normalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, value
                 base: AbelianSubgroup) -> EnrichedAutomaton:
     """The automaton with these arc values (lab2 - lab1, None for zero),
     T-normalized on tree, remembering tree as normalize does."""
-    labels = _normalized_labels(skeleton, tree, values, ambient.zero(), base.reduce_mod)
+    zero = ambient.zero()
+    labels = _normalized_labels(_tree_values(skeleton, tree, values, zero), zero, base.reduce_mod)
     out = EnrichedAutomaton(ambient, skeleton, labels, base)
     out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
     return out
@@ -361,15 +362,21 @@ def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
     return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
 
 
-def _normalized_labels(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector, reduce_mod):
-    """T-normalized labels on tree for the arc values diffs (None for zero)."""
+def _tree_values(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector) -> list:
+    """Each arc's value diffs[arc] (lab2 - lab1, None for zero) after the
+    potentials that zero the tree arcs' values; None on tree arcs.  A
+    non-tree arc's value is the sum of diffs around its petal, unreduced."""
     phi: list[Optional[Vector]] = [None] * skeleton.num_vertices
     phi[tree.root] = zero
     _fill_potentials(phi, tree.vertex_age[1:], tree.parent, skeleton.arcs, diffs)
-    return tuple(
-        (zero, zero if idx in tree.tree_arcs else reduce_mod(_arc_value(phi, o, t, diff)))
-        for idx, ((o, _, t), diff) in enumerate(zip(skeleton.arcs, diffs))
-    )
+    tree_arcs = tree.tree_arcs
+    return [None if idx in tree_arcs else _arc_value(phi, o, t, diff)
+            for idx, ((o, _, t), diff) in enumerate(zip(skeleton.arcs, diffs))]
+
+
+def _normalized_labels(values, zero: Vector, reduce_mod) -> tuple[ArcLabel, ...]:
+    """T-normalized labels for the arc values _tree_values gives."""
+    return tuple((zero, zero if v is None else reduce_mod(v)) for v in values)
 
 
 def stallings(

@@ -5,28 +5,33 @@ keeping both abelian label systems and the pair of basepoint subgroups
 (L1, L2); keep its core, renumbered canonically as folding's result is
 (words._canonical_core), normalize each system from the factors' arc
 values, and read off the petal words w_1..w_r of the free projection
-intersection.  The difference matrix D = B1 A1 - B2 A2 measures
-how the two completions of each w_j disagree, and with the preimage lattice
-M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls everything: the
-intersection's free projection is its Cayley multidigraph on the images of
-e_1..e_r, finitely generated exactly when r = 0, r = 1, or Z^r / M is
-finite.  v -> vD + (L1 + L2) maps Z^r / M isomorphically onto a subgroup of
-Z^m / (L1 + L2), so its invariant factors and the images of the e_i are
-computed there, from matrices of at most m rows and columns
-(abelian.image_invariants); no r x r matrix is built unless M is read.
+intersection.  The difference matrix D = B1 A1 - B2 A2 measures how the
+two completions of each w_j disagree.  Row j is read off the product: it
+is the difference of petal j's values in the two layers, before they are
+reduced, so no word is walked through a factor and no factor basis is
+built (the report builds A_i and B_i only when they are read).  With the
+preimage lattice M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls
+everything: the intersection's free projection is its Cayley
+multidigraph on the images of e_1..e_r, finitely generated exactly when
+r = 0, r = 1, or Z^r / M is finite.  v -> vD + (L1 + L2) maps Z^r / M
+isomorphically onto a subgroup of Z^m / (L1 + L2), so its invariant
+factors and the images of the e_i are computed there, from matrices of at
+most m rows and columns (abelian.image_invariants); no r x r matrix is
+built unless M is read.
 
 The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
-(a+L1) & (b+L2).  One stream does both, one Cayley sphere per stage: the
-stages form a strictly increasing chain of automata whose petals enumerate
-a recursive basis, and every element of the intersection with free length
-at most 2n is already recognized by the n-th stage.  A stage costs time in
-proportion to its new sphere, not to the ball: it copies no arc of earlier
-stages, cuts its petal words from the root paths of the two spheres its
-arcs join, and builds its automaton only when that is read.  In the
-finitely generated case the Cayley graph is finite and the stream runs to
-completion; the core of its last stage, canonically numbered, is the
-Stallings automaton of the intersection.
+(a+L1) & (b+L2), solved once per distinct pair.  One stream does both,
+one Cayley sphere per stage: the stages form a strictly increasing chain
+of automata whose petals enumerate a recursive basis, and every element
+of the intersection with free length at most 2n is already recognized by
+the n-th stage.  A stage costs time in proportion to its new sphere, not
+to the ball: it copies no arc of earlier stages, cuts its petal words
+from the root paths of the two spheres its arcs join, and builds its
+automaton only when that is read.  In the finitely generated case the
+Cayley graph is finite and the stream runs to completion; the core of its
+last stage, canonically numbered, is the Stallings automaton of the
+intersection.
 
 The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
@@ -54,7 +59,6 @@ from .abelian import (
     image_invariants,
     preimage_under_matrix,
     snf,
-    vec_mat,
     vec_sub,
 )
 from .enriched import (
@@ -68,8 +72,10 @@ from .enriched import (
     _normalized,
     _normalized_labels,
     _reduce_layers,
+    _tree_values,
     _value_labels,
     basis,
+    normalize,
 )
 from .words import (
     Automaton,
@@ -118,7 +124,12 @@ def doubly_enriched_product(
 
     Both label systems are carried through the same pruning and the same
     spanning-tree normalization, each reduced modulo its own basepoint
-    subgroup.
+    subgroup.  Each factor is read normalized on its own tree of `order`
+    (free when it was built under `order`), so a product petal's value in
+    layer i, before reduction, is the completion B_i A_i of its word in
+    factor i.  Their differences, the rows of D = B1 A1 - B2 A2 in petal
+    order, are kept on the result outside its fields (_petal_differences);
+    intersection_matrices reads them there.
     """
     if e1.ambient != e2.ambient:
         raise ValueError("ambient group mismatch")
@@ -127,12 +138,16 @@ def doubly_enriched_product(
     skeleton, tree, kept = _canonical_core(
         ambient.n, raw.num_vertices, raw.basepoint, raw.arcs, order)
     zero = ambient.zero()
-    layers = []
+    layers, petals = [], []
     for side, e in enumerate((e1, e2)):
+        e = normalize(e, spanning_tree_by_order(e.skeleton, order))
         diffs = _label_differences(e.labels)
-        values = [diffs[prov[x][side]] for x in kept]
-        layers.append(_normalized_labels(skeleton, tree, values, zero, e.base.reduce_mod))
-    return DoublyEnrichedAutomaton(ambient, skeleton, *layers, e1.base, e2.base)
+        values = _tree_values(skeleton, tree, [diffs[prov[x][side]] for x in kept], zero)
+        petals.append([values[x] for x in tree.petal_arcs])
+        layers.append(_normalized_labels(values, zero, e.base.reduce_mod))
+    out = DoublyEnrichedAutomaton(ambient, skeleton, *layers, e1.base, e2.base)
+    out.__dict__["_petal_differences"] = tuple(map(vec_sub, *petals))  # not a field
+    return out
 
 
 def normalize_doubly(
@@ -140,7 +155,8 @@ def normalize_doubly(
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
     zero = x.ambient.zero()
-    layers = [_normalized_labels(x.skeleton, tree, _label_differences(labels), zero, base.reduce_mod)
+    layers = [_normalized_labels(_tree_values(x.skeleton, tree, _label_differences(labels), zero),
+                                 zero, base.reduce_mod)
               for labels, base in ((x.labels1, x.base1), (x.labels2, x.base2))]
     return replace(x, labels1=layers[0], labels2=layers[1])
 
@@ -165,20 +181,18 @@ class IntersectionReport:
     and the product's spanning tree, and what the finite-generation decision
     reads off them.  The constructions stream from it (see stages).
 
-    deltas and generators are computed in Z^m.  M and snf, the r x r lattice
-    and its Smith form, are cached properties built on first read; the CLI
-    reads them for the JSON "M" of intersect and the vertex labels of
-    cayley, and the paper-case checks and the tests read them too."""
+    D is read off the product's petal values; deltas and generators are
+    computed in Z^m.  The paper's A1, A2, B1 and B2, read from the two
+    factors that the report keeps for them, and M and snf, the r x r
+    lattice and its Smith form, are cached properties built on first read.
+    The CLI reads M for the JSON "M" of intersect and snf for the vertex
+    labels of cayley; the paper-case checks and the tests read them all."""
 
     ambient: Ambient
     order: tuple[int, ...]  # checked letter order
     prod: DoublyEnrichedAutomaton  # normalized on tree
     tree: SpanningTree  # of prod.skeleton under order
     words: tuple[Word, ...]  # free-basis w_1..w_r of H1pi & H2pi
-    A1: Matrix
-    A2: Matrix
-    B1: Matrix
-    B2: Matrix
     D: Matrix  # r x m difference matrix
     deltas: Vector  # invariant factors of Z^r / M, padded to length r
     generators: Matrix  # image of each e_i in the non-unit factors of deltas
@@ -187,6 +201,7 @@ class IntersectionReport:
     pi_trivial: bool
     free_rank: object  # int | INFINITY
     total_rank: object  # int | INFINITY
+    factors: tuple[EnrichedAutomaton, EnrichedAutomaton] = field(compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -195,6 +210,19 @@ class IntersectionReport:
     @property
     def s(self) -> int:
         return sum(1 for d in self.deltas if d)
+
+    def _factor_matrices(self, i: int) -> tuple[Matrix, Matrix]:
+        """(A, B) of factor i: the abelian parts of its basis on its tree of
+        order, and the coordinates of each petal word in that basis."""
+        e = self.factors[i]
+        tree = spanning_tree_by_order(e.skeleton, self.order)
+        return (tuple(g.vec for g in basis(e, tree).free_part),
+                tuple(word_coordinates(e.skeleton, tree, w) for w in self.words))
+
+    A1 = cached_property(lambda self: self._factor_matrices(0)[0])
+    A2 = cached_property(lambda self: self._factor_matrices(1)[0])
+    B1 = cached_property(lambda self: self._factor_matrices(0)[1])
+    B2 = cached_property(lambda self: self._factor_matrices(1)[1])
 
     @cached_property
     def M(self) -> AbelianSubgroup:
@@ -240,27 +268,18 @@ def intersection_matrices(
 ) -> IntersectionReport:
     """Build the intersection's context and populate its matrices and verdict.
 
-    The rows of B_i express each product petal word in the basis of the
-    corresponding factor (abelianized); A_i stacks the factor's basis
-    vectors, so B_i A_i is a completion of each word in H_i and
-    D = B1 A1 - B2 A2 measures their incompatibility.
+    Row j of D = B1 A1 - B2 A2 is the difference of the two completions of
+    the petal word w_j, one in each factor; doubly_enriched_product reads
+    both off the product petal's values in its two layers.  The rows of
+    B_i, the coordinates of each w_j in factor i's basis, and A_i, that
+    basis's abelian parts, are built only when read.
     """
     ambient = e1.ambient
-    m = ambient.m
     order = check_order(order, ambient.n)
     prod = doubly_enriched_product(e1, e2, order)
     tree = spanning_tree_by_order(prod.skeleton, order)
     words = t_basis(prod.skeleton, tree)
-
-    tree1 = spanning_tree_by_order(e1.skeleton, order)
-    tree2 = spanning_tree_by_order(e2.skeleton, order)
-    a1 = tuple(g.vec for g in basis(e1, tree1).free_part)
-    a2 = tuple(g.vec for g in basis(e2, tree2).free_part)
-    b1 = tuple(word_coordinates(e1.skeleton, tree1, w) for w in words)
-    b2 = tuple(word_coordinates(e2.skeleton, tree2, w) for w in words)
-    d = tuple(
-        vec_sub(vec_mat(r1, a1, m), vec_mat(r2, a2, m)) for r1, r2 in zip(b1, b2)
-    )
+    d = prod.__dict__["_petal_differences"]
     deltas, gens = image_invariants(e1.base.sum(e2.base), d)
     verdict, pi_trivial, free_rank = decide_finitely_generated(
         len(words), sum(1 for x in deltas if x), deltas
@@ -273,10 +292,6 @@ def intersection_matrices(
         prod=prod,
         tree=tree,
         words=tuple(words),
-        A1=a1,
-        A2=a2,
-        B1=b1,
-        B2=b2,
         D=d,
         deltas=deltas,
         generators=gens,
@@ -285,6 +300,7 @@ def intersection_matrices(
         pi_trivial=pi_trivial,
         free_rank=free_rank,
         total_rank=total,
+        factors=(e1, e2),
     )
 
 
@@ -551,8 +567,12 @@ class _ExpansionStream:
     A stage costs time in proportion to its sphere: it touches only its own
     arcs, and fills potentials and root paths, with the routines that serve
     finished automata, for the vertices the search adds.  Every new arc of
-    stage n joins blocks of spheres n-1 and n, so only those keep them.  A
-    stage's automaton is built when it is read."""
+    stage n joins blocks of spheres n-1 and n, so only those keep them and
+    their steps; the search starts from those blocks and only looks older
+    vertices up in its age map.  Each distinct double label (a, b) is
+    solved once: its canonical witness is kept for the later arcs that
+    carry it, at most one entry per non-tree arc.  A stage's automaton is
+    built when it is read."""
 
     def __init__(self, report: IntersectionReport):
         self.report = report
@@ -561,6 +581,7 @@ class _ExpansionStream:
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
         self.witness = CosetIntersection(self.prod.base1, self.prod.base2).witness
+        self.witnesses: dict[tuple[Vector, Vector], Vector] = {}  # (a, b) -> canonical witness
         self.prod_diffs = [_label_differences(x) for x in (self.prod.labels1, self.prod.labels2)]
         self.block_arcs = sorted(self.tree.tree_arcs)
         # expansion state
@@ -603,21 +624,23 @@ class _ExpansionStream:
     def _equalize_new_arcs(self, start_arc):
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
-        tree_arcs = self.search.tree_arcs
+        tree_arcs, witnesses = self.search.tree_arcs, self.witnesses
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
             if arc_idx in tree_arcs:
                 self.labels.append((zero, zero))
                 continue
             arc = o, _, t = self.arcs[arc_idx]
-            c = self.witness(
-                _arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
-                _arc_value(self.phi2, o, t, self.diffs2[arc_idx]),
-            )
+            pair = (_arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
+                    _arc_value(self.phi2, o, t, self.diffs2[arc_idx]))
+            c = witnesses.get(pair)
             if c is None:
-                raise NotEqualizableError("vertex expansion must be equalizable")
-            element = GroupElement(_petal_cut(self.path, arc), self.ambient.abelian.canonicalize(c))
-            self.labels.append((zero, element.vec))
+                c = self.witness(*pair)
+                if c is None:
+                    raise NotEqualizableError("vertex expansion must be equalizable")
+                c = witnesses[pair] = self.ambient.abelian.canonicalize(c)
+            element = GroupElement(_petal_cut(self.path, arc), c)
+            self.labels.append((zero, c))
             out.append(element)
         return tuple(out)
 
@@ -637,17 +660,17 @@ class _ExpansionStream:
         Stage n adds the blocks of the Cayley sphere of radius n, then its
         arcs: those from the inner ball into the sphere, ordered by origin
         and generator, then those from the sphere into the ball of radius n.
-        Then the potentials and root paths of sphere n-1 are dropped: no
-        later arc reaches it.  A trivial free projection is the one complete
-        stage of radius 0, the point automaton carrying L1 & L2.
+        Then the potentials, root paths and steps of sphere n-1 are
+        dropped: no later arc reaches it.  A trivial free projection is the
+        one complete stage of radius 0, the point automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
             point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
             yield IntersectionStage(0, (), True, lambda: point)
             return
-        ball = self.ball
-        vt = self.vt
+        ball, vt, steps = self.ball, self.vt, self.steps
+        letters = self.report.order
         previous = range(0)
         for radius in itertools.count():
             sphere = ball.sphere
@@ -674,6 +697,8 @@ class _ExpansionStream:
             new_elements = self._equalize_new_arcs(start_arc)
             for v in range(previous.start * vt, previous.stop * vt):
                 del self.path[v], self.phi1[v], self.phi2[v]
+                for k in letters:
+                    steps.pop((v, k), None)
             previous = sphere
             build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
             yield IntersectionStage(radius, new_elements, not ball.sphere, build)

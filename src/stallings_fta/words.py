@@ -237,8 +237,11 @@ class _Folding:
         """Follow letters from class v while they read, at most stop of them.
 
         Returns (steps, end class, value, class and value one step earlier).
+        Each letter adds read(x, s), inlined: the arc's ends are found once
+        each, and the potentials are taken relative to their roots.
         """
-        find, out, arcs, read = self.find, self.out, self.arcs, self.read
+        find, out, arcs, vectors, parent, pot = (
+            self.find, self.out, self.arcs, self.vectors, self.parent, self.pot)
         value = before = back = None
         steps = 0
         for s in letters:
@@ -248,8 +251,18 @@ class _Folding:
             if x is None:
                 break
             back, before = v, value
-            value = _add(value, read(x, s))
-            v = find(arcs[x][2] if s > 0 else arcs[x][0])
+            o, _, t = arcs[x]
+            e = vectors[x]
+            if s < 0:
+                o, t = t, o
+                if e is not None:
+                    e = vec_neg(e)
+            if o != v and parent[o] != v:  # o is in class v
+                find(o)
+            w = find(t)
+            e = _add(e, pot[t] if t == w else _add(pot[t], pot[w]))
+            value = _add(value, _sub(e, pot[o] if o == v else _add(pot[o], pot[v])))
+            v = w
             steps += 1
         return steps, v, value, back, before
 

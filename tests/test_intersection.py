@@ -556,6 +556,74 @@ class TestOneContext:
         ]
 
 
+class TestDFromTheProduct:
+    """D is read off the product's petal values; it equals B1 A1 - B2 A2
+    from the factors' bases, which the report builds only when read."""
+
+    @staticmethod
+    def from_factor_bases(rep):
+        m = rep.ambient.m
+        return tuple(
+            abelian.vec_sub(abelian.vec_mat(r1, rep.A1, m), abelian.vec_mat(r2, rep.A2, m))
+            for r1, r2 in zip(rep.B1, rep.B2)
+        )
+
+    @staticmethod
+    def small_lattice_pair(rng, ambient):
+        """<w_i t^a_i, t^c> and <w_i t^b_i, t^c'> on one list of words, with
+        small c, c': many petals, and labels that the two factors' trees
+        reduce differently."""
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        words = [[rng.choice(letters) for _ in range(rng.randint(2, 5))]
+                 for _ in range(rng.randint(2, 3))]
+        return [
+            [ambient.element(w, tuple(rng.randint(-5, 5) for _ in range(ambient.m))) for w in words]
+            + [ambient.element((), tuple(rng.randint(2, 3) for _ in range(ambient.m)))]
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("name", list(TestFgPipelineAgainstPaperSteps.AMBIENTS))
+    def test_against_the_factor_bases(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"d-from-product:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        nonzero = 0
+        for i in range(120):
+            order = tuple(rng.sample(letters, len(letters)))
+            if i % 4 < 2:
+                g1, g2 = (random_subgroup_gens(rng, ambient, max_gens=4, maxlen=5) for _ in "12")
+            else:
+                g1, g2 = self.small_lattice_pair(rng, ambient)
+            # built and intersected under one order, or built under the
+            # default order and intersected under a permuted one
+            built = None if i % 2 else order
+            rep = intersection_matrices(
+                stallings(ambient, g1, built), stallings(ambient, g2, built), order)
+            assert rep.D == self.from_factor_bases(rep)
+            assert len(rep.D) == rep.r
+            nonzero += any(map(any, rep.D))
+        assert nonzero >= 40
+
+    def test_matrices_read_no_factor_basis(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(intersection, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("basis", "word_coordinates"):
+            monkeypatch.setattr(intersection, name, counted(name))
+        h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        rep = intersection_matrices(h1, h2, (2, -1, 1, -2))
+        assert calls == []
+        assert rep.D == self.from_factor_bases(rep)
+        assert sorted(set(calls)) == ["basis", "word_coordinates"]
+
+
 class TestAgainstSmithForm:
     """The verdict and the Cayley ball come from matrices of at most m rows
     and columns; the r x r Smith form of M is their oracle."""
@@ -870,6 +938,64 @@ class TestStageCost:
         assert len(stream.search.age) == stops[-1] * vt == 513 * vt
         stages[-1].automaton
         assert len(built) == 1
+
+    class _KeepSteps(dict):
+        """A step map that ignores the stream's deletions."""
+
+        def pop(self, key, default=None):
+            return self.get(key, default)
+
+    def test_stream_keeps_two_spheres_of_steps(self):
+        rep = intersection_matrices(*moldavanski())
+        stream, kept = intersection._ExpansionStream(rep), intersection._ExpansionStream(rep)
+        kept.steps = kept.search.steps = self._KeepSteps()
+        stages = list(itertools.islice(stream.stages(), 513))
+        assert stages == list(itertools.islice(kept.stages(), 513))
+        # a sphere of the Cayley line has 2 blocks, each vertex 2n signed letters
+        assert len(stream.steps) <= 2 * 2 * stream.vt * 2 * rep.ambient.n
+        assert len(kept.steps) == 2 * len(kept.arcs) > 4000
+
+    class _Forget(dict):
+        """A witness memo that keeps nothing."""
+
+        def __setitem__(self, key, value):
+            pass
+
+    @pytest.mark.parametrize("name", list(TestFgPipelineAgainstPaperSteps.AMBIENTS))
+    def test_one_witness_solve_per_double_label(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"witness-memo:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        repeated = 0
+        for i in range(16):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            if i % 4 < 2:
+                pair = self.same_words_pair(rng, ambient, order)
+            else:
+                pair = [stallings(ambient, random_subgroup_gens(rng, ambient), order)
+                        for _ in range(2)]
+            rep = intersection_matrices(*pair, order)
+            stream = intersection._ExpansionStream(rep)
+            pairs, solve = [], stream.witness
+
+            def counted(a, b):
+                pairs.append((a, b))
+                return solve(a, b)
+
+            def fresh(a, b):
+                return abelian.CosetIntersection(rep.prod.base1, rep.prod.base2).witness(a, b)
+
+            stream.witness = counted
+            stages = list(itertools.islice(stream.stages(), 5))
+            assert len(pairs) == len(set(pairs)) == len(stream.witnesses)
+            # the reference solves every non-tree arc with a new solver
+            reference = intersection._ExpansionStream(rep)
+            reference.witness, reference.witnesses = fresh, self._Forget()
+            assert stages == list(itertools.islice(reference.stages(), 5))
+            assert stream.labels == reference.labels
+            nontree = len(stream.arcs) - len(stream.search.tree_arcs)
+            repeated += nontree > len(pairs)
+        assert repeated >= 4
 
 
 class TestTorsionAmbient:
