@@ -24,8 +24,9 @@ from typing import Iterator, Optional, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+Rank = int | float  # a rank or an index: an int, or INFINITY
 
-INFINITY = float("inf")
+INFINITY: Rank = float("inf")
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
@@ -446,7 +447,7 @@ class AbelianSubgroup:
         """Lattice intersection; correct on subgroups since both contain R."""
         return CosetIntersection(self, other).base
 
-    def index(self):
+    def index(self) -> Rank:
         """[A : L]; finite iff the lattice has full rank."""
         if len(self.lattice_basis) < self.spec.m:
             return INFINITY

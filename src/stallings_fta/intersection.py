@@ -21,23 +21,27 @@ built unless M is read.
 
 The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
-(a+L1) & (b+L2), solved once per distinct pair.  One stream does both,
-one Cayley sphere per stage: the stages form a strictly increasing chain
-of automata whose petals enumerate a recursive basis, and every element
-of the intersection with free length at most 2n is already recognized by
-the n-th stage.  A stage costs time in proportion to its new sphere, not
-to the ball: it copies no arc of earlier stages, cuts its petal words
-from the root paths of the two spheres its arcs join, and builds its
-automaton only when that is read.  In the finitely generated case the
-Cayley graph is finite and the stream runs to completion; the core of its
-last stage, canonically numbered, is the Stallings automaton of the
-intersection.
+(a+L1) & (b+L2), solved once per distinct pair.  One expansion routine
+grows the Cayley ball a sphere at a time and copies the product's arcs
+for it.  The stream (report.stages()) equalizes each sphere as it comes:
+its stages form a strictly increasing chain of automata whose petals
+enumerate a recursive basis, and every element of the intersection with
+free length at most 2n is already recognized by the n-th stage.  A stage
+costs time in proportion to its new sphere, not to the ball: it copies no
+arc of earlier stages, cuts its petal words from the root paths of the
+two spheres its arcs join, and builds its automaton only when that is
+read.  Only stages() builds these per-stage trees, potentials and words.
+In the finitely generated case the Cayley graph is finite: intersect_fg
+runs the same expansion to completion and equalizes it once, one witness
+per canonical petal of its core, on the core's canonical tree; that is
+the Stallings automaton of the intersection.
 
 The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
-spanning tree are checked and built there once and kept in the report, and
-the petal words, D, M and the stream (report.stages()) all read them.
-intersect_fg, intersect_stages and the CLI stream from one report.
+spanning tree are checked and built there once and kept in the report, as
+is the one CosetIntersection of (L1, L2), which gives L1 & L2 and every
+witness; the petal words, D, M, the stream and intersect_fg all read
+them.  intersect_fg, intersect_stages and the CLI start from one report.
 cayley_multidigraph, vertex_expand, doubly_reduce and equalize remain as
 the paper's separate steps.
 """
@@ -54,6 +58,7 @@ from .abelian import (
     AbelianSubgroup,
     CosetIntersection,
     Matrix,
+    Rank,
     SnfDecomposition,
     Vector,
     image_invariants,
@@ -69,7 +74,6 @@ from .enriched import (
     _arc_value,
     _fill_potentials,
     _label_differences,
-    _normalized,
     _normalized_labels,
     _reduce_layers,
     _tree_values,
@@ -186,7 +190,9 @@ class IntersectionReport:
     factors that the report keeps for them, and M and snf, the r x r
     lattice and its Smith form, are cached properties built on first read.
     The CLI reads M for the JSON "M" of intersect and snf for the vertex
-    labels of cayley; the paper-case checks and the tests read them all."""
+    labels of cayley; the paper-case checks and the tests read them all.
+    solver, the CosetIntersection of (L1, L2), gives base = L1 & L2 and
+    the witnesses of the stream and intersect_fg."""
 
     ambient: Ambient
     order: tuple[int, ...]  # checked letter order
@@ -199,9 +205,10 @@ class IntersectionReport:
     base: AbelianSubgroup  # L1 & L2
     verdict: str
     pi_trivial: bool
-    free_rank: object  # int | INFINITY
-    total_rank: object  # int | INFINITY
+    free_rank: Rank
+    total_rank: Rank
     factors: tuple[EnrichedAutomaton, EnrichedAutomaton] = field(compare=False, repr=False)
+    solver: CosetIntersection = field(compare=False, repr=False)  # of (L1, L2); gives base
 
     @property
     def r(self) -> int:
@@ -284,7 +291,8 @@ def intersection_matrices(
     verdict, pi_trivial, free_rank = decide_finitely_generated(
         len(words), sum(1 for x in deltas if x), deltas
     )
-    base = e1.base.intersect(e2.base)
+    solver = CosetIntersection(e1.base, e2.base)
+    base = solver.base
     total = INFINITY if free_rank is INFINITY else free_rank + base.rank()
     return IntersectionReport(
         ambient=ambient,
@@ -301,6 +309,7 @@ def intersection_matrices(
         free_rank=free_rank,
         total_rank=total,
         factors=(e1, e2),
+        solver=solver,
     )
 
 
@@ -435,26 +444,54 @@ def is_equalizable(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = No
     return True
 
 
+def _witness_memo(known: dict, solve, canonicalize) -> Callable[[Vector, Vector], Vector]:
+    """(a, b) -> the canonical c in (a + L1) & (b + L2), given solve, a
+    CosetIntersection's witness: each distinct pair is solved once and kept
+    in known; NotEqualizableError when the two cosets do not meet."""
+
+    def witness(a: Vector, b: Vector) -> Vector:
+        c = known.get((a, b))
+        if c is None:
+            c = solve(a, b)
+            if c is None:
+                raise NotEqualizableError(f"({a} + L1) and ({b} + L2) do not meet")
+            c = known[a, b] = canonicalize(c)
+        return c
+
+    return witness
+
+
+def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values1, values2,
+               witness: Callable[[Vector, Vector], Vector], base: AbelianSubgroup
+               ) -> EnrichedAutomaton:
+    """The automaton labelled (0, witness(a, b)) on each non-tree arc, (a, b)
+    its values in the two layers (_tree_values, unreduced, None on tree
+    arcs), and (0, 0) on tree arcs, over base = L1 & L2.  Its labels are
+    T-normalized on tree, so it remembers tree as enriched._normalized does."""
+    zero = ambient.zero()
+    labels = tuple((zero, zero) if a is None else (zero, witness(a, b))
+                   for a, b in zip(values1, values2))
+    out = EnrichedAutomaton(ambient, skeleton, labels, base)
+    out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
+    return out
+
+
 def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> EnrichedAutomaton:
-    """Replace each double label by a witness and (L1, L2) by L1 & L2."""
+    """Replace each double label by a witness and (L1, L2) by L1 & L2.
+
+    A non-tree arc's values in the two layers, summed around its petal of
+    tree and left unreduced, are a and b; its label is (0, c) with c the
+    canonical element of (a + L1) & (b + L2), solved once per distinct
+    pair.  No normalize_doubly step comes first: c is canonical modulo
+    L1 & L2 whichever representatives of the two cosets it is solved from.
+    """
     tree = tree or spanning_tree_by_order(x.skeleton)
-    x = normalize_doubly(x, tree)
     solver = CosetIntersection(x.base1, x.base2)
     zero = x.ambient.zero()
-    labels = []
-    for arc_idx in range(len(x.skeleton.arcs)):
-        if arc_idx in tree.tree_arcs:
-            labels.append((zero, zero))
-            continue
-        a = x.labels1[arc_idx][1]
-        b = x.labels2[arc_idx][1]
-        c = solver.witness(a, b)
-        if c is None:
-            raise NotEqualizableError(
-                f"arc {arc_idx}: ({a} + L1) and ({b} + L2) do not meet"
-            )
-        labels.append((zero, c))
-    return EnrichedAutomaton(x.ambient, x.skeleton, tuple(labels), solver.base)
+    values = [_tree_values(x.skeleton, tree, _label_differences(labels), zero)
+              for labels in (x.labels1, x.labels2)]
+    witness = _witness_memo({}, solver.witness, x.ambient.abelian.canonicalize)
+    return _equalized(x.ambient, x.skeleton, tree, *values, witness, solver.base)
 
 
 def intersect_fg(
@@ -465,11 +502,14 @@ def intersect_fg(
 ) -> EnrichedAutomaton:
     """Stallings automaton of H1 & H2; only valid in the f.g. case.
 
-    The report's expansion stream runs until the finite Cayley graph of
-    Z^r / M is exhausted.  With r = 1 the copies of the product hang stems
-    off the expanded cycle, so the last stage is pruned to its core before
-    it is canonically renumbered and T-normalized.  A given report must have
-    been built under the same letter order.
+    The report's expansion, the one that stages() equalizes sphere by
+    sphere, runs until the finite Cayley graph of Z^r / M is exhausted,
+    with no per-stage tree, potentials or petal words.  Its core (with
+    r = 1 the copies of the product hang stems off the expanded cycle) is
+    canonically renumbered, each layer's arc values are read through the
+    product arc each arc copies and summed around the canonical petals,
+    and each petal is equalized once, as equalize does.  A given report
+    must have been built under the same letter order.
     """
     ambient = e1.ambient
     if report is None:
@@ -478,15 +518,18 @@ def intersect_fg(
         raise ValueError("the report was built under another letter order")
     if report.verdict != VERDICT_FG:
         raise ValueError("intersection is not finitely generated")
-    for stage in report.stages():
-        pass
-    last = stage.automaton
-    sk = last.skeleton
+    expansion = _ExpansionStream(report)
+    if not report.pi_trivial:  # else block 0 with no arcs: the point
+        while expansion.ball.sphere:
+            expansion._expand()
     skeleton, tree, kept = _canonical_core(
-        ambient.n, sk.num_vertices, sk.basepoint, sk.arcs, report.order)
-    # the stream labels every arc (0, value)
-    values = [last.labels[x][1] for x in kept]
-    return _normalized(ambient, skeleton, tree, values, last.base)
+        ambient.n, len(expansion.ball.elements) * expansion.vt, report.prod.skeleton.basepoint,
+        expansion.arcs, report.order)
+    zero = ambient.zero()
+    values = [_tree_values(skeleton, tree, [diffs[x] for x in kept], zero)
+              for diffs in (expansion.diffs1, expansion.diffs2)]
+    witness = _witness_memo({}, report.solver.witness, ambient.abelian.canonicalize)
+    return _equalized(ambient, skeleton, tree, *values, witness, report.base)
 
 
 @dataclass(frozen=True)
@@ -558,11 +601,15 @@ class _ExpansionStream:
     product, on the report's spanning tree and letter order.
 
     Vertex ids are stable across stages: Cayley vertex number d (in BFS
-    discovery order) occupies the block [d*vt, (d+1)*vt).  One _TreeSearch
-    over the growing step map resumes at each stage from the tree vertices
-    the new arcs touch, so each stage's tree extends the last, earlier
-    stages are full subautomata of later ones, and petals never disappear.
-    (A whole search of a later stage can reach an old vertex by a new arc.)
+    discovery order) occupies the block [d*vt, (d+1)*vt).  The expansion
+    (_expand) grows one sphere and appends the arcs it adds, each with the
+    two label differences of the product arc it copies; intersect_fg runs
+    it alone to the end.  stages() also equalizes each sphere's arcs as
+    they come.  One _TreeSearch over the growing step map resumes at each
+    stage from the tree vertices the new arcs touch, so each stage's tree
+    extends the last, earlier stages are full subautomata of later ones,
+    and petals never disappear.  (A whole search of a later stage can
+    reach an old vertex by a new arc.)
 
     A stage costs time in proportion to its sphere: it touches only its own
     arcs, and fills potentials and root paths, with the routines that serve
@@ -580,15 +627,20 @@ class _ExpansionStream:
         self.tree = report.tree
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
-        self.witness = CosetIntersection(self.prod.base1, self.prod.base2).witness
-        self.witnesses: dict[tuple[Vector, Vector], Vector] = {}  # (a, b) -> canonical witness
         self.prod_diffs = [_label_differences(x) for x in (self.prod.labels1, self.prod.labels2)]
-        self.block_arcs = sorted(self.tree.tree_arcs)
+        # the product's tree arcs, which every block copies, and their differences
+        tree_arcs = sorted(self.tree.tree_arcs)
+        self.block = [self.prod.skeleton.arcs[x] for x in tree_arcs]
+        self.block_diffs = [[diffs[x] for x in tree_arcs] for diffs in self.prod_diffs]
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
-        self.diffs1: list[Optional[Vector]] = []  # per arc, from the product arc it copies
+        # per arc, the two layers' label differences of the product arc it copies
+        self.diffs1: list[Optional[Vector]] = []
         self.diffs2: list[Optional[Vector]] = []
+        # per-stage equalization state
+        self.witness = report.solver.witness
+        self.witnesses: dict[tuple[Vector, Vector], Vector] = {}  # (a, b) -> canonical witness
         self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
         # spanning tree; potentials and root-path words of two spheres only
@@ -600,48 +652,74 @@ class _ExpansionStream:
         self.phi2: dict[int, Vector] = {basepoint: zero}
         self.path: dict[int, Word] = {basepoint: ()}
 
-    def _copy_arc(self, do, dt, src):
-        """Append a copy of product arc src from block do to block dt."""
-        o, k, t = self.prod.skeleton.arcs[src]
-        o, t, idx = do * self.vt + o, dt * self.vt + t, len(self.arcs)
-        self.arcs.append((o, k, t))
-        self.diffs1.append(self.prod_diffs[0][src])
-        self.diffs2.append(self.prod_diffs[1][src])
-        self.steps[(o, k)] = (t, idx, 1)
-        self.steps[(t, -k)] = (o, idx, -1)
+    def _expand(self) -> range:
+        """Grow the ball's outer sphere and append the arcs it adds: the
+        copies of the product's tree arcs in each of its blocks, then the
+        copies of petal arcs along its Cayley arcs, those from the inner
+        ball into the sphere, ordered by origin and generator, then those
+        from the sphere into the ball of its radius.  Return the sphere."""
+        ball, vt, arcs, diffs1, diffs2 = self.ball, self.vt, self.arcs, self.diffs1, self.diffs2
+        prod_arcs, petals = self.prod.skeleton.arcs, self.tree.petal_arcs
+        prod_diffs1, prod_diffs2 = self.prod_diffs
+        block, (block_diffs1, block_diffs2) = self.block, self.block_diffs
+        sphere = ball.sphere
+        ball.grow()
+        for d in sphere:
+            shift = d * vt
+            arcs.extend([(shift + o, k, shift + t) for o, k, t in block])
+            diffs1.extend(block_diffs1)
+            diffs2.extend(block_diffs2)
+        entering = sorted(
+            (u, i, w)
+            for w in sphere
+            for i, u in enumerate(ball.minus[w])
+            if u < sphere.start
+        )
+        leaving = [
+            (w, i, u)
+            for w in sphere
+            for i, u in enumerate(ball.plus[w])
+            if u < sphere.stop
+        ]
+        for do, i, dt in entering + leaving:
+            src = petals[i]
+            o, k, t = prod_arcs[src]
+            arcs.append((do * vt + o, k, dt * vt + t))
+            diffs1.append(prod_diffs1[src])
+            diffs2.append(prod_diffs2[src])
+        return sphere
 
     def _extend_tree(self, start_arc):
-        """Resume the search over the arcs from start_arc on; fill what it adds."""
+        """Add the arcs from start_arc on to the step map, resume the
+        search over them and fill what it adds."""
+        steps, arcs = self.steps, self.arcs
+        for idx, (o, k, t) in enumerate(arcs[start_arc:], start_arc):
+            steps[o, k] = (t, idx, 1)
+            steps[t, -k] = (o, idx, -1)
         search = self.search
         start = len(search.vertices)
-        search.extend({v for o, _, t in self.arcs[start_arc:] for v in (o, t)})
+        search.extend({v for o, _, t in arcs[start_arc:] for v in (o, t)})
         added = search.vertices[start:]
-        _fill_potentials(self.phi1, added, search.parent, self.arcs, self.diffs1)
-        _fill_potentials(self.phi2, added, search.parent, self.arcs, self.diffs2)
+        _fill_potentials(self.phi1, added, search.parent, arcs, self.diffs1)
+        _fill_potentials(self.phi2, added, search.parent, arcs, self.diffs2)
         for w in added:
-            _root_path(self.path, w, search.parent, self.arcs)
+            _root_path(self.path, w, search.parent, arcs)
 
     def _equalize_new_arcs(self, start_arc):
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
-        tree_arcs, witnesses = self.search.tree_arcs, self.witnesses
+        tree_arcs = self.search.tree_arcs
+        witness = _witness_memo(self.witnesses, self.witness, self.ambient.abelian.canonicalize)
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
             if arc_idx in tree_arcs:
                 self.labels.append((zero, zero))
                 continue
             arc = o, _, t = self.arcs[arc_idx]
-            pair = (_arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
-                    _arc_value(self.phi2, o, t, self.diffs2[arc_idx]))
-            c = witnesses.get(pair)
-            if c is None:
-                c = self.witness(*pair)
-                if c is None:
-                    raise NotEqualizableError("vertex expansion must be equalizable")
-                c = witnesses[pair] = self.ambient.abelian.canonicalize(c)
-            element = GroupElement(_petal_cut(self.path, arc), c)
+            c = witness(_arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
+                        _arc_value(self.phi2, o, t, self.diffs2[arc_idx]))
             self.labels.append((zero, c))
-            out.append(element)
+            out.append(GroupElement(_petal_cut(self.path, arc), c))
         return tuple(out)
 
     def _automaton(self, num_vertices: int, num_arcs: int) -> EnrichedAutomaton:
@@ -657,42 +735,23 @@ class _ExpansionStream:
     def stages(self) -> Iterator[IntersectionStage]:
         """Stages of radius 0, 1, ..., ending with the first complete one.
 
-        Stage n adds the blocks of the Cayley sphere of radius n, then its
-        arcs: those from the inner ball into the sphere, ordered by origin
-        and generator, then those from the sphere into the ball of radius n.
-        Then the potentials, root paths and steps of sphere n-1 are
-        dropped: no later arc reaches it.  A trivial free projection is the
-        one complete stage of radius 0, the point automaton carrying L1 & L2.
+        Stage n expands the Cayley sphere of radius n, then extends the
+        tree over its arcs and equalizes them.  Then the potentials, root
+        paths and steps of sphere n-1 are dropped: no later arc reaches
+        it.  A trivial free projection is the one complete stage of radius
+        0, the point automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
             point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
             yield IntersectionStage(0, (), True, lambda: point)
             return
-        ball, vt, steps = self.ball, self.vt, self.steps
+        vt, steps = self.vt, self.steps
         letters = self.report.order
         previous = range(0)
         for radius in itertools.count():
-            sphere = ball.sphere
-            ball.grow()
             start_arc = len(self.arcs)
-            for d in sphere:
-                for src in self.block_arcs:
-                    self._copy_arc(d, d, src)
-            entering = sorted(
-                (u, i, w)
-                for w in sphere
-                for i, u in enumerate(ball.minus[w])
-                if u < sphere.start
-            )
-            leaving = [
-                (w, i, u)
-                for w in sphere
-                for i, u in enumerate(ball.plus[w])
-                if u < sphere.stop
-            ]
-            for do, i, dt in entering + leaving:
-                self._copy_arc(do, dt, self.tree.petal_arcs[i])
+            sphere = self._expand()
             self._extend_tree(start_arc)
             new_elements = self._equalize_new_arcs(start_arc)
             for v in range(previous.start * vt, previous.stop * vt):
@@ -701,6 +760,6 @@ class _ExpansionStream:
                     steps.pop((v, k), None)
             previous = sphere
             build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
-            yield IntersectionStage(radius, new_elements, not ball.sphere, build)
-            if not ball.sphere:
+            yield IntersectionStage(radius, new_elements, not self.ball.sphere, build)
+            if not self.ball.sphere:
                 return

@@ -1,8 +1,8 @@
 """Shared generators and fixtures for the test suite (deterministic seeds)."""
 
 from stallings_fta.abelian import AbelianSpec, vec_add, vec_sub
-from stallings_fta.enriched import Ambient, stallings
-from stallings_fta.words import invert, recognizes
+from stallings_fta.enriched import Ambient, _normalized, stallings
+from stallings_fta.words import _canonical_core, invert, recognizes
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -116,3 +116,18 @@ def doubly_completion(x, w):
             else:
                 b2 = vec_add(b2, diff)
     return b1, b2
+
+
+def fg_by_stages(report):
+    """Reference for intersect_fg: the report's stream run to completion, the
+    core of its last stage canonically renumbered and T-normalized, its
+    arcs keeping the labels the stream equalized them to."""
+    for stage in report.stages():
+        pass
+    last = stage.automaton
+    sk = last.skeleton
+    skeleton, tree, kept = _canonical_core(
+        report.ambient.n, sk.num_vertices, sk.basepoint, sk.arcs, report.order)
+    # the stream labels every arc (0, value)
+    return _normalized(report.ambient, skeleton, tree, [last.labels[x][1] for x in kept],
+                       last.base)

@@ -485,6 +485,16 @@ CASE1_INTERSECT_DOT_SHA256 = (
     "a68ada463d96e5d0420cd4a8641418b04a9869726e878980b2dee817af6c88c0"
 )
 
+# a finitely generated intersection with torsion in D, M and the basis
+TORSION_FG = """\
+group F2 x Z x Z/6Z
+H1: x2 t^(2,5), x2^-1 x1 t^(1,5), t^(-2,4)
+H2: t^(2,5), x2 x1 t^(-2,2), x2 t^(2,1)
+"""
+TORSION_FG_INTERSECT_JSON_SHA256 = (
+    "b5760a3fbd5c6fa749e356bc80c593d5a07fa2a756a29c008fd6fd1564cfea41"
+)
+
 
 class TestPinnedOutput:
     def test_moldavanski_intersect_dot(self, moldavanski_file, capsys):
@@ -501,6 +511,18 @@ class TestPinnedOutput:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 119
         assert hashlib.sha256(out.encode()).hexdigest() == CASE1_INTERSECT_DOT_SHA256
+
+    def test_torsion_fg_intersect_json_under_an_order(self, tmp_path, capsys):
+        path = tmp_path / "torsion_fg.txt"
+        path.write_text(TORSION_FG)
+        argv = ["--order", "x2^-1,x1,x2,x1^-1", "intersect", str(path), "H1", "H2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["deltas"] == [1, 6] and payload["D"] == [[0, 1], [1, -3]]
+        assert payload["M"] == [[1, 4], [0, 6]] and payload["rank"] == 8
+        assert payload["basis"][-1] == "t^(4,4)"
+        assert hashlib.sha256(out.encode()).hexdigest() == TORSION_FG_INTERSECT_JSON_SHA256
 
     def test_torsion_stream_basis_prefix(self, tmp_path, capsys):
         # each stage resumes the spanning tree from several older vertices;

@@ -37,6 +37,7 @@ from stallings_fta.intersection import (
 from stallings_fta.words import core, product, spanning_tree_by_order
 from support import (
     doubly_completion,
+    fg_by_stages,
     is_deterministic,
     random_element,
     random_subgroup_gens,
@@ -370,9 +371,9 @@ class TestFiniteIntersections:
 
 
 class TestFgPipelineAgainstPaperSteps:
-    """intersect_fg, the completed expansion stream pruned to its core, against
-    the paper's steps run one after another: Cayley graph, vertex expansion,
-    folding, equalization."""
+    """intersect_fg, the completed expansion pruned to its core and equalized
+    once, against the paper's steps run one after another: Cayley graph,
+    vertex expansion, folding, equalization."""
 
     AMBIENTS = {
         "F2xZ": Ambient(2, AbelianSpec(1)),
@@ -443,6 +444,89 @@ class TestFgPipelineAgainstPaperSteps:
             tree = spanning_tree_by_order(x.skeleton, order)
             assert equalize(x, tree) == intersect_fg(e1, e2, order, report=rep)
             checked += 1
+
+
+class TestFgExpandsOnce:
+    """intersect_fg runs the stream's expansion to the end with no per-stage
+    equalization, then equalizes each canonical petal once; the reference
+    runs the whole stream and T-normalizes the core of its last stage."""
+
+    AMBIENTS = dict(TestFgPipelineAgainstPaperSteps.AMBIENTS, F2=Ambient(2, AbelianSpec(0)))
+
+    @staticmethod
+    def pair(rng, ambient, i, order):
+        """Random subgroups; every fourth pair two powers of one word (r = 1),
+        and half the pairs conjugated by one word, which puts the basepoint
+        on a stem of the product."""
+        gens = [random_subgroup_gens(rng, ambient, 4, 4) for _ in range(2)]
+        if i % 4 == 3:
+            w = random_element(rng, ambient, 3, 0).word
+            gens = [[ambient.element(w * p, random_element(rng, ambient).vec),
+                     ambient.element((), random_element(rng, ambient).vec)] for p in (2, 3)]
+        if i % 4 >= 2:
+            u = random_element(rng, ambient, 3, 0)
+            gens = [[ambient.multiply(ambient.multiply(u, g), ambient.invert(u)) for g in gs]
+                    for gs in gens]
+        return [stallings(ambient, gs, order) for gs in gens]
+
+    @pytest.mark.parametrize("name", list(AMBIENTS))
+    def test_against_the_stream(self, name):
+        ambient = self.AMBIENTS[name]
+        rng = random.Random(f"fg-expands-once:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        seen = {"trivial": 0, "rank one": 0, "stems": 0, "larger": 0}
+        for i in range(160):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = self.pair(rng, ambient, i, order)
+            rep = intersection_matrices(e1, e2, order)
+            if rep.verdict != VERDICT_FG:
+                continue
+            e = intersect_fg(e1, e2, order, report=rep)
+            assert e == fg_by_stages(rep)
+            if rep.pi_trivial:
+                seen["trivial"] += 1
+            elif rep.r == 1:
+                seen["rank one"] += 1
+                *_, last = rep.stages()
+                seen["stems"] += e.skeleton.num_vertices < last.automaton.skeleton.num_vertices
+            else:
+                seen["larger"] += 1
+        assert min(seen["trivial"], seen["rank one"], seen["larger"]) >= 10
+        # with m = 0, Z^1 / M is trivial for r = 1: one block, so no stems
+        assert seen["stems"] >= (1 if ambient.m else 0)
+
+    def test_no_stage_work_and_one_solve_per_double_label(self, monkeypatch):
+        stage_work = []
+        for name in ("_extend_tree", "_equalize_new_arcs"):
+            monkeypatch.setattr(intersection._ExpansionStream, name,
+                                lambda *args, name=name: stage_work.append(name))
+        repeated = 0
+        for name, ambient in self.AMBIENTS.items():
+            rng = random.Random(f"fg-solves:{name}")
+            letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+            checked = 0
+            while checked < 8:
+                order = None if checked % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+                e1, e2 = self.pair(rng, ambient, checked, order)
+                rep = intersection_matrices(e1, e2, order)
+                if rep.verdict != VERDICT_FG or rep.pi_trivial:
+                    continue
+                checked += 1
+                solved, solve = [], rep.solver.witness
+
+                def counted(a, b):
+                    solved.append((a, b))
+                    return solve(a, b)
+
+                rep.solver.witness = counted
+                e = intersect_fg(e1, e2, order, report=rep)
+                # each petal's unreduced pair: its word's sums in the product's two layers
+                petals = [doubly_completion(rep.prod, w)
+                          for w in words.t_basis(e.skeleton, spanning_tree_by_order(e.skeleton, order))]
+                assert len(solved) == len(set(solved)) and set(solved) == set(petals)
+                repeated += len(petals) > len(solved)
+        assert stage_work == []
+        assert repeated >= 4
 
 
 class TestOneContext:
