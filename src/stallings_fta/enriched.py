@@ -284,8 +284,7 @@ def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int, layers: in
     m = ambient.m
     rep, kept, gained = folding.result()
     resolved = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
-    skeleton, tree, survivors = _canonical_core(
-        ambient.n, len(rep), rep[basepoint], resolved, order)
+    skeleton, tree, survivors = _canonical_core(ambient.n, rep[basepoint], resolved, order)
     values = [folding.read(kept[i], 1) for i in survivors]
     cuts = [slice(li * m, (li + 1) * m) for li in range(layers)]
     return (skeleton, tree, [[None if v is None else v[cut] for v in values] for cut in cuts],
@@ -443,13 +442,16 @@ def basis(e: EnrichedAutomaton, tree: Optional[SpanningTree] = None) -> Subgroup
     e is normalized on the tree it is read on (by default the tree of the
     default letter order), whatever tree its labels were normalized on;
     that costs nothing when normalize last left it on that very tree.
+    The petal labels are then canonical already, so they are read as they
+    are: _normalized reduces them modulo an HNF that holds the torsion
+    relation rows, which leaves each torsion coordinate in [0, d_i), and
+    the intersection labels its petals with canonical witnesses.
     """
     if tree is None:
         tree = spanning_tree_by_order(e.skeleton)
     e = normalize(e, tree)
     words = t_basis(e.skeleton, tree)
-    canonicalize = e.ambient.abelian.canonicalize
-    free = [GroupElement(w, canonicalize(e.labels[i][1])) for w, i in zip(words, tree.petal_arcs)]
+    free = [GroupElement(w, e.labels[i][1]) for w, i in zip(words, tree.petal_arcs)]
     return SubgroupBasis(tuple(free), e.base)
 
 

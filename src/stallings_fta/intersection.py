@@ -139,8 +139,7 @@ def doubly_enriched_product(
         raise ValueError("ambient group mismatch")
     ambient = e1.ambient
     raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
-    skeleton, tree, kept = _canonical_core(
-        ambient.n, raw.num_vertices, raw.basepoint, raw.arcs, order)
+    skeleton, tree, kept = _canonical_core(ambient.n, raw.basepoint, raw.arcs, order)
     zero = ambient.zero()
     layers, petals = [], []
     for side, e in enumerate((e1, e2)):
@@ -523,8 +522,7 @@ def intersect_fg(
         while expansion.ball.sphere:
             expansion._expand()
     skeleton, tree, kept = _canonical_core(
-        ambient.n, len(expansion.ball.elements) * expansion.vt, report.prod.skeleton.basepoint,
-        expansion.arcs, report.order)
+        ambient.n, report.prod.skeleton.basepoint, expansion.arcs, report.order)
     zero = ambient.zero()
     values = [_tree_values(skeleton, tree, [diffs[x] for x in kept], zero)
               for diffs in (expansion.diffs1, expansion.diffs2)]

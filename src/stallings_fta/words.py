@@ -8,7 +8,13 @@ backwards reading -k.  The basepoint is the unique initial/accepting vertex.
 Spanning trees come from one resumable breadth-first search, _TreeSearch,
 run whole for a finished automaton and resumed by the intersection's
 expansion stream; both cut petal words from root paths found by _root_path.
-Folding, the product and the intersection end in _canonical_core.
+Folding, the product and the intersection end in _canonical_core: one step
+map of their arcs, one search from the basepoint, and from it the core (the
+basepoint and the ancestors of the petals' ends), its canonical numbering,
+its arcs in sorted order and its spanning tree.  canonical_renumber is the
+same search and emission without the pruning.  core keeps its own
+adjacency-list pruning, and core and fold their compaction, as both accept
+nondeterministic arcs.
 """
 
 from __future__ import annotations
@@ -87,13 +93,7 @@ class Automaton:
     @cached_property
     def _steps(self) -> dict[tuple[int, int], tuple[int, int, int]]:
         """(vertex, signed letter) -> (target, arc index, direction); requires determinism."""
-        out: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for idx, (o, k, t) in enumerate(self.arcs):
-            for key, val in (((o, k), (t, idx, 1)), ((t, -k), (o, idx, -1))):
-                if key in out:
-                    raise ValueError("automaton is not deterministic")
-                out[key] = val
-        return out
+        return _step_map(self.arcs)
 
     @cached_property
     def _trees(self) -> dict[tuple[int, ...], SpanningTree]:
@@ -102,6 +102,17 @@ class Automaton:
 
     def step(self, vertex: int, letter: int):
         return self._steps.get((vertex, letter))
+
+
+def _step_map(arcs: Sequence[Arc]) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(vertex, signed letter) -> (target, arc index, direction) over all
+    arcs; ValueError unless they are deterministic (two arcs leaving one
+    vertex by one signed letter would share a key)."""
+    out = {(o, k): (t, idx, 1) for idx, (o, k, t) in enumerate(arcs)}
+    out.update({(t, -k): (o, idx, -1) for idx, (o, k, t) in enumerate(arcs)})
+    if len(out) != 2 * len(arcs):
+        raise ValueError("automaton is not deterministic")
+    return out
 
 
 def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
@@ -410,7 +421,9 @@ def core(a: Automaton) -> Automaton:
 class SpanningTree:
     """A finished breadth-first spanning tree plus the induced petal
     (cyclomatic) arc order: one whole _TreeSearch, frozen by _breadth_first
-    for spanning_tree_by_order or, renumbered, by canonical_renumber."""
+    for spanning_tree_by_order or, renumbered, by _renumbered, which
+    _canonical_core and canonical_renumber end in; the search's parents,
+    tree arcs and petals are then mapped to the new vertex and arc numbers."""
 
     root: int
     parent: tuple[Optional[tuple[int, int]], ...]  # vertex -> (arc index, direction)
@@ -465,16 +478,57 @@ class _TreeSearch:
         return met
 
 
+def _whole_search(steps: dict, root: int, directions: Callable[[int], Sequence[int]]):
+    """A whole search of steps from root: (search, its petals in the order
+    first met)."""
+    search = _TreeSearch(steps, root, directions)
+    return search, tuple(dict.fromkeys(search.extend((root,))))
+
+
 def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
     """The spanning tree of a whole search of `a` from its basepoint; the
     petals are in the order first met."""
-    search = _TreeSearch(a._steps, a.basepoint, directions)
-    petals = tuple(dict.fromkeys(search.extend((a.basepoint,))))
+    search, petals = _whole_search(a._steps, a.basepoint, directions)
     if len(search.vertices) != a.num_vertices:
         raise ValueError("automaton is not connected")
     parent = tuple(map(search.parent.get, range(a.num_vertices)))
     return SpanningTree(a.basepoint, parent, frozenset(search.tree_arcs),
                         tuple(search.vertices), petals)
+
+
+def _renumbered(n: int, steps: dict, search: _TreeSearch, petals: Sequence[int],
+                kept: Sequence[int], order: tuple[int, ...]):
+    """The automaton on the kept vertices, numbered as listed (search order,
+    the root first), with every arc between two of them, and its spanning
+    tree, the search's own, stored in its tree memo under order.
+
+    Scanning each vertex's positive letters 1..n emits the arcs in (origin,
+    letter) order, which is their sorted order.  Returns (automaton, tree,
+    arc_map) with arc_map[new] = old arc index.
+    """
+    new = {v: i for i, v in enumerate(kept)}
+    arcs, arc_map, new_arc = [], [], {}
+    letters = range(1, n + 1)
+    for i, v in enumerate(kept):
+        for k in letters:
+            nxt = steps.get((v, k))
+            if nxt is not None and nxt[0] in new:
+                new_arc[nxt[1]] = len(arcs)
+                arcs.append((i, k, new[nxt[0]]))
+                arc_map.append(nxt[1])
+    out = Automaton(n, len(kept), 0, tuple(arcs))
+    parent = [None]
+    for v in kept[1:]:
+        arc_idx, d = search.parent[v]
+        parent.append((new_arc[arc_idx], d))
+    out._trees[order] = tree = SpanningTree(
+        root=0,
+        parent=tuple(parent),
+        tree_arcs=frozenset(p[0] for p in parent[1:]),
+        vertex_age=tuple(range(len(kept))),
+        petal_arcs=tuple(map(new_arc.__getitem__, petals)),
+    )
+    return out, tree, tuple(arc_map)
 
 
 def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
@@ -485,41 +539,46 @@ def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
     its tree memo, so spanning_tree_by_order(automaton, order) returns it
     without searching again.  Returns (automaton, tree, arc_map) with
     arc_map[new] = old index.  Requires a deterministic connected automaton.
+    This is _canonical_core without its pruning: the same search and the
+    same emitting routine, _renumbered.
     """
     order = check_order(order, a.n)
-    found = _breadth_first(a, lambda v: order)
-    new = [0] * a.num_vertices
-    for i, v in enumerate(found.vertex_age):
-        new[v] = i
-    renumbered = [(new[o], k, new[t]) for o, k, t in a.arcs]
-    arc_map = sorted(range(len(renumbered)), key=renumbered.__getitem__)
-    new_arc = [0] * len(arc_map)
-    for i, x in enumerate(arc_map):
-        new_arc[x] = i
-    out = Automaton(a.n, a.num_vertices, 0, tuple(renumbered[x] for x in arc_map))
-    parent = [found.parent[v] for v in found.vertex_age]
-    out._trees[order] = tree = SpanningTree(
-        root=0,
-        parent=tuple(None if p is None else (new_arc[p[0]], p[1]) for p in parent),
-        tree_arcs=frozenset(new_arc[x] for x in found.tree_arcs),
-        vertex_age=tuple(range(a.num_vertices)),
-        petal_arcs=tuple(new_arc[x] for x in found.petal_arcs),
-    )
-    return out, tree, tuple(arc_map)
+    search, petals = _whole_search(a._steps, a.basepoint, lambda v: order)
+    if len(search.vertices) != a.num_vertices:
+        raise ValueError("automaton is not connected")
+    return _renumbered(a.n, a._steps, search, petals, search.vertices, order)
 
 
-def _canonical_core(n: int, num_vertices: int, basepoint: int, arcs: Sequence[Arc],
+def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc],
                     order: Optional[Sequence[int]]):
     """The core of the basepoint component, canonically renumbered under
     order; the one ending of folding, the product and the intersection.
 
+    One step map and one search from the basepoint: the core is the
+    basepoint with every ancestor of a petal's ends (each petal closes a
+    reduced closed walk through its ends' root paths, and a subtree holding
+    no petal end hangs by one arc), and the search restricted to it is the
+    search of the core alone, as a hanging tree is reached only through the
+    vertex it hangs from.  So its tree and petals are the core's own.
+    Vertices off the basepoint component, such as folded-away classes, are
+    never reached, so the vertex count need not be given.
+
     Returns (automaton, tree, kept) with kept[i] the index in arcs of the
-    automaton's arc i.  The arcs must be deterministic on that component.
+    automaton's arc i.  ValueError unless all the arcs are deterministic,
+    including those off the basepoint component (no caller builds such).
     """
-    _, core_arcs = _core_keep(num_vertices, basepoint, arcs)
-    a = _compact(n, num_vertices, basepoint, [arcs[x] for x in core_arcs])
-    a, tree, arc_map = canonical_renumber(a, order)
-    return a, tree, tuple(core_arcs[i] for i in arc_map)
+    order = check_order(order, n)
+    steps = _step_map(arcs)
+    search, petals = _whole_search(steps, basepoint, lambda v: order)
+    parent, in_core = search.parent, {basepoint}
+    for x in petals:
+        for v in (arcs[x][0], arcs[x][2]):
+            while v not in in_core:
+                in_core.add(v)
+                arc_idx, d = parent[v]
+                v = arcs[arc_idx][0 if d == 1 else 2]
+    kept = [v for v in search.vertices if v in in_core]
+    return _renumbered(n, steps, search, petals, kept, order)
 
 
 def spanning_tree_by_order(

@@ -76,6 +76,34 @@ def tree_petal_word(arcs, parent, arc_idx):
     return walk(o) + (k,) + invert(walk(t))
 
 
+def reference_tree(a, order, strategy="order"):
+    """Two breadth-first passes, one for the tree and one for the petals."""
+    if strategy == "order":
+        directions = {v: order for v in range(a.num_vertices)}
+    else:
+        directions = {v: [] for v in range(a.num_vertices)}
+        for o, k, t in a.arcs:
+            directions[o].append(k)
+            directions[t].append(-k)
+        directions = {v: list(dict.fromkeys(ds)) for v, ds in directions.items()}
+    parent = [None] * a.num_vertices
+    ages, tree = [a.basepoint], set()
+    for v in ages:
+        for s in directions[v]:
+            nxt = a.step(v, s)
+            if nxt is not None and nxt[0] not in ages:
+                parent[nxt[0]] = nxt[1:]
+                tree.add(nxt[1])
+                ages.append(nxt[0])
+    petals = []
+    for v in ages:
+        for s in directions[v]:
+            nxt = a.step(v, s)
+            if nxt is not None and nxt[1] not in tree and nxt[1] not in petals:
+                petals.append(nxt[1])
+    return a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals)
+
+
 def is_deterministic(a):
     """True iff no two arcs leave a vertex of automaton a by the same signed letter."""
     try:
@@ -126,8 +154,7 @@ def fg_by_stages(report):
         pass
     last = stage.automaton
     sk = last.skeleton
-    skeleton, tree, kept = _canonical_core(
-        report.ambient.n, sk.num_vertices, sk.basepoint, sk.arcs, report.order)
+    skeleton, tree, kept = _canonical_core(report.ambient.n, sk.basepoint, sk.arcs, report.order)
     # the stream labels every arc (0, value)
     return _normalized(report.ambient, skeleton, tree, [last.labels[x][1] for x in kept],
                        last.base)

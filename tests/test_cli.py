@@ -495,6 +495,21 @@ TORSION_FG_INTERSECT_JSON_SHA256 = (
     "b5760a3fbd5c6fa749e356bc80c593d5a07fa2a756a29c008fd6fd1564cfea41"
 )
 
+# redundant conjugates of x2 powers fold onto the path x1 x1 from the
+# basepoint with an x2 loop at each of its other two vertices; the basepoint
+# has degree 1 and the core keeps its stem
+TORSION_STEM = """\
+group F2 x Z x Z/4Z
+H: x1 x2 x1^-1 t^(1,2), x1 x2^3 x1^-1 t^(3,2), x1 x2^-2 x1^-1 t^(-2,0), \
+x1 x2 x1 x2 x1^-1 x2^-1 x1^-1 t^(1,1), x1 x2^2 x1 x2 x1^-1 x2^-2 x1^-1 t^(0,3)
+"""
+TORSION_STEM_DOT_SHA256 = (
+    "20e84e397c8030cdc102c16c2234668dd7944d1e386b70311ed2d1e2f14bdb49"
+)
+TORSION_STEM_BASIS_JSON_SHA256 = (
+    "475cc723477f5f23e3d0565b1c280a37f09eef06b25ebe83d7a9cda5bd687736"
+)
+
 
 class TestPinnedOutput:
     def test_moldavanski_intersect_dot(self, moldavanski_file, capsys):
@@ -523,6 +538,20 @@ class TestPinnedOutput:
         assert payload["M"] == [[1, 4], [0, 6]] and payload["rank"] == 8
         assert payload["basis"][-1] == "t^(4,4)"
         assert hashlib.sha256(out.encode()).hexdigest() == TORSION_FG_INTERSECT_JSON_SHA256
+
+    @pytest.mark.parametrize("command, sha256", [
+        (["dot"], TORSION_STEM_DOT_SHA256),
+        (["basis", "--json"], TORSION_STEM_BASIS_JSON_SHA256),
+    ])
+    def test_torsion_stem_under_an_order(self, tmp_path, capsys, command, sha256):
+        path = tmp_path / "torsion_stem.txt"
+        path.write_text(TORSION_STEM)
+        argv = ["--order", "x2^-1,x1,x2,x1^-1", command[0], str(path), "H", *command[1:]]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == ["dot"]:
+            assert "v0 -> v1 [label=\"(0,0)|x1|(0,0)\"];" in out and out.count("v0 ->") == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_torsion_stream_basis_prefix(self, tmp_path, capsys):
         # each stage resumes the spanning tree from several older vertices;

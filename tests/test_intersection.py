@@ -13,6 +13,7 @@ from stallings_fta.enriched import (
     GroupElement,
     basis,
     completion_table,
+    finite_index_factor_extension,
     member,
     normalize,
     reduce,
@@ -529,6 +530,36 @@ class TestFgExpandsOnce:
         assert repeated >= 4
 
 
+class TestBasisLabelsAreCanonical:
+    """basis reads each petal label as it is: normalizing on a tree reduces
+    it modulo an HNF that holds the torsion relations, and intersect_fg
+    labels petals with canonical witnesses."""
+
+    @pytest.mark.parametrize("name", ["F2x(Z+Z6)", "F2x(Z2+Z4)"])
+    def test_constructor_outputs_on_default_and_permuted_trees(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        canonicalize = ambient.abelian.canonicalize
+        rng = random.Random(f"canonical-labels:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        fg = torsion = 0
+        for i in range(60):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = TestFgExpandsOnce.pair(rng, ambient, i, order)
+            outputs = [e1, e2, finite_index_factor_extension(e1, order)]
+            rep = intersection_matrices(e1, e2, order)
+            if rep.verdict == VERDICT_FG:
+                outputs.append(intersect_fg(e1, e2, order, report=rep))
+                fg += 1
+            permuted = tuple(rng.sample(letters, len(letters)))
+            for e in outputs:
+                for tree in (None, spanning_tree_by_order(e.skeleton, order),
+                             spanning_tree_by_order(e.skeleton, permuted)):
+                    for g in basis(e, tree).free_part:
+                        assert g.vec == canonicalize(g.vec)
+                        torsion += any(g.vec[ambient.abelian.m_free:])
+        assert fg >= 20 and torsion >= 200
+
+
 class TestOneContext:
     """The report is the intersection's context: its order, product and tree
     are built once, and later steps read them instead of rebuilding them."""
@@ -599,27 +630,34 @@ class TestOneContext:
         assert calls == []
         assert len(e.skeleton.arcs) - e.skeleton.num_vertices + 1 == 7
 
-    def test_one_op_searches_only_inside_its_two_renumberings(self, monkeypatch):
+    def test_one_op_searches_once_in_each_canonical_core(self, monkeypatch):
+        # the product's and the intersection's canonical cores each run one
+        # whole search; every other tree is read from a memo
         h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
-        searches, inside = [], []
-        search, renumber = words._breadth_first, words.canonical_renumber
+        searches, inside, outside, whole = [], [], [], []
+        extend, core = words._TreeSearch.extend, intersection._canonical_core
 
-        def counted_search(*args):
-            searches.append(bool(inside))
-            return search(*args)
+        def counted_extend(search, vertices):
+            (searches[-1] if inside else outside).append((list(search.vertices), vertices))
+            return extend(search, vertices)
 
-        def counted_renumber(*args):
+        def counted_core(*args):
+            searches.append([])
             inside.append(True)
             try:
-                return renumber(*args)
+                return core(*args)
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(words, "_breadth_first", counted_search)
-        monkeypatch.setattr(words, "canonical_renumber", counted_renumber)
+        monkeypatch.setattr(words._TreeSearch, "extend", counted_extend)
+        monkeypatch.setattr(words, "_breadth_first", lambda *args: whole.append(args))
+        monkeypatch.setattr(intersection, "_canonical_core", counted_core)
         rep = intersection_matrices(h1, h2)
         b = basis(intersect_fg(h1, h2, report=rep))
-        assert searches == [True, True]
+        assert [len(calls) for calls in searches] == [1, 1]
+        for (([root], vertices),) in searches:  # a fresh search, run from its root
+            assert tuple(vertices) == (root,)
+        assert outside == [] and whole == []
         assert rep.verdict == VERDICT_FG and len(b.free_part) == 7
 
     def test_report_under_another_order_is_rejected(self):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from support import is_deterministic, tree_petal_word
+from support import is_deterministic, reference_tree, tree_petal_word
 
 from stallings_fta.words import (
     Automaton,
@@ -157,6 +157,9 @@ class TestSpanningTree:
         a = Automaton(1, 2, 0, ())
         with pytest.raises(ValueError):
             spanning_tree_by_order(a)
+        for b in (a, Automaton(1, 3, 0, ((0, 1, 0), (1, 1, 2)))):
+            with pytest.raises(ValueError, match="not connected"):
+                canonical_renumber(b)
 
     def test_order_may_put_an_inverse_first(self):
         assert check_order((-2, 2, -1, 1), 2) == (-2, 2, -1, 1)
@@ -209,34 +212,6 @@ def random_automaton(rng, n, max_vertices=9, extra=6):
     rng.shuffle(perm)
     rng.shuffle(arcs)
     return Automaton(n, num, perm[0], tuple((perm[o], k, perm[t]) for o, k, t in arcs))
-
-
-def reference_tree(a, order, strategy="order"):
-    """Two breadth-first passes, one for the tree and one for the petals."""
-    if strategy == "order":
-        directions = {v: order for v in range(a.num_vertices)}
-    else:
-        directions = {v: [] for v in range(a.num_vertices)}
-        for o, k, t in a.arcs:
-            directions[o].append(k)
-            directions[t].append(-k)
-        directions = {v: list(dict.fromkeys(ds)) for v, ds in directions.items()}
-    parent = [None] * a.num_vertices
-    ages, tree = [a.basepoint], set()
-    for v in ages:
-        for s in directions[v]:
-            nxt = a.step(v, s)
-            if nxt is not None and nxt[0] not in ages:
-                parent[nxt[0]] = nxt[1:]
-                tree.add(nxt[1])
-                ages.append(nxt[0])
-    petals = []
-    for v in ages:
-        for s in directions[v]:
-            nxt = a.step(v, s)
-            if nxt is not None and nxt[1] not in tree and nxt[1] not in petals:
-                petals.append(nxt[1])
-    return a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals)
 
 
 def as_tuple(t):
@@ -319,27 +294,146 @@ def with_hanging_tree_and_second_component(rng, n):
     return Automaton(n, num, perm[a.basepoint], tuple((perm[o], k, perm[t]) for o, k, t in arcs))
 
 
+class _Growing:
+    """The arcs of a deterministic automaton, grown one arc at a time."""
+
+    def __init__(self, a):
+        self.n, self.num, self.basepoint = a.n, a.num_vertices, a.basepoint
+        self.arcs = list(a.arcs)
+        self.used = {(o, k) for o, k, _ in a.arcs} | {(t, -k) for _, k, t in a.arcs}
+
+    def free(self, v):
+        return [s for s in default_order(self.n) if (v, s) not in self.used]
+
+    def add(self, o, s, t):
+        """Add the arc o -s-> t; its two letter slots must be free."""
+        if s < 0:
+            o, s, t = t, -s, o
+        assert (o, s) not in self.used and (t, -s) not in self.used
+        self.used.update({(o, s), (t, -s)})
+        self.arcs.append((o, s, t))
+
+    def path(self, rng, v, length):
+        """A path of length arcs from v through fresh vertices; its far end."""
+        for _ in range(length):
+            self.add(v, rng.choice(self.free(v)), self.num)
+            v, self.num = self.num, self.num + 1
+        return v
+
+    def automaton(self, rng, second):
+        """These arcs and a disjoint copy of second, vertices renumbered and
+        arcs shuffled at random."""
+        arcs = self.arcs + [(o + self.num, k, t + self.num) for o, k, t in second.arcs]
+        perm = list(range(self.num + second.num_vertices))
+        rng.shuffle(perm)
+        rng.shuffle(arcs)
+        return Automaton(self.n, len(perm), perm[self.basepoint],
+                         tuple((perm[o], k, perm[t]) for o, k, t in arcs))
+
+
+def with_stem_loops_and_trees(rng, n):
+    """A random automaton with a cycle, grown at free letter slots: a new
+    basepoint on a stem of 1-3 arcs (so of degree 1), one to three loops,
+    and two or three hanging trees on one vertex, one of them branching;
+    then a disjoint second random automaton.  n >= 2: a cycle of x1 alone
+    leaves no slot for a stem."""
+    while True:
+        g = _Growing(random_automaton(rng, n, extra=8))
+        stem = [v for v in range(g.num) if g.free(v)]
+        if len(g.arcs) >= g.num and stem:  # a cycle for the stem to lead to
+            break
+    g.basepoint = g.path(rng, rng.choice(stem), rng.randint(1, 3))
+    loops = [(v, s) for v in range(g.num) for s in range(1, n + 1)
+             if v != g.basepoint and not {(v, s), (v, -s)} & g.used]
+    for v, s in rng.sample(loops, min(len(loops), rng.randint(1, 3))):
+        g.add(v, s, v)
+    roots = [v for v in range(g.num) if v != g.basepoint and len(g.free(v)) >= 2]
+    if roots:
+        root = rng.choice(roots)
+        ends = [g.path(rng, root, rng.randint(1, 3)) for _ in range(min(3, len(g.free(root))))]
+        g.path(rng, ends[0], rng.randint(1, 2))  # from a leaf, so the tree branches
+    return g.automaton(rng, random_automaton(rng, n))
+
+
+def renumbered_by_reference(a, order):
+    """a renumbered in the order of reference_tree's search under the
+    checked order, arcs sorted, and that tree renumbered alike (as_tuple)."""
+    _, parent, tree, ages, petals = reference_tree(a, order)
+    new = {v: i for i, v in enumerate(ages)}
+    arcs = sorted((new[o], k, new[t], x) for x, (o, k, t) in enumerate(a.arcs))
+    new_arc = {x: i for i, (_, _, _, x) in enumerate(arcs)}
+    out = Automaton(a.n, len(ages), 0, tuple(arc[:3] for arc in arcs))
+    tree_parent = tuple(None if parent[v] is None else (new_arc[parent[v][0]], parent[v][1])
+                        for v in ages)
+    return out, (0, tree_parent, frozenset(map(new_arc.get, tree)),
+                 tuple(range(len(ages))), tuple(map(new_arc.get, petals)))
+
+
+def degree(a, v):
+    return sum((o == v) + (t == v) for o, _, t in a.arcs)
+
+
 class TestCanonicalCore:
-    def test_is_the_renumbered_core_and_keeps_arc_provenance(self):
-        rng = random.Random(23)
-        for i in range(240):
-            n = 1 + i % 3
+    @staticmethod
+    def cases(seed, make, count=240, ranks=(1, 2, 3)):
+        """Seeded automata from make, half under a permuted order."""
+        rng = random.Random(seed)
+        for i in range(count):
+            n = ranks[i % len(ranks)]
             order = None
             if i % 2:
                 order = list(default_order(n))
                 rng.shuffle(order)
-            a = with_hanging_tree_and_second_component(rng, n)
-            out, tree, kept = _canonical_core(n, a.num_vertices, a.basepoint, a.arcs, order)
-            expected, expected_tree, _ = canonical_renumber(core(a), order)
-            assert (out, tree) == (expected, expected_tree)
-            assert spanning_tree_by_order(out, order) is tree
-            assert len(kept) == len(out.arcs) < len(a.arcs)
-            old = {out.basepoint: a.basepoint}  # output vertex -> input vertex
-            for (o, k, t), x in zip(out.arcs, kept):
-                o2, k2, t2 = a.arcs[x]
-                assert k == k2
-                assert old.setdefault(o, o2) == o2 and old.setdefault(t, t2) == t2
-            assert len(set(old.values())) == len(old) == out.num_vertices
+            yield make(rng, n), order
+
+    def check(self, a, order):
+        """_canonical_core against core() renumbered by the reference search;
+        returns the output automaton."""
+        out, tree, kept = _canonical_core(a.n, a.basepoint, a.arcs, order)
+        expected, expected_tree = renumbered_by_reference(core(a), check_order(order, a.n))
+        assert out == expected and as_tuple(tree) == expected_tree
+        assert spanning_tree_by_order(out, order) is tree
+        assert len(kept) == len(out.arcs) < len(a.arcs)
+        old = {out.basepoint: a.basepoint}  # output vertex -> input vertex
+        for (o, k, t), x in zip(out.arcs, kept):
+            o2, k2, t2 = a.arcs[x]
+            assert k == k2
+            assert old.setdefault(o, o2) == o2 and old.setdefault(t, t2) == t2
+        assert len(set(old.values())) == len(old) == out.num_vertices
+        return out
+
+    def test_is_the_renumbered_core_and_keeps_arc_provenance(self):
+        for a, order in self.cases(23, with_hanging_tree_and_second_component):
+            self.check(a, order)
+
+    def test_keeps_a_basepoint_stem_and_loops_and_prunes_many_trees(self):
+        stems = loops = 0
+        for a, order in self.cases(29, with_stem_loops_and_trees, ranks=(2, 3)):
+            assert degree(a, a.basepoint) == 1
+            out = self.check(a, order)
+            stems += degree(out, 0) == 1
+            loops += any(o == t for o, _, t in out.arcs)
+        assert stems == 240 and loops >= 200
+
+    def test_nondeterministic_arcs_are_rejected(self):
+        # also off the basepoint component, which no constructor builds
+        rng = random.Random(31)
+        for i in range(60):
+            n = 1 + i % 3
+            g = _Growing(random_automaton(rng, n))
+            clash = rng.choice(g.arcs) if g.arcs and i % 2 else (g.num, 1, g.num + 1)
+            if clash[0] == g.num:  # a second component of two arcs x1 out of one vertex
+                g.arcs += [clash, (g.num, 1, g.num + 2)]
+                g.num += 3
+            else:
+                o, k, _ = clash
+                g.arcs.append((o, k, g.num))
+                g.num += 1
+            a = g.automaton(rng, Automaton(n, 1, 0, ()))
+            with pytest.raises(ValueError, match="not deterministic"):
+                _canonical_core(n, a.basepoint, a.arcs, None)
+            with pytest.raises(ValueError, match="not deterministic"):
+                canonical_renumber(a)
 
 
 class TestBasisAndCoordinates:
