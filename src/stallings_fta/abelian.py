@@ -18,6 +18,7 @@ computations can exceed machine words even for small inputs.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -30,15 +31,15 @@ INFINITY: Rank = float("inf")
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_neg(u: Sequence[int]) -> Vector:
-    return tuple(-a for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def mat_identity(n: int) -> Matrix:

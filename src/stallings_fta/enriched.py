@@ -255,25 +255,17 @@ def open_fold(e: EnrichedAutomaton, i: int, j: int) -> EnrichedAutomaton:
     return EnrichedAutomaton(e.ambient, skeleton, tuple(labels), e.base)
 
 
-def _reduce_layers(
-    ambient: Ambient,
-    skeleton: Automaton,
-    layers: Sequence[Sequence[ArcLabel]],
-    order: Optional[Sequence[int]],
-):
+def _reduce_layers(ambient: Ambient, skeleton: Automaton, vectors: Sequence[Optional[Vector]],
+                   layers: int, order: Optional[Sequence[int]]):
     """Enriched folding, core pruning and canonical renumbering.
 
-    layers are independent (lab1, lab2) systems riding on the arcs; the
-    folding reads them side by side as one vector per arc.  Returns
-    (skeleton, its spanning tree under order, per-layer arc values,
-    per-layer closed-fold vectors); see _folded_core.
+    vectors holds, per arc, lab2 - lab1 of each of the `layers` label
+    systems side by side as one vector (None for zero); the folding reads
+    it.  Returns (skeleton, its spanning tree under order, per-layer arc
+    values, per-layer closed-fold vectors); see _folded_core.
     """
-    vectors = []
-    for labs in zip(*layers):
-        vec = tuple(b - a for lab1, lab2 in labs for a, b in zip(lab1, lab2))
-        vectors.append(vec if any(vec) else None)
-    folding = _Folding(skeleton.num_vertices, skeleton.arcs, vectors)
-    return _folded_core(ambient, folding, skeleton.basepoint, len(layers), order)
+    folding = _Folding(skeleton.num_vertices, skeleton.arcs, list(vectors))
+    return _folded_core(ambient, folding, skeleton.basepoint, layers, order)
 
 
 def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int, layers: int,
@@ -306,7 +298,8 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
     automaton, such as a flower; stallings() reaches the same result,
     normalized, without building the flower.
     """
-    skeleton, _, (values,), (gained,) = _reduce_layers(e.ambient, e.skeleton, [e.labels], order)
+    skeleton, _, (values,), (gained,) = _reduce_layers(
+        e.ambient, e.skeleton, _label_differences(e.labels), 1, order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
     return EnrichedAutomaton(e.ambient, skeleton, _value_labels(values, e.ambient.zero()), base)
 
@@ -356,9 +349,8 @@ def _fill_potentials(phi, vertices: Iterable[int], parent, arcs: Sequence[Arc], 
 
 def _arc_value(phi, o: int, t: int, diff: Optional[Vector]) -> Vector:
     """An arc's label difference diff after the potentials: phi(t) - phi(o) + diff."""
-    if diff is None:
-        return vec_sub(phi[t], phi[o])
-    return tuple(c + a - b for c, a, b in zip(diff, phi[t], phi[o]))
+    value = vec_sub(phi[t], phi[o])
+    return value if diff is None else vec_add(diff, value)
 
 
 def _tree_values(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector) -> list:

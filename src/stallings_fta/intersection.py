@@ -3,11 +3,14 @@
 The pipeline: form the product of the two enriched Stallings automata,
 keeping both abelian label systems and the pair of basepoint subgroups
 (L1, L2); keep its core, renumbered canonically as folding's result is
-(words._canonical_core), normalize each system from the factors' arc
-values, and read off the petal words w_1..w_r of the free projection
-intersection.  The difference matrix D = B1 A1 - B2 A2 measures how the
+(words._canonical_core), and normalize both systems from the factors' arc
+values.  Its petals are the free basis w_1..w_r of the free projection
+intersection; the report spells out their words only when read.  A double
+label (a, b) is one vector a || b of Z^m x Z^m, the pullback's label
+group, so every pass over the arcs carries both systems as one joined
+value per arc.  The difference matrix D = B1 A1 - B2 A2 measures how the
 two completions of each w_j disagree.  Row j is read off the product: it
-is the difference of petal j's values in the two layers, before they are
+is the difference of the two halves of petal j's value, before they are
 reduced, so no word is walked through a factor and no factor basis is
 built (the report builds A_i and B_i only when they are read).  With the
 preimage lattice M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls
@@ -40,8 +43,8 @@ The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
 spanning tree are checked and built there once and kept in the report, as
 is the one CosetIntersection of (L1, L2), which gives L1 & L2 and every
-witness; the petal words, D, M, the stream and intersect_fg all read
-them.  intersect_fg, intersect_stages and the CLI start from one report.
+witness; D, M, the stream and intersect_fg all read them.  intersect_fg,
+intersect_stages and the CLI start from one report.
 cayley_multidigraph, vertex_expand, doubly_reduce and equalize remain as
 the paper's separate steps.
 """
@@ -49,7 +52,7 @@ the paper's separate steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -74,7 +77,6 @@ from .enriched import (
     _arc_value,
     _fill_potentials,
     _label_differences,
-    _normalized_labels,
     _reduce_layers,
     _tree_values,
     _value_labels,
@@ -107,7 +109,9 @@ class NotEqualizableError(ValueError):
 
 @dataclass(frozen=True)
 class DoublyEnrichedAutomaton:
-    """Product object: one skeleton, two abelian label systems, pair (L1, L2)."""
+    """Product object: one skeleton, two abelian label systems, pair (L1, L2).
+    Both systems' label differences, one a || b per arc, are kept once read
+    or once doubly_enriched_product seeds them (_joined_differences)."""
 
     ambient: Ambient
     skeleton: Automaton
@@ -120,6 +124,36 @@ class DoublyEnrichedAutomaton:
         if not len(self.labels1) == len(self.labels2) == len(self.skeleton.arcs):
             raise ValueError("one label pair per arc and per factor required")
 
+    @cached_property
+    def _joined_differences(self) -> list[Optional[Vector]]:
+        """lab2 - lab1 of both systems, joined per arc by _joined."""
+        return _joined(_label_differences(self.labels1), _label_differences(self.labels2),
+                       self.ambient.zero())
+
+
+def _joined(diffs1, diffs2, zero: Vector) -> list[Optional[Vector]]:
+    """a || b for each arc's two label differences (None for zero), or None
+    where both are zero: one vector of Z^m x Z^m, which the tree routines
+    of enriched sum around petals as they sum one layer's."""
+    return [None if a is None and b is None else (a or zero) + (b or zero)
+            for a, b in zip(diffs1, diffs2)]
+
+
+def _normalized_doubly(ambient: Ambient, skeleton: Automaton, values,
+                       base1: AbelianSubgroup, base2: AbelianSubgroup) -> DoublyEnrichedAutomaton:
+    """The automaton labelled (0, a mod L1) and (0, b mod L2) on each arc
+    whose joined value (_tree_values, None on tree arcs) is a || b, and
+    (0, 0) on tree arcs; it keeps the joined differences of its labels."""
+    m, zero = ambient.m, ambient.zero()
+    reduced = (None if v is None else base1.reduce_mod(v[:m]) + base2.reduce_mod(v[m:])
+               for v in values)
+    joined = [v if v and any(v) else None for v in reduced]
+    labels = (tuple((zero, zero if v is None else v[cut]) for v in joined)
+              for cut in (slice(m), slice(m, None)))
+    out = DoublyEnrichedAutomaton(ambient, skeleton, *labels, base1, base2)
+    out.__dict__["_joined_differences"] = joined
+    return out
+
 
 def doubly_enriched_product(
     e1: EnrichedAutomaton, e2: EnrichedAutomaton, order: Optional[Sequence[int]] = None
@@ -127,12 +161,13 @@ def doubly_enriched_product(
     """Core of the product of two enriched automata, T-normalized.
 
     Both label systems are carried through the same pruning and the same
-    spanning-tree normalization, each reduced modulo its own basepoint
-    subgroup.  Each factor is read normalized on its own tree of `order`
-    (free when it was built under `order`), so a product petal's value in
-    layer i, before reduction, is the completion B_i A_i of its word in
-    factor i.  Their differences, the rows of D = B1 A1 - B2 A2 in petal
-    order, are kept on the result outside its fields (_petal_differences);
+    spanning-tree normalization, as one joined value a || b per arc, each
+    half reduced modulo its own basepoint subgroup.  Each factor is read
+    normalized on its own tree of `order` (free when it was built under
+    `order`), so the half i of a product petal's value, before reduction,
+    is the completion B_i A_i of its word in factor i.  The differences of
+    the two halves, the rows of D = B1 A1 - B2 A2 in petal order, are kept
+    on the result outside its fields (_petal_differences);
     intersection_matrices reads them there.
     """
     if e1.ambient != e2.ambient:
@@ -140,16 +175,15 @@ def doubly_enriched_product(
     ambient = e1.ambient
     raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
     skeleton, tree, kept = _canonical_core(ambient.n, raw.basepoint, raw.arcs, order)
-    zero = ambient.zero()
-    layers, petals = [], []
-    for side, e in enumerate((e1, e2)):
-        e = normalize(e, spanning_tree_by_order(e.skeleton, order))
-        diffs = _label_differences(e.labels)
-        values = _tree_values(skeleton, tree, [diffs[prov[x][side]] for x in kept], zero)
-        petals.append([values[x] for x in tree.petal_arcs])
-        layers.append(_normalized_labels(values, zero, e.base.reduce_mod))
-    out = DoublyEnrichedAutomaton(ambient, skeleton, *layers, e1.base, e2.base)
-    out.__dict__["_petal_differences"] = tuple(map(vec_sub, *petals))  # not a field
+    m, zero = ambient.m, ambient.zero()
+    diffs1, diffs2 = (
+        _label_differences(normalize(e, spanning_tree_by_order(e.skeleton, order)).labels)
+        for e in (e1, e2))
+    joined = _joined([diffs1[prov[x][0]] for x in kept], [diffs2[prov[x][1]] for x in kept], zero)
+    values = _tree_values(skeleton, tree, joined, zero + zero)
+    out = _normalized_doubly(ambient, skeleton, values, e1.base, e2.base)
+    out.__dict__["_petal_differences"] = tuple(  # not a field
+        vec_sub(values[x][:m], values[x][m:]) for x in tree.petal_arcs)
     return out
 
 
@@ -158,10 +192,8 @@ def normalize_doubly(
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
     zero = x.ambient.zero()
-    layers = [_normalized_labels(_tree_values(x.skeleton, tree, _label_differences(labels), zero),
-                                 zero, base.reduce_mod)
-              for labels, base in ((x.labels1, x.base1), (x.labels2, x.base2))]
-    return replace(x, labels1=layers[0], labels2=layers[1])
+    values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
+    return _normalized_doubly(x.ambient, x.skeleton, values, x.base1, x.base2)
 
 
 def doubly_reduce(
@@ -170,7 +202,8 @@ def doubly_reduce(
     """Fold a doubly-enriched automaton; closed folds feed both subgroups.
 
     Each arc is labelled (0, value) in both systems, as reduce does."""
-    skeleton, _, values, gained = _reduce_layers(x.ambient, x.skeleton, [x.labels1, x.labels2], order)
+    skeleton, _, values, gained = _reduce_layers(
+        x.ambient, x.skeleton, x._joined_differences, 2, order)
     spec, zero = x.ambient.abelian, x.ambient.zero()
     base1 = AbelianSubgroup.from_generators(spec, x.base1.lattice_basis + tuple(gained[0]))
     base2 = AbelianSubgroup.from_generators(spec, x.base2.lattice_basis + tuple(gained[1]))
@@ -185,11 +218,12 @@ class IntersectionReport:
     reads off them.  The constructions stream from it (see stages).
 
     D is read off the product's petal values; deltas and generators are
-    computed in Z^m.  The paper's A1, A2, B1 and B2, read from the two
-    factors that the report keeps for them, and M and snf, the r x r
-    lattice and its Smith form, are cached properties built on first read.
-    The CLI reads M for the JSON "M" of intersect and snf for the vertex
-    labels of cayley; the paper-case checks and the tests read them all.
+    computed in Z^m.  The petal words w_1..w_r, the paper's A1, A2, B1 and
+    B2, read from the two factors that the report keeps for them, and M
+    and snf, the r x r lattice and its Smith form, are cached properties
+    built on first read; r is the tree's petal count.  The CLI reads M for
+    the JSON "M" of intersect and snf for the vertex labels of cayley; the
+    paper-case checks and the tests read them all.
     solver, the CosetIntersection of (L1, L2), gives base = L1 & L2 and
     the witnesses of the stream and intersect_fg."""
 
@@ -197,7 +231,6 @@ class IntersectionReport:
     order: tuple[int, ...]  # checked letter order
     prod: DoublyEnrichedAutomaton  # normalized on tree
     tree: SpanningTree  # of prod.skeleton under order
-    words: tuple[Word, ...]  # free-basis w_1..w_r of H1pi & H2pi
     D: Matrix  # r x m difference matrix
     deltas: Vector  # invariant factors of Z^r / M, padded to length r
     generators: Matrix  # image of each e_i in the non-unit factors of deltas
@@ -211,7 +244,12 @@ class IntersectionReport:
 
     @property
     def r(self) -> int:
-        return len(self.words)
+        return len(self.tree.petal_arcs)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The free basis w_1..w_r of H1pi & H2pi, the petal words of tree."""
+        return tuple(t_basis(self.prod.skeleton, self.tree))
 
     @property
     def s(self) -> int:
@@ -284,11 +322,10 @@ def intersection_matrices(
     order = check_order(order, ambient.n)
     prod = doubly_enriched_product(e1, e2, order)
     tree = spanning_tree_by_order(prod.skeleton, order)
-    words = t_basis(prod.skeleton, tree)
     d = prod.__dict__["_petal_differences"]
     deltas, gens = image_invariants(e1.base.sum(e2.base), d)
     verdict, pi_trivial, free_rank = decide_finitely_generated(
-        len(words), sum(1 for x in deltas if x), deltas
+        len(d), sum(1 for x in deltas if x), deltas
     )
     solver = CosetIntersection(e1.base, e2.base)
     base = solver.base
@@ -298,7 +335,6 @@ def intersection_matrices(
         order=order,
         prod=prod,
         tree=tree,
-        words=tuple(words),
         D=d,
         deltas=deltas,
         generators=gens,
@@ -443,33 +479,33 @@ def is_equalizable(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = No
     return True
 
 
-def _witness_memo(known: dict, solve, canonicalize) -> Callable[[Vector, Vector], Vector]:
-    """(a, b) -> the canonical c in (a + L1) & (b + L2), given solve, a
-    CosetIntersection's witness: each distinct pair is solved once and kept
-    in known; NotEqualizableError when the two cosets do not meet."""
+def _witness_memo(known: dict, solve, m: int) -> Callable[[Vector], Vector]:
+    """a || b -> the canonical c in (a + L1) & (b + L2), given solve, a
+    CosetIntersection's witness, which is canonical modulo L1 & L2: each
+    distinct joined value is split at m and solved once, and kept in known;
+    NotEqualizableError when the two cosets do not meet."""
 
-    def witness(a: Vector, b: Vector) -> Vector:
-        c = known.get((a, b))
+    def witness(v: Vector) -> Vector:
+        c = known.get(v)
         if c is None:
+            a, b = v[:m], v[m:]
             c = solve(a, b)
             if c is None:
                 raise NotEqualizableError(f"({a} + L1) and ({b} + L2) do not meet")
-            c = known[a, b] = canonicalize(c)
+            known[v] = c
         return c
 
     return witness
 
 
-def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values1, values2,
-               witness: Callable[[Vector, Vector], Vector], base: AbelianSubgroup
-               ) -> EnrichedAutomaton:
-    """The automaton labelled (0, witness(a, b)) on each non-tree arc, (a, b)
-    its values in the two layers (_tree_values, unreduced, None on tree
-    arcs), and (0, 0) on tree arcs, over base = L1 & L2.  Its labels are
+def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values,
+               witness: Callable[[Vector], Vector], base: AbelianSubgroup) -> EnrichedAutomaton:
+    """The automaton labelled (0, witness(a || b)) on each non-tree arc,
+    a || b its joined value (_tree_values, unreduced, None on tree arcs),
+    and (0, 0) on tree arcs, over base = L1 & L2.  Its labels are
     T-normalized on tree, so it remembers tree as enriched._normalized does."""
     zero = ambient.zero()
-    labels = tuple((zero, zero) if a is None else (zero, witness(a, b))
-                   for a, b in zip(values1, values2))
+    labels = tuple((zero, zero) if v is None else (zero, witness(v)) for v in values)
     out = EnrichedAutomaton(ambient, skeleton, labels, base)
     out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
     return out
@@ -478,19 +514,18 @@ def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values
 def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> EnrichedAutomaton:
     """Replace each double label by a witness and (L1, L2) by L1 & L2.
 
-    A non-tree arc's values in the two layers, summed around its petal of
-    tree and left unreduced, are a and b; its label is (0, c) with c the
-    canonical element of (a + L1) & (b + L2), solved once per distinct
-    pair.  No normalize_doubly step comes first: c is canonical modulo
-    L1 & L2 whichever representatives of the two cosets it is solved from.
+    A non-tree arc's joined value, summed around its petal of tree and left
+    unreduced, is a || b; its label is (0, c) with c the canonical element
+    of (a + L1) & (b + L2), solved once per distinct pair.  No
+    normalize_doubly step comes first: c is canonical modulo L1 & L2
+    whichever representatives of the two cosets it is solved from.
     """
     tree = tree or spanning_tree_by_order(x.skeleton)
     solver = CosetIntersection(x.base1, x.base2)
     zero = x.ambient.zero()
-    values = [_tree_values(x.skeleton, tree, _label_differences(labels), zero)
-              for labels in (x.labels1, x.labels2)]
-    witness = _witness_memo({}, solver.witness, x.ambient.abelian.canonicalize)
-    return _equalized(x.ambient, x.skeleton, tree, *values, witness, solver.base)
+    values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
+    witness = _witness_memo({}, solver.witness, x.ambient.m)
+    return _equalized(x.ambient, x.skeleton, tree, values, witness, solver.base)
 
 
 def intersect_fg(
@@ -505,10 +540,10 @@ def intersect_fg(
     sphere, runs until the finite Cayley graph of Z^r / M is exhausted,
     with no per-stage tree, potentials or petal words.  Its core (with
     r = 1 the copies of the product hang stems off the expanded cycle) is
-    canonically renumbered, each layer's arc values are read through the
-    product arc each arc copies and summed around the canonical petals,
-    and each petal is equalized once, as equalize does.  A given report
-    must have been built under the same letter order.
+    canonically renumbered, each arc's joined value is read through the
+    product arc it copies and summed around the canonical petals, and each
+    petal is equalized once, as equalize does.  A given report must have
+    been built under the same letter order.
     """
     ambient = e1.ambient
     if report is None:
@@ -524,10 +559,9 @@ def intersect_fg(
     skeleton, tree, kept = _canonical_core(
         ambient.n, report.prod.skeleton.basepoint, expansion.arcs, report.order)
     zero = ambient.zero()
-    values = [_tree_values(skeleton, tree, [diffs[x] for x in kept], zero)
-              for diffs in (expansion.diffs1, expansion.diffs2)]
-    witness = _witness_memo({}, report.solver.witness, ambient.abelian.canonicalize)
-    return _equalized(ambient, skeleton, tree, *values, witness, report.base)
+    values = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
+    witness = _witness_memo({}, report.solver.witness, ambient.m)
+    return _equalized(ambient, skeleton, tree, values, witness, report.base)
 
 
 @dataclass(frozen=True)
@@ -601,7 +635,7 @@ class _ExpansionStream:
     Vertex ids are stable across stages: Cayley vertex number d (in BFS
     discovery order) occupies the block [d*vt, (d+1)*vt).  The expansion
     (_expand) grows one sphere and appends the arcs it adds, each with the
-    two label differences of the product arc it copies; intersect_fg runs
+    joined label difference of the product arc it copies; intersect_fg runs
     it alone to the end.  stages() also equalizes each sphere's arcs as
     they come.  One _TreeSearch over the growing step map resumes at each
     stage from the tree vertices the new arcs touch, so each stage's tree
@@ -614,10 +648,11 @@ class _ExpansionStream:
     finished automata, for the vertices the search adds.  Every new arc of
     stage n joins blocks of spheres n-1 and n, so only those keep them and
     their steps; the search starts from those blocks and only looks older
-    vertices up in its age map.  Each distinct double label (a, b) is
-    solved once: its canonical witness is kept for the later arcs that
-    carry it, at most one entry per non-tree arc.  A stage's automaton is
-    built when it is read."""
+    vertices up in its age map.  Potentials and arc values are joined
+    vectors a || b, one per vertex and one per arc.  Each distinct double
+    label is solved once: its canonical witness is kept, keyed by a || b,
+    for the later arcs that carry it, at most one entry per non-tree arc.
+    A stage's automaton is built when it is read."""
 
     def __init__(self, report: IntersectionReport):
         self.report = report
@@ -625,20 +660,19 @@ class _ExpansionStream:
         self.tree = report.tree
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
-        self.prod_diffs = [_label_differences(x) for x in (self.prod.labels1, self.prod.labels2)]
+        self.prod_diffs = self.prod._joined_differences
         # the product's tree arcs, which every block copies, and their differences
         tree_arcs = sorted(self.tree.tree_arcs)
         self.block = [self.prod.skeleton.arcs[x] for x in tree_arcs]
-        self.block_diffs = [[diffs[x] for x in tree_arcs] for diffs in self.prod_diffs]
+        self.block_diffs = [self.prod_diffs[x] for x in tree_arcs]
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
-        # per arc, the two layers' label differences of the product arc it copies
-        self.diffs1: list[Optional[Vector]] = []
-        self.diffs2: list[Optional[Vector]] = []
+        # per arc, the joined label difference of the product arc it copies
+        self.diffs: list[Optional[Vector]] = []
         # per-stage equalization state
         self.witness = report.solver.witness
-        self.witnesses: dict[tuple[Vector, Vector], Vector] = {}  # (a, b) -> canonical witness
+        self.witnesses: dict[Vector, Vector] = {}  # a || b -> canonical witness
         self.labels: list[ArcLabel] = []  # equalized, one per arc
         self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
         # spanning tree; potentials and root-path words of two spheres only
@@ -646,8 +680,7 @@ class _ExpansionStream:
         order = report.order  # the search must not keep the stream alive
         self.search = _TreeSearch(self.steps, basepoint, lambda v: order)
         zero = self.ambient.zero()
-        self.phi1: dict[int, Vector] = {basepoint: zero}
-        self.phi2: dict[int, Vector] = {basepoint: zero}
+        self.phi: dict[int, Vector] = {basepoint: zero + zero}
         self.path: dict[int, Word] = {basepoint: ()}
 
     def _expand(self) -> range:
@@ -656,17 +689,15 @@ class _ExpansionStream:
         copies of petal arcs along its Cayley arcs, those from the inner
         ball into the sphere, ordered by origin and generator, then those
         from the sphere into the ball of its radius.  Return the sphere."""
-        ball, vt, arcs, diffs1, diffs2 = self.ball, self.vt, self.arcs, self.diffs1, self.diffs2
+        ball, vt, arcs, diffs = self.ball, self.vt, self.arcs, self.diffs
         prod_arcs, petals = self.prod.skeleton.arcs, self.tree.petal_arcs
-        prod_diffs1, prod_diffs2 = self.prod_diffs
-        block, (block_diffs1, block_diffs2) = self.block, self.block_diffs
+        prod_diffs, block, block_diffs = self.prod_diffs, self.block, self.block_diffs
         sphere = ball.sphere
         ball.grow()
         for d in sphere:
             shift = d * vt
             arcs.extend([(shift + o, k, shift + t) for o, k, t in block])
-            diffs1.extend(block_diffs1)
-            diffs2.extend(block_diffs2)
+            diffs.extend(block_diffs)
         entering = sorted(
             (u, i, w)
             for w in sphere
@@ -683,8 +714,7 @@ class _ExpansionStream:
             src = petals[i]
             o, k, t = prod_arcs[src]
             arcs.append((do * vt + o, k, dt * vt + t))
-            diffs1.append(prod_diffs1[src])
-            diffs2.append(prod_diffs2[src])
+            diffs.append(prod_diffs[src])
         return sphere
 
     def _extend_tree(self, start_arc):
@@ -698,8 +728,7 @@ class _ExpansionStream:
         start = len(search.vertices)
         search.extend({v for o, _, t in arcs[start_arc:] for v in (o, t)})
         added = search.vertices[start:]
-        _fill_potentials(self.phi1, added, search.parent, arcs, self.diffs1)
-        _fill_potentials(self.phi2, added, search.parent, arcs, self.diffs2)
+        _fill_potentials(self.phi, added, search.parent, arcs, self.diffs)
         for w in added:
             _root_path(self.path, w, search.parent, arcs)
 
@@ -707,15 +736,14 @@ class _ExpansionStream:
         """Append the label of each arc from start_arc on; return the new petals."""
         zero = self.ambient.zero()
         tree_arcs = self.search.tree_arcs
-        witness = _witness_memo(self.witnesses, self.witness, self.ambient.abelian.canonicalize)
+        witness = _witness_memo(self.witnesses, self.witness, self.ambient.m)
         out = []
         for arc_idx in range(start_arc, len(self.arcs)):
             if arc_idx in tree_arcs:
                 self.labels.append((zero, zero))
                 continue
             arc = o, _, t = self.arcs[arc_idx]
-            c = witness(_arc_value(self.phi1, o, t, self.diffs1[arc_idx]),
-                        _arc_value(self.phi2, o, t, self.diffs2[arc_idx]))
+            c = witness(_arc_value(self.phi, o, t, self.diffs[arc_idx]))
             self.labels.append((zero, c))
             out.append(GroupElement(_petal_cut(self.path, arc), c))
         return tuple(out)
@@ -753,7 +781,7 @@ class _ExpansionStream:
             self._extend_tree(start_arc)
             new_elements = self._equalize_new_arcs(start_arc)
             for v in range(previous.start * vt, previous.stop * vt):
-                del self.path[v], self.phi1[v], self.phi2[v]
+                del self.path[v], self.phi[v]
                 for k in letters:
                     steps.pop((v, k), None)
             previous = sphere

@@ -510,6 +510,21 @@ TORSION_STEM_BASIS_JSON_SHA256 = (
     "475cc723477f5f23e3d0565b1c280a37f09eef06b25ebe83d7a9cda5bd687736"
 )
 
+# not finitely generated (r = 2, s = 1); its stream's labels are nonzero
+# vectors of Z + Z/6Z (m = 2), so a double label split at the wrong
+# coordinate changes the labels and the basis prefix
+TORSION_STREAM = """\
+group F2 x Z x Z/6Z
+H1: x2^-1 x1 t^(-1,5), x1 t^(0,1)
+H2: x1^2 x2^-1 t^(-1,0), x1^-1 x2 t^(-3,2)
+"""
+TORSION_STREAM_INTERSECT_JSON_SHA256 = (
+    "64e27a9b2e168ae354631d8540c41e518d1d9a88fb44d94bbfb9369dcffeb17d"
+)
+TORSION_STREAM_INTERSECT_DOT_SHA256 = (
+    "92075aa5175884a738af6f8bc45ce47186ac4a0916885c95c0ffc41f7e8de503"
+)
+
 
 class TestPinnedOutput:
     def test_moldavanski_intersect_dot(self, moldavanski_file, capsys):
@@ -551,6 +566,23 @@ class TestPinnedOutput:
         out = capsys.readouterr().out
         if command == ["dot"]:
             assert "v0 -> v1 [label=\"(0,0)|x1|(0,0)\"];" in out and out.count("v0 ->") == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("flags, sha256", [
+        ([], TORSION_STREAM_INTERSECT_JSON_SHA256),
+        (["--dot"], TORSION_STREAM_INTERSECT_DOT_SHA256),
+    ])
+    def test_torsion_stream_with_nonzero_labels(self, tmp_path, capsys, flags, sha256):
+        path = tmp_path / "torsion_stream.txt"
+        path.write_text(TORSION_STREAM)
+        assert main(["intersect", str(path), "H1", "H2", "--max-radius", "3", *flags]) == 0
+        out = capsys.readouterr().out
+        if flags:
+            assert 'v1 -> v3 [label="(0,0)|x1|(-1,0)"];' in out
+        else:
+            payload = json.loads(out)
+            assert (payload["r"], payload["s"]) == (2, 1) and payload["truncated"]
+            assert payload["basis_prefix"][0] == "x1^2 x2^-1 t^(-1,0)"
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_torsion_stream_basis_prefix(self, tmp_path, capsys):

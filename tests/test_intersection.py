@@ -11,6 +11,9 @@ from stallings_fta.enriched import (
     Ambient,
     EnrichedAutomaton,
     GroupElement,
+    _label_differences,
+    _normalized_labels,
+    _tree_values,
     basis,
     completion_table,
     finite_index_factor_extension,
@@ -35,7 +38,13 @@ from stallings_fta.intersection import (
     is_equalizable,
     vertex_expand,
 )
-from stallings_fta.words import core, product, spanning_tree_by_order
+from stallings_fta.words import (
+    _canonical_core,
+    core,
+    product,
+    product_with_provenance,
+    spanning_tree_by_order,
+)
 from support import (
     doubly_completion,
     fg_by_stages,
@@ -746,6 +755,163 @@ class TestDFromTheProduct:
         assert sorted(set(calls)) == ["basis", "word_coordinates"]
 
 
+class TestJoinedLayers:
+    """Both label layers ride as one joined value a || b per arc.  Split at
+    m, the joined values equal the same tree routines run on each layer
+    alone, and D, the product's labels, intersect_fg and the stream's
+    labels equal a direct solve of each arc's (a, b)."""
+
+    @staticmethod
+    def split(values, m):
+        """The two layers of joined values, None for zero as in each layer."""
+        halves = [[None if v is None else v[cut] for v in values]
+                  for cut in (slice(m), slice(m, None))]
+        return [[v if v is not None and any(v) else None for v in h] for h in halves]
+
+    @staticmethod
+    def copied_differences(rep, arcs):
+        """Each layer's label difference of the product arc that each
+        expanded arc copies: the arc with its origin and letter in a block."""
+        prod, vt = rep.prod, rep.prod.skeleton.num_vertices
+        source = [prod.skeleton.step(o % vt, k)[1] for o, k, _ in arcs]
+        return [[diffs[x] for x in source]
+                for diffs in map(_label_differences, (prod.labels1, prod.labels2))]
+
+    @staticmethod
+    def solved(rep, a, b):
+        c = abelian.coset_intersection_witness(a, rep.prod.base1, b, rep.prod.base2)
+        assert c is not None
+        return c
+
+    def check_product(self, e1, e2, rep):
+        m, zero = rep.ambient.m, rep.ambient.zero()
+        raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
+        skeleton, tree, kept = _canonical_core(rep.ambient.n, raw.basepoint, raw.arcs, rep.order)
+        assert skeleton == rep.prod.skeleton and tree == rep.tree
+        factor_diffs = [
+            _label_differences(normalize(e, spanning_tree_by_order(e.skeleton, rep.order)).labels)
+            for e in (e1, e2)]
+        layers = [[diffs[prov[x][side]] for x in kept] for side, diffs in enumerate(factor_diffs)]
+        alone = [_tree_values(skeleton, tree, diffs, zero) for diffs in layers]
+        joined = _tree_values(skeleton, tree, intersection._joined(*layers, zero), zero + zero)
+        petals = tree.petal_arcs
+        assert [[joined[x][cut] for x in petals] for cut in (slice(m), slice(m, None))] == [
+            [values[x] for x in petals] for values in alone]
+        assert rep.D == tuple(abelian.vec_sub(alone[0][x], alone[1][x]) for x in petals)
+        assert (rep.prod.labels1, rep.prod.labels2) == tuple(
+            _normalized_labels(values, zero, e.base.reduce_mod) for values, e in zip(alone, (e1, e2)))
+        # the seeded joined differences are those of the labels, and the
+        # product's own petal values split as each layer's
+        prod_layers = [_label_differences(x) for x in (rep.prod.labels1, rep.prod.labels2)]
+        assert rep.prod._joined_differences == intersection._joined(*prod_layers, zero)
+        joined = _tree_values(skeleton, tree, rep.prod._joined_differences, zero + zero)
+        alone = [_tree_values(skeleton, tree, diffs, zero) for diffs in prod_layers]
+        assert self.split(joined, m) == [[v if v is not None and any(v) else None for v in values]
+                                         for values in alone]
+
+    def check_fg(self, e1, e2, rep):
+        m, zero = rep.ambient.m, rep.ambient.zero()
+        expansion = intersection._ExpansionStream(rep)
+        while not rep.pi_trivial and expansion.ball.sphere:
+            expansion._expand()
+        layers = self.copied_differences(rep, expansion.arcs)
+        assert self.split(expansion.diffs, m) == layers
+        skeleton, tree, kept = _canonical_core(
+            rep.ambient.n, rep.prod.skeleton.basepoint, expansion.arcs, rep.order)
+        alone = [_tree_values(skeleton, tree, [diffs[x] for x in kept], zero) for diffs in layers]
+        joined = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
+        assert [None if v is None else (v[:m], v[m:]) for v in joined] == [
+            None if a is None else (a, b) for a, b in zip(*alone)]
+        labels = tuple((zero, zero) if a is None else (zero, self.solved(rep, a, b))
+                       for a, b in zip(*alone))
+        expected = EnrichedAutomaton(rep.ambient, skeleton, labels, rep.base)
+        assert intersect_fg(e1, e2, rep.order, report=rep) == expected
+
+    def check_stream(self, rep):
+        """The first 4 stages, labelled from each layer's own potentials on
+        the stream's tree."""
+        m, zero = rep.ambient.m, rep.ambient.zero()
+        stream = intersection._ExpansionStream(rep)
+        stages = list(itertools.islice(stream.stages(), 4))
+        layers = self.copied_differences(rep, stream.arcs)
+        assert self.split(stream.diffs, m) == layers
+        search, arcs = stream.search, stream.arcs
+        phi = [{search.vertices[0]: zero} for _ in layers]
+        for w in search.vertices[1:]:  # each after its parent
+            x, d = search.parent[w]
+            o, _, t = arcs[x]
+            for p, diffs in zip(phi, layers):
+                diff = diffs[x] or zero
+                p[w] = abelian.vec_sub(p[o], diff) if d == 1 else abelian.vec_add(p[t], diff)
+        labels, nonzero = [], 0
+        for x, (o, _, t) in enumerate(arcs):
+            if x in search.tree_arcs:
+                labels.append((zero, zero))
+                continue
+            a, b = (abelian.vec_add(abelian.vec_sub(p[t], p[o]), diffs[x] or zero)
+                    for p, diffs in zip(phi, layers))
+            labels.append((zero, self.solved(rep, a, b)))
+            nonzero += any(labels[-1][1])
+        assert stream.labels == labels
+        for stage in stages:
+            automaton = stage.automaton
+            assert automaton.labels == tuple(labels[:len(automaton.labels)])
+        return nonzero
+
+    @pytest.mark.parametrize("name", list(TestFgPipelineAgainstPaperSteps.AMBIENTS))
+    def test_against_each_layer_alone(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        rng = random.Random(f"joined-layers:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        fg = not_fg = nonzero = 0
+        for i in range(64):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            if i % 4 in (1, 2):
+                e1, e2 = TestStageCost.same_words_pair(rng, ambient, order)
+            else:
+                e1, e2 = TestFgExpandsOnce.pair(rng, ambient, i, order)
+            rep = intersection_matrices(e1, e2, order)
+            self.check_product(e1, e2, rep)
+            if rep.verdict == VERDICT_FG:
+                self.check_fg(e1, e2, rep)
+                fg += 1
+            else:
+                not_fg += 1
+            nonzero += self.check_stream(rep)
+        # with no Z factor every Z^r / M is finite
+        assert fg >= 10 and not_fg >= (5 if ambient.abelian.m_free else 0)
+        assert nonzero >= 50
+
+
+class TestLazyWords:
+    """The report's petal words are built on first read: neither the
+    verdict nor the constructions walk them."""
+
+    @pytest.mark.parametrize("case, r", [
+        ("trivial", 0), ("cyclic", 1), ("moldavanski", 2), ("case1", 2), ("case3", 2),
+    ])
+    def test_words_on_first_read(self, monkeypatch, case, r):
+        calls = []
+        real = intersection.t_basis
+        monkeypatch.setattr(intersection, "t_basis", lambda *args: calls.append(args) or real(*args))
+        pair = {
+            "trivial": lambda: [stallings(F2Z, elems(F2Z, (w, (1,)))) for w in (X, Y)],
+            "cyclic": lambda: [stallings(F2Z, elems(F2Z, (X * p, (p,)))) for p in (2, 3)],
+            "moldavanski": moldavanski,
+            "case1": lambda: parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)]),
+            "case3": lambda: parameterized((3, 3), (2, 2), [(2, 2)], []),
+        }[case]()
+        rep = intersection_matrices(*pair)
+        assert rep.r == r == len(rep.D)
+        if rep.verdict == VERDICT_FG:
+            intersect_fg(*pair, report=rep)
+        list(itertools.islice(rep.stages(), 3))
+        assert calls == []
+        assert rep.words == tuple(words.t_basis(rep.prod.skeleton, rep.tree))
+        assert len(rep.words) == r and len(calls) == 1
+        assert rep.words is rep.words and len(calls) == 1
+
+
 class TestAgainstSmithForm:
     """The verdict and the Cayley ball come from matrices of at most m rows
     and columns; the r x r Smith form of M is their oracle."""
@@ -1118,6 +1284,31 @@ class TestStageCost:
             nontree = len(stream.arcs) - len(stream.search.tree_arcs)
             repeated += nontree > len(pairs)
         assert repeated >= 4
+
+
+class TestWitnessesAreCanonical:
+    """CosetIntersection.witness reduces modulo L1 & L2, whose Hermite form
+    holds the torsion relation rows, so the memo keeps its results as they
+    are."""
+
+    @pytest.mark.parametrize("name", ["F2x(Z+Z6)", "F2x(Z2+Z4)"])
+    def test_every_witness_equals_its_canonical_form(self, name):
+        ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
+        canonicalize = ambient.abelian.canonicalize
+        rng = random.Random(f"canonical-witnesses:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        seen = []
+        for i in range(40):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = TestFgExpandsOnce.pair(rng, ambient, i, order)
+            rep = intersection_matrices(e1, e2, order)
+            solve = rep.solver.witness
+            rep.solver.witness = lambda a, b, solve=solve: seen.append(solve(a, b)) or seen[-1]
+            if rep.verdict == VERDICT_FG:
+                intersect_fg(e1, e2, order, report=rep)
+            list(itertools.islice(rep.stages(), 4))
+        assert all(c == canonicalize(c) for c in seen)
+        assert sum(1 for c in seen if any(c[ambient.abelian.m_free:])) >= 20
 
 
 class TestTorsionAmbient:
