@@ -397,22 +397,7 @@ class AbelianSubgroup:
 
     def contains(self, vec: Sequence[int]) -> bool:
         """True iff vec represents an element of this subgroup of A."""
-        if len(vec) != self.spec.m:
-            raise ValueError("dimension mismatch")
-        resid = list(vec)
-        pivots = self._pivots
-        for col in range(self.spec.m):
-            if resid[col] == 0:
-                continue
-            row = pivots.get(col)
-            if row is None:
-                return False
-            q, rem = divmod(resid[col], row[col])
-            if rem:
-                return False
-            for j in range(col, self.spec.m):
-                resid[j] -= q * row[j]
-        return True
+        return not any(self.reduce_mod(vec))
 
     @cached_property
     def _pivots(self) -> dict[int, Vector]:
@@ -463,10 +448,8 @@ class AbelianSubgroup:
         if h == 0 or not self.spec.torsion:
             return h
         # express the relation lattice in the basis; kill unit invariant factors
-        coeffs = []
-        for row in self.spec.relation_rows():
-            x = solve_left(self.lattice_basis, row, self.spec.m)
-            coeffs.append(x)
+        pivots = list(enumerate(self._pivots))
+        coeffs = [_solve_hnf(self.lattice_basis, pivots, row) for row in self.spec.relation_rows()]
         dec = snf(coeffs, h)
         return h - sum(1 for d in dec.deltas if d == 1)
 

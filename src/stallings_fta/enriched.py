@@ -13,16 +13,16 @@ modulo L) produces one automaton value per subgroup, so value equality
 decides subgroup equality.  stallings() reaches the same automaton without
 building the flower: it reads each generator into the graph folded so far
 and adds arcs only for what cannot be read.  Folding ends in
-words._canonical_core, and normalization reads each surviving arc's value
-lab2 - lab1 straight from the folding, as the product's does from its
-factors.
+words._canonical_core.  Every construction labels its arcs from their
+values lab2 - lab1 with one routine, _labelled: reduce keeps each value,
+normalization reduces it modulo L, equalization takes a coset witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     INFINITY,
@@ -255,37 +255,29 @@ def open_fold(e: EnrichedAutomaton, i: int, j: int) -> EnrichedAutomaton:
     return EnrichedAutomaton(e.ambient, skeleton, tuple(labels), e.base)
 
 
-def _reduce_layers(ambient: Ambient, skeleton: Automaton, vectors: Sequence[Optional[Vector]],
-                   layers: int, order: Optional[Sequence[int]]):
-    """Enriched folding, core pruning and canonical renumbering.
-
-    vectors holds, per arc, lab2 - lab1 of each of the `layers` label
-    systems side by side as one vector (None for zero); the folding reads
-    it.  Returns (skeleton, its spanning tree under order, per-layer arc
-    values, per-layer closed-fold vectors); see _folded_core.
-    """
-    folding = _Folding(skeleton.num_vertices, skeleton.arcs, list(vectors))
-    return _folded_core(ambient, folding, skeleton.basepoint, layers, order)
-
-
-def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int, layers: int,
+def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int,
                  order: Optional[Sequence[int]]):
-    """The canonical core of a folded graph, with each survivor's value
-    (lab2 - lab1 after the vertex potentials, None for zero) and the
-    closed-fold vectors, both cut into the layers' m coordinates each."""
-    m = ambient.m
+    """The canonical core of a folded graph, its spanning tree under order,
+    each survivor's value (lab2 - lab1 after the vertex potentials, None
+    for zero) and the closed-fold vectors."""
     rep, kept, gained = folding.result()
     resolved = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
     skeleton, tree, survivors = _canonical_core(ambient.n, rep[basepoint], resolved, order)
-    values = [folding.read(kept[i], 1) for i in survivors]
-    cuts = [slice(li * m, (li + 1) * m) for li in range(layers)]
-    return (skeleton, tree, [[None if v is None else v[cut] for v in values] for cut in cuts],
-            [[g[cut] for g in gained] for cut in cuts])
+    return skeleton, tree, [folding.read(kept[i], 1) for i in survivors], gained
 
 
-def _value_labels(values, zero: Vector) -> tuple[ArcLabel, ...]:
-    """(0, value) labels for arc values, None standing for zero."""
-    return tuple((zero, zero if v is None else v) for v in values)
+def _labelled(ambient: Ambient, skeleton: Automaton, values, base: AbelianSubgroup,
+              label: Optional[Callable[[Vector], Vector]] = None,
+              tree: Optional[SpanningTree] = None) -> EnrichedAutomaton:
+    """The automaton labelled (0, label(v)) on each arc of value v, (0, v)
+    without label, and (0, 0) where v is None.  With tree, whose
+    normalization the labels are, it remembers tree as normalize does."""
+    zero = ambient.zero()
+    labels = tuple((zero, zero) if v is None else (zero, label(v) if label else v) for v in values)
+    out = EnrichedAutomaton(ambient, skeleton, labels, base)
+    if tree is not None:
+        out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
+    return out
 
 
 def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> EnrichedAutomaton:
@@ -298,17 +290,18 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
     automaton, such as a flower; stallings() reaches the same result,
     normalized, without building the flower.
     """
-    skeleton, _, (values,), (gained,) = _reduce_layers(
-        e.ambient, e.skeleton, _label_differences(e.labels), 1, order)
+    folding = _Folding(e.skeleton.num_vertices, e.skeleton.arcs, _label_differences(e.labels))
+    skeleton, _, values, gained = _folded_core(e.ambient, folding, e.skeleton.basepoint, order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
-    return EnrichedAutomaton(e.ambient, skeleton, _value_labels(values, e.ambient.zero()), base)
+    return _labelled(e.ambient, skeleton, values, base)
 
 
 def normalize(e: EnrichedAutomaton, tree: SpanningTree) -> EnrichedAutomaton:
     """Concentrate abelian mass on the heads of non-tree arcs.
 
-    Only each arc's value lab2 - lab1 is read.  After this, lab1 = 0 everywhere, lab2 = 0 on tree arcs, and each
-    non-tree lab2 is the canonical representative of its coset modulo L.
+    Only each arc's value lab2 - lab1 is read.  After this, lab1 = 0
+    everywhere, lab2 = 0 on tree arcs, and each non-tree lab2 is the
+    canonical representative of its coset modulo L.
     The result remembers the tree object, outside its fields, so
     normalizing it on that tree again returns it as it is.
     """
@@ -321,11 +314,8 @@ def _normalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, value
                 base: AbelianSubgroup) -> EnrichedAutomaton:
     """The automaton with these arc values (lab2 - lab1, None for zero),
     T-normalized on tree, remembering tree as normalize does."""
-    zero = ambient.zero()
-    labels = _normalized_labels(_tree_values(skeleton, tree, values, zero), zero, base.reduce_mod)
-    out = EnrichedAutomaton(ambient, skeleton, labels, base)
-    out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
-    return out
+    values = _tree_values(skeleton, tree, values, ambient.zero())
+    return _labelled(ambient, skeleton, values, base, base.reduce_mod, tree)
 
 
 def _label_differences(labels: Sequence[ArcLabel]) -> list[Optional[Vector]]:
@@ -365,11 +355,6 @@ def _tree_values(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector) -
             for idx, ((o, _, t), diff) in enumerate(zip(skeleton.arcs, diffs))]
 
 
-def _normalized_labels(values, zero: Vector, reduce_mod) -> tuple[ArcLabel, ...]:
-    """T-normalized labels for the arc values _tree_values gives."""
-    return tuple((zero, zero if v is None else reduce_mod(v)) for v in values)
-
-
 def stallings(
     ambient: Ambient,
     gens: Sequence[GroupElement],
@@ -397,7 +382,7 @@ def stallings(
             bad = next(l for l in g.word if not 1 <= abs(l) <= ambient.n)
             raise ValueError(f"letter {abs(bad)} out of range")
         folding.read_word(g.word, g.vec if any(g.vec) else None)
-    skeleton, tree, (values,), (gained,) = _folded_core(ambient, folding, 0, 1, order)
+    skeleton, tree, values, gained = _folded_core(ambient, folding, 0, order)
     base = AbelianSubgroup.from_generators(ambient.abelian, abelian_gens + gained)
     return _normalized(ambient, skeleton, tree, values, base)
 

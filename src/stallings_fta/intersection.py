@@ -8,19 +8,21 @@ values.  Its petals are the free basis w_1..w_r of the free projection
 intersection; the report spells out their words only when read.  A double
 label (a, b) is one vector a || b of Z^m x Z^m, the pullback's label
 group, so every pass over the arcs carries both systems as one joined
-value per arc.  The difference matrix D = B1 A1 - B2 A2 measures how the
-two completions of each w_j disagree.  Row j is read off the product: it
-is the difference of the two halves of petal j's value, before they are
-reduced, so no word is walked through a factor and no factor basis is
-built (the report builds A_i and B_i only when they are read).  With the
-preimage lattice M = (L1 + L2) D^-1 <= Z^r the group Z^r / M controls
-everything: the intersection's free projection is its Cayley
-multidigraph on the images of e_1..e_r, finitely generated exactly when
-r = 0, r = 1, or Z^r / M is finite.  v -> vD + (L1 + L2) maps Z^r / M
-isomorphically onto a subgroup of Z^m / (L1 + L2), so its invariant
-factors and the images of the e_i are computed there, from matrices of at
-most m rows and columns (abelian.image_invariants); no r x r matrix is
-built unless M is read.
+value per arc; one routine, _doubly_labelled, labels both systems from it
+for the product, normalize_doubly and doubly_reduce, and equalize and
+intersect_fg label with enriched._labelled.  The difference matrix
+D = B1 A1 - B2 A2 measures how the two completions of each w_j disagree.
+Row j is read off the product: it is the difference of the two halves of
+petal j's value, before they are reduced, so no word is walked through a
+factor and no factor basis is built (the report builds A_i and B_i only
+when they are read).  With the preimage lattice M = (L1 + L2) D^-1 <= Z^r
+the group Z^r / M controls everything: the intersection's free
+projection is its Cayley multidigraph on the images of e_1..e_r, finitely
+generated exactly when r = 0, r = 1, or Z^r / M is finite.
+v -> vD + (L1 + L2) maps Z^r / M isomorphically onto a subgroup of
+Z^m / (L1 + L2), so its invariant factors and the images of the e_i are
+computed there, from matrices of at most m rows and columns
+(abelian.image_invariants); no r x r matrix is built unless M is read.
 
 The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
@@ -76,10 +78,10 @@ from .enriched import (
     GroupElement,
     _arc_value,
     _fill_potentials,
+    _folded_core,
     _label_differences,
-    _reduce_layers,
+    _labelled,
     _tree_values,
-    _value_labels,
     basis,
     normalize,
 )
@@ -88,6 +90,7 @@ from .words import (
     SpanningTree,
     Word,
     _canonical_core,
+    _Folding,
     _petal_cut,
     _root_path,
     _TreeSearch,
@@ -139,15 +142,13 @@ def _joined(diffs1, diffs2, zero: Vector) -> list[Optional[Vector]]:
             for a, b in zip(diffs1, diffs2)]
 
 
-def _normalized_doubly(ambient: Ambient, skeleton: Automaton, values,
-                       base1: AbelianSubgroup, base2: AbelianSubgroup) -> DoublyEnrichedAutomaton:
-    """The automaton labelled (0, a mod L1) and (0, b mod L2) on each arc
-    whose joined value (_tree_values, None on tree arcs) is a || b, and
-    (0, 0) on tree arcs; it keeps the joined differences of its labels."""
+def _doubly_labelled(ambient: Ambient, skeleton: Automaton, values,
+                     base1: AbelianSubgroup, base2: AbelianSubgroup) -> DoublyEnrichedAutomaton:
+    """The automaton labelled (0, a) and (0, b) on each arc of joined value
+    a || b, and (0, 0) in both systems where it is None or zero; it keeps
+    the values, zero ones as None, as its joined differences."""
     m, zero = ambient.m, ambient.zero()
-    reduced = (None if v is None else base1.reduce_mod(v[:m]) + base2.reduce_mod(v[m:])
-               for v in values)
-    joined = [v if v and any(v) else None for v in reduced]
+    joined = [v if v and any(v) else None for v in values]
     labels = (tuple((zero, zero if v is None else v[cut]) for v in joined)
               for cut in (slice(m), slice(m, None)))
     out = DoublyEnrichedAutomaton(ambient, skeleton, *labels, base1, base2)
@@ -181,7 +182,9 @@ def doubly_enriched_product(
         for e in (e1, e2))
     joined = _joined([diffs1[prov[x][0]] for x in kept], [diffs2[prov[x][1]] for x in kept], zero)
     values = _tree_values(skeleton, tree, joined, zero + zero)
-    out = _normalized_doubly(ambient, skeleton, values, e1.base, e2.base)
+    reduce1, reduce2 = e1.base.reduce_mod, e2.base.reduce_mod
+    out = _doubly_labelled(ambient, skeleton, [
+        None if v is None else reduce1(v[:m]) + reduce2(v[m:]) for v in values], e1.base, e2.base)
     out.__dict__["_petal_differences"] = tuple(  # not a field
         vec_sub(values[x][:m], values[x][m:]) for x in tree.petal_arcs)
     return out
@@ -191,9 +194,11 @@ def normalize_doubly(
     x: DoublyEnrichedAutomaton, tree: SpanningTree
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
-    zero = x.ambient.zero()
+    m, zero = x.ambient.m, x.ambient.zero()
     values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
-    return _normalized_doubly(x.ambient, x.skeleton, values, x.base1, x.base2)
+    reduce1, reduce2 = x.base1.reduce_mod, x.base2.reduce_mod
+    return _doubly_labelled(x.ambient, x.skeleton, [
+        None if v is None else reduce1(v[:m]) + reduce2(v[m:]) for v in values], x.base1, x.base2)
 
 
 def doubly_reduce(
@@ -202,13 +207,13 @@ def doubly_reduce(
     """Fold a doubly-enriched automaton; closed folds feed both subgroups.
 
     Each arc is labelled (0, value) in both systems, as reduce does."""
-    skeleton, _, values, gained = _reduce_layers(
-        x.ambient, x.skeleton, x._joined_differences, 2, order)
-    spec, zero = x.ambient.abelian, x.ambient.zero()
-    base1 = AbelianSubgroup.from_generators(spec, x.base1.lattice_basis + tuple(gained[0]))
-    base2 = AbelianSubgroup.from_generators(spec, x.base2.lattice_basis + tuple(gained[1]))
-    return DoublyEnrichedAutomaton(x.ambient, skeleton, _value_labels(values[0], zero),
-                                   _value_labels(values[1], zero), base1, base2)
+    sk, m, spec = x.skeleton, x.ambient.m, x.ambient.abelian
+    folding = _Folding(sk.num_vertices, sk.arcs, list(x._joined_differences))
+    skeleton, _, values, gained = _folded_core(x.ambient, folding, sk.basepoint, order)
+    base1, base2 = (
+        AbelianSubgroup.from_generators(spec, base.lattice_basis + tuple(g[cut] for g in gained))
+        for base, cut in ((x.base1, slice(m)), (x.base2, slice(m, None))))
+    return _doubly_labelled(x.ambient, skeleton, values, base1, base2)
 
 
 @dataclass(frozen=True)
@@ -498,19 +503,6 @@ def _witness_memo(known: dict, solve, m: int) -> Callable[[Vector], Vector]:
     return witness
 
 
-def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values,
-               witness: Callable[[Vector], Vector], base: AbelianSubgroup) -> EnrichedAutomaton:
-    """The automaton labelled (0, witness(a || b)) on each non-tree arc,
-    a || b its joined value (_tree_values, unreduced, None on tree arcs),
-    and (0, 0) on tree arcs, over base = L1 & L2.  Its labels are
-    T-normalized on tree, so it remembers tree as enriched._normalized does."""
-    zero = ambient.zero()
-    labels = tuple((zero, zero) if v is None else (zero, witness(v)) for v in values)
-    out = EnrichedAutomaton(ambient, skeleton, labels, base)
-    out.__dict__["_normalized_on"] = tree  # not a field: equality ignores it
-    return out
-
-
 def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> EnrichedAutomaton:
     """Replace each double label by a witness and (L1, L2) by L1 & L2.
 
@@ -525,7 +517,7 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
     zero = x.ambient.zero()
     values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
     witness = _witness_memo({}, solver.witness, x.ambient.m)
-    return _equalized(x.ambient, x.skeleton, tree, values, witness, solver.base)
+    return _labelled(x.ambient, x.skeleton, values, solver.base, witness, tree)
 
 
 def intersect_fg(
@@ -561,7 +553,7 @@ def intersect_fg(
     zero = ambient.zero()
     values = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
     witness = _witness_memo({}, report.solver.witness, ambient.m)
-    return _equalized(ambient, skeleton, tree, values, witness, report.base)
+    return _labelled(ambient, skeleton, values, report.base, witness, tree)
 
 
 @dataclass(frozen=True)
@@ -660,11 +652,9 @@ class _ExpansionStream:
         self.tree = report.tree
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
-        self.prod_diffs = self.prod._joined_differences
-        # the product's tree arcs, which every block copies, and their differences
-        tree_arcs = sorted(self.tree.tree_arcs)
-        self.block = [self.prod.skeleton.arcs[x] for x in tree_arcs]
-        self.block_diffs = [self.prod_diffs[x] for x in tree_arcs]
+        # the product's tree arcs, which every block copies; the product is
+        # normalized on this tree, so their differences are None
+        self.block = [self.prod.skeleton.arcs[x] for x in sorted(self.tree.tree_arcs)]
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
@@ -691,13 +681,13 @@ class _ExpansionStream:
         from the sphere into the ball of its radius.  Return the sphere."""
         ball, vt, arcs, diffs = self.ball, self.vt, self.arcs, self.diffs
         prod_arcs, petals = self.prod.skeleton.arcs, self.tree.petal_arcs
-        prod_diffs, block, block_diffs = self.prod_diffs, self.block, self.block_diffs
+        prod_diffs, block = self.prod._joined_differences, self.block
         sphere = ball.sphere
         ball.grow()
         for d in sphere:
             shift = d * vt
             arcs.extend([(shift + o, k, shift + t) for o, k, t in block])
-            diffs.extend(block_diffs)
+            diffs.extend([None] * len(block))
         entering = sorted(
             (u, i, w)
             for w in sphere

@@ -368,7 +368,7 @@ class TestStallingsReadsGenerators:
     def test_builds_no_flower(self, monkeypatch):
         calls = []
         for module, name in ((enriched, "enriched_flower"), (enriched, "reduce"),
-                             (enriched, "_reduce_layers"), (words, "flower")):
+                             (words, "flower")):
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -376,13 +376,23 @@ class TestStallingsReadsGenerators:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        foldings = []  # the arcs each folding state starts from
+        real_init = words._Folding.__init__
+
+        def init(self, num_vertices, arcs, vectors=None):
+            foldings.append(tuple(arcs))
+            real_init(self, num_vertices, arcs, vectors)
+
+        monkeypatch.setattr(words._Folding, "__init__", init)
         gens = elems(F2Z2, ((1, 1, 1), (1, 0)), ((2, 1), (0, 0)),
                      ((2, 2, 2, 1, -2, -2), (0, 0)), ((), (0, 6)))
         e = stallings(F2Z2, gens)
-        assert calls == []
-        folded = enriched.reduce(enriched.enriched_flower(F2Z2, gens))  # the counters count
+        assert calls == [] and foldings == [()]
+        flower = enriched.enriched_flower(F2Z2, gens)  # the counters count
+        folded = enriched.reduce(flower)
         assert e == normalize(folded, spanning_tree_by_order(folded.skeleton))
-        assert calls == ["enriched_flower", "reduce", "_reduce_layers"]
+        assert calls == ["enriched_flower", "reduce"]
+        assert foldings == [(), flower.skeleton.arcs] and flower.skeleton.arcs
 
 
 class TestStallingsCanonical:
@@ -435,13 +445,13 @@ class TestStallingsCanonical:
 class TestNormalizeOnItsOwnTree:
     def test_basis_normalizes_nothing_again(self, monkeypatch):
         calls = []
-        real = enriched._normalized_labels
+        real = enriched._normalized
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(enriched, "_normalized_labels", counted)
+        monkeypatch.setattr(enriched, "_normalized", counted)
         e = stallings(F2Z2, elems(F2Z2, ((1, 1, 2), (1, 0)), ((2, -1), (0, 3))))
         h1, h2 = parameterized_pair((1, 0), (0, 1), [(0, 6)], [(3, -3)])
         x = intersect_fg(h1, h2)

@@ -12,7 +12,6 @@ from stallings_fta.enriched import (
     EnrichedAutomaton,
     GroupElement,
     _label_differences,
-    _normalized_labels,
     _tree_values,
     basis,
     completion_table,
@@ -538,6 +537,25 @@ class TestFgExpandsOnce:
         assert stage_work == []
         assert repeated >= 4
 
+    @pytest.mark.parametrize("name", list(AMBIENTS))
+    def test_product_tree_arcs_carry_nothing(self, name):
+        """Every block of the expansion copies the product's tree arcs with
+        no label difference: the product is normalized on that very tree."""
+        ambient = self.AMBIENTS[name]
+        zero = ambient.zero()
+        rng = random.Random(f"fg-tree-arcs:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        checked = 0
+        for i in range(80):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            rep = intersection_matrices(*self.pair(rng, ambient, i, order), order)
+            prod = rep.prod
+            for x in rep.tree.tree_arcs:
+                assert prod._joined_differences[x] is None
+                assert prod.labels1[x] == prod.labels2[x] == (zero, zero)
+                checked += 1
+        assert checked >= 80
+
 
 class TestBasisLabelsAreCanonical:
     """basis reads each petal label as it is: normalizing on a tree reduces
@@ -799,7 +817,8 @@ class TestJoinedLayers:
             [values[x] for x in petals] for values in alone]
         assert rep.D == tuple(abelian.vec_sub(alone[0][x], alone[1][x]) for x in petals)
         assert (rep.prod.labels1, rep.prod.labels2) == tuple(
-            _normalized_labels(values, zero, e.base.reduce_mod) for values, e in zip(alone, (e1, e2)))
+            tuple((zero, zero if v is None else e.base.reduce_mod(v)) for v in values)
+            for values, e in zip(alone, (e1, e2)))
         # the seeded joined differences are those of the labels, and the
         # product's own petal values split as each layer's
         prod_layers = [_label_differences(x) for x in (rep.prod.labels1, rep.prod.labels2)]
