@@ -582,13 +582,16 @@ def image_invariants(
     deltas equals the Smith form of the (L)D^-1 basis padded to length r
     (r - k ones, then the k non-unit factors, then zeros), and gens[i] is
     the image of e_i in the k coordinates of the non-unit factors, reduced
-    modulo them.
+    modulo them.  Equal rows of D have equal images, so G is the Hermite
+    form of the distinct rows and L (the same lattice, and a Hermite form
+    is unique), and each distinct row is solved once.
     """
     m = l.spec.m
-    for row in d_rows:
+    rows = list(dict.fromkeys(map(tuple, d_rows)))  # the distinct rows, in order
+    for row in rows:
         if len(row) != m:
             raise ValueError("dimension mismatch")
-    g = [list(row) for row in d_rows] + [list(row) for row in l.lattice_basis]
+    g = [list(row) for row in rows] + [list(row) for row in l.lattice_basis]
     pivots = _hnf_inplace(g, m)
     del g[len(pivots):]
     # every row of D and L lies in G's row space, so these solves are exact
@@ -596,8 +599,8 @@ def image_invariants(
     factors = dec.deltas_padded(len(g))
     keep = [j for j, d in enumerate(factors) if d != 1]
     deltas = (1,) * (len(d_rows) - len(keep)) + tuple(factors[j] for j in keep)
-    gens = []
-    for row in d_rows:
+    images = {}
+    for row in rows:
         y = vec_mat(_solve_hnf(g, pivots, row), dec.Q, len(g))
-        gens.append(tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep))
-    return deltas, tuple(gens)
+        images[row] = tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep)
+    return deltas, tuple(map(images.__getitem__, map(tuple, d_rows)))

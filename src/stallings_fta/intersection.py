@@ -28,10 +28,13 @@ The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
 (a+L1) & (b+L2), solved once per distinct pair.  One expansion routine
 grows the Cayley ball a sphere at a time and copies the product's arcs
-for it.  The stream (report.stages()) equalizes each sphere as it comes:
-its stages form a strictly increasing chain of automata whose petals
-enumerate a recursive basis, and every element of the intersection with
-free length at most 2n is already recognized by the n-th stage.  A stage
+for it.  The images of the e_i repeat heavily, so image_invariants solves
+each distinct row of D once and the ball grows once per distinct
+generator class, each row reading its class's neighbours.  The stream
+(report.stages()) equalizes each sphere as it comes: its stages form a
+strictly increasing chain of automata whose petals enumerate a recursive
+basis, and every element of the intersection with free length at most 2n
+is already recognized by the n-th stage.  A stage
 costs time in proportion to its new sphere, not to the ball: it copies no
 arc of earlier stages, cuts its petal words from the root paths of the
 two spheres its arcs join, and builds its automaton only when that is
@@ -56,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .abelian import (
@@ -357,24 +361,47 @@ class _CayleyBall:
     """Breadth-first ball of the Cayley multidigraph of Z/delta_1 + ... +
     Z/delta_k on the given generator rows, grown one sphere at a time.
 
-    Vertices are numbered in discovery order, so any isomorphic presentation
-    of the group, with the generators in the same order, numbers them alike.
-    Growing computes and reduces each v + g_i and v - g_i of the outer
-    sphere in one pass, numbers those not seen yet as the next sphere, and
-    records plus[v][i] and minus[v][i], the numbers of v + g_i and v - g_i;
-    a zero generator gives v itself, a loop.
+    A sum is reduced only up to the last nonzero delta: the zeros after it
+    are free factors, which the stream's deltas (the non-unit factors, then
+    the zeros) end in.  Rows that are equal once reduced give the same
+    arcs, so the work is done once per class: gens holds the distinct
+    nonzero reduced rows in first-occurrence order, and row_class maps each
+    row to its class, and each zero row to the loop class len(gens).
+    Vertices are numbered in discovery order, so any isomorphic
+    presentation of the group, with the generators in the same order,
+    numbers them alike.  Growing computes and reduces v + g and then
+    v - g for each class g in turn, over the outer sphere; this numbers the
+    vertices as a pass over the rows would, since a repeated or zero row
+    meets no new vertex.  Those not seen yet become the next sphere.
+    plus[v][c] and minus[v][c] are the numbers of v + g_c and v - g_c, and
+    v itself for the loop class, so v + row_i is plus[v][row_class[i]].
     """
 
     def __init__(self, deltas: Sequence[int], q_rows: Sequence[Sequence[int]]):
-        self.deltas = tuple(deltas)
-        gens = [tuple(a % d if d else a for a, d in zip(row, self.deltas)) for row in q_rows]
-        self.gens = [g if any(g) else None for g in gens]  # None for zero
-        zero = (0,) * len(self.deltas)
+        deltas = tuple(deltas)
+        t = len(deltas)
+        while t and not deltas[t - 1]:
+            t -= 1
+        self.t, self.mods = t, deltas[:t]  # deltas[t:] are free factors
+        classes: dict[Vector, int] = {}
+        reduced = [self._reduced(tuple(row)) for row in q_rows]
+        for g in reduced:
+            if any(g):
+                classes.setdefault(g, len(classes))
+        self.gens = list(classes)
+        self.row_class = [classes.get(g, len(classes)) for g in reduced]
+        zero = (0,) * len(deltas)
         self.elements = [zero]
         self.index = {zero: 0}
         self.plus: list[tuple[int, ...]] = []
         self.minus: list[tuple[int, ...]] = []
         self.sphere = range(0, 1)  # the outer sphere, not grown yet
+
+    def _reduced(self, vec: Vector) -> Vector:
+        """vec reduced up to the last nonzero delta."""
+        if not self.t:
+            return vec
+        return (*[x % d if d else x for x, d in zip(vec, self.mods)], *vec[self.t:])
 
     def _number(self, vec: Vector) -> int:
         v = self.index.get(vec)
@@ -385,19 +412,15 @@ class _CayleyBall:
 
     def grow(self) -> None:
         """Grow the outer sphere; the sphere it numbers becomes the outer one."""
-        deltas, number = self.deltas, self._number
+        number, reduced = self._number, self._reduced
         for v in self.sphere:
             vec = self.elements[v]
             plus, minus = [], []
             for g in self.gens:
-                if g is None:
-                    plus.append(v)
-                    minus.append(v)
-                    continue
-                plus.append(number(tuple([
-                    (a + b) % d if d else a + b for a, b, d in zip(vec, g, deltas)])))
-                minus.append(number(tuple([
-                    (a - b) % d if d else a - b for a, b, d in zip(vec, g, deltas)])))
+                plus.append(number(reduced(tuple(map(add, vec, g)))))
+                minus.append(number(reduced(tuple(map(sub, vec, g)))))
+            plus.append(v)
+            minus.append(v)
             self.plus.append(tuple(plus))
             self.minus.append(tuple(minus))
         self.sphere = range(self.sphere.stop, len(self.elements))
@@ -409,17 +432,18 @@ def cayley_multidigraph(
     """Cayley multidigraph of Z/delta_1 + ... + Z/delta_r on the rows of Q.
 
     delta_i = 0 contributes a Z factor and delta_i = 1 a trivial one; trivial
-    and repeated generators are kept (one letter per row).  Without a radius
-    the group must be finite; with one, the induced ball of that radius
-    around the identity is returned.  Returns (automaton, vertex elements).
+    and repeated generators are kept (one letter per row), and read from the
+    ball's classes through its row_class map.  Without a radius the group
+    must be finite; with one, the induced ball of that radius around the
+    identity is returned.  Returns (automaton, vertex elements).
     """
     r = len(deltas)
     if any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
     if radius is not None and radius < 0:
         raise ValueError("ball radius must be nonnegative")
-    if len(q_rows) != r:
-        raise ValueError("one generator row per delta required")
+    if len(q_rows) != r or any(len(row) != r for row in q_rows):
+        raise ValueError("one generator row per delta required, with one entry per delta")
     if radius is None and any(d == 0 for d in deltas):
         raise ValueError("infinite Cayley graph needs a ball radius")
 
@@ -432,7 +456,7 @@ def cayley_multidigraph(
     arcs = tuple(
         (v, i + 1, w)
         for v in range(size)
-        for i, w in enumerate(ball.plus[v])
+        for i, w in enumerate(map(ball.plus[v].__getitem__, ball.row_class))
         if w < size
     )
     return Automaton(r, size, 0, arcs), tuple(ball.elements[:size])
@@ -664,11 +688,11 @@ class _ExpansionStream:
         self.witness = report.solver.witness
         self.witnesses: dict[Vector, Vector] = {}  # a || b -> canonical witness
         self.labels: list[ArcLabel] = []  # equalized, one per arc
-        self.steps: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.steps: dict[int, tuple[int, int, int]] = {}  # a step map, see words
         # spanning tree; potentials and root-path words of two spheres only
         basepoint = self.prod.skeleton.basepoint
         order = report.order  # the search must not keep the stream alive
-        self.search = _TreeSearch(self.steps, basepoint, lambda v: order)
+        self.search = _TreeSearch(self.steps, self.ambient.n, basepoint, lambda v: order)
         zero = self.ambient.zero()
         self.phi: dict[int, Vector] = {basepoint: zero + zero}
         self.path: dict[int, Word] = {basepoint: ()}
@@ -688,16 +712,17 @@ class _ExpansionStream:
             shift = d * vt
             arcs.extend([(shift + o, k, shift + t) for o, k, t in block])
             diffs.extend([None] * len(block))
+        row_class = ball.row_class  # Cayley arc i is row i's, read through its class
         entering = sorted(
             (u, i, w)
             for w in sphere
-            for i, u in enumerate(ball.minus[w])
+            for i, u in enumerate(map(ball.minus[w].__getitem__, row_class))
             if u < sphere.start
         )
         leaving = [
             (w, i, u)
             for w in sphere
-            for i, u in enumerate(ball.plus[w])
+            for i, u in enumerate(map(ball.plus[w].__getitem__, row_class))
             if u < sphere.stop
         ]
         for do, i, dt in entering + leaving:
@@ -710,10 +735,10 @@ class _ExpansionStream:
     def _extend_tree(self, start_arc):
         """Add the arcs from start_arc on to the step map, resume the
         search over them and fill what it adds."""
-        steps, arcs = self.steps, self.arcs
+        steps, arcs, width = self.steps, self.arcs, self.search.width
         for idx, (o, k, t) in enumerate(arcs[start_arc:], start_arc):
-            steps[o, k] = (t, idx, 1)
-            steps[t, -k] = (o, idx, -1)
+            steps[o * width + k] = (t, idx, 1)
+            steps[t * width - k] = (o, idx, -1)
         search = self.search
         start = len(search.vertices)
         search.extend({v for o, _, t in arcs[start_arc:] for v in (o, t)})
@@ -762,7 +787,7 @@ class _ExpansionStream:
             point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
             yield IntersectionStage(0, (), True, lambda: point)
             return
-        vt, steps = self.vt, self.steps
+        vt, steps, width = self.vt, self.steps, self.search.width
         letters = self.report.order
         previous = range(0)
         for radius in itertools.count():
@@ -773,7 +798,7 @@ class _ExpansionStream:
             for v in range(previous.start * vt, previous.stop * vt):
                 del self.path[v], self.phi[v]
                 for k in letters:
-                    steps.pop((v, k), None)
+                    steps.pop(v * width + k, None)
             previous = sphere
             build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
             yield IntersectionStage(radius, new_elements, not self.ball.sphere, build)

@@ -5,6 +5,12 @@ freely reduced tuples of signed letters.  Automata store only their positive
 arcs; every arc (origin, k, target) with k in 1..n can also be crossed
 backwards reading -k.  The basepoint is the unique initial/accepting vertex.
 
+A step map sends a vertex and a signed letter to the arc leaving that
+vertex by that letter, as (target, arc index, direction).  It is keyed by
+the one integer v * (2n + 1) + s, which is unique for the letters s in
++-1..n; a larger letter would alias another vertex's step (n + 1 at v is
+-n at v + 1), so the public lookups turn such letters away first.
+
 Spanning trees come from one resumable breadth-first search, _TreeSearch,
 run whole for a finished automaton and resumed by the intersection's
 expansion stream; both cut petal words from root paths found by _root_path.
@@ -50,7 +56,7 @@ def multiply(u: Sequence[int], v: Sequence[int]) -> Word:
 
 
 def invert(u: Sequence[int]) -> Word:
-    return tuple(-l for l in reversed(u))
+    return tuple(map(neg, reversed(u)))
 
 
 def default_order(n: int) -> tuple[int, ...]:
@@ -91,9 +97,9 @@ class Automaton:
                 raise ValueError(f"letter {k} out of range")
 
     @cached_property
-    def _steps(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        """(vertex, signed letter) -> (target, arc index, direction); requires determinism."""
-        return _step_map(self.arcs)
+    def _steps(self) -> dict[int, tuple[int, int, int]]:
+        """The step map of the arcs (see the module docstring); requires determinism."""
+        return _step_map(self.n, self.arcs)
 
     @cached_property
     def _trees(self) -> dict[tuple[int, ...], SpanningTree]:
@@ -101,15 +107,22 @@ class Automaton:
         return {}
 
     def step(self, vertex: int, letter: int):
-        return self._steps.get((vertex, letter))
+        """(target, arc index, direction) of the arc leaving vertex by the
+        signed letter, or None."""
+        if not 0 < abs(letter) <= self.n:
+            return None
+        return self._steps.get(vertex * (2 * self.n + 1) + letter)
 
 
-def _step_map(arcs: Sequence[Arc]) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """(vertex, signed letter) -> (target, arc index, direction) over all
-    arcs; ValueError unless they are deterministic (two arcs leaving one
-    vertex by one signed letter would share a key)."""
-    out = {(o, k): (t, idx, 1) for idx, (o, k, t) in enumerate(arcs)}
-    out.update({(t, -k): (o, idx, -1) for idx, (o, k, t) in enumerate(arcs)})
+def _step_map(n: int, arcs: Sequence[Arc]) -> dict[int, tuple[int, int, int]]:
+    """v * (2n + 1) + s -> (target, arc index, direction) over all arcs;
+    ValueError unless they are deterministic (two arcs leaving one vertex by
+    one signed letter would share a key)."""
+    width = 2 * n + 1
+    out = {}
+    for idx, (o, k, t) in enumerate(arcs):
+        out[o * width + k] = (t, idx, 1)
+        out[t * width - k] = (o, idx, -1)
     if len(out) != 2 * len(arcs):
         raise ValueError("automaton is not deterministic")
     return out
@@ -435,16 +448,18 @@ class SpanningTree:
 class _TreeSearch:
     """The one breadth-first spanning-tree search; it can be resumed.
 
-    steps maps (vertex, signed letter) to (target, arc index, direction), as
-    Automaton._steps does, and may gain arcs between calls to extend.  A
-    scanned vertex tries the letters directions(v) in turn: an arc reaching
-    a new vertex joins the tree; any other non-tree arc is a petal, as it
-    meets two visited vertices.  age (vertex -> insertion index), vertices
-    (in that order) and parent (vertex -> (arc index, direction), None at
-    the root) describe the tree; petals are returned, not kept."""
+    steps is a step map over the n letters, as Automaton._steps is, and may
+    gain arcs between calls to extend.  A scanned vertex tries the letters
+    directions(v) in turn: an arc reaching a new vertex joins the tree; any
+    other non-tree arc is a petal, as it meets two visited vertices.  age
+    (vertex -> insertion index), vertices (in that order) and parent
+    (vertex -> (arc index, direction), None at the root) describe the tree;
+    petals are returned, not kept."""
 
-    def __init__(self, steps: dict, root: int, directions: Callable[[int], Sequence[int]]):
+    def __init__(self, steps: dict, n: int, root: int,
+                 directions: Callable[[int], Sequence[int]]):
         self.steps = steps
+        self.width = 2 * n + 1
         self.directions = directions
         self.age = {root: 0}
         self.vertices = [root]
@@ -457,13 +472,15 @@ class _TreeSearch:
         as often as met.  Once arcs join steps, only the tree vertices they
         touch can reach anything new, so resuming from those adds what
         resuming from every vertex would."""
-        steps, directions, age, order, parent, tree = (
-            self.steps, self.directions, self.age, self.vertices, self.parent, self.tree_arcs)
+        get, width, directions, age, order, parent, tree = (
+            self.steps.get, self.width, self.directions, self.age, self.vertices, self.parent,
+            self.tree_arcs)
         met = []
         queue = sorted((v for v in vertices if v in age), key=age.__getitem__)
         for v in queue:  # queue grows while it is read
+            key = v * width
             for s in directions(v):
-                nxt = steps.get((v, s))
+                nxt = get(key + s)
                 if nxt is None:
                     continue
                 w, arc_idx, d = nxt
@@ -478,17 +495,17 @@ class _TreeSearch:
         return met
 
 
-def _whole_search(steps: dict, root: int, directions: Callable[[int], Sequence[int]]):
+def _whole_search(steps: dict, n: int, root: int, directions: Callable[[int], Sequence[int]]):
     """A whole search of steps from root: (search, its petals in the order
     first met)."""
-    search = _TreeSearch(steps, root, directions)
+    search = _TreeSearch(steps, n, root, directions)
     return search, tuple(dict.fromkeys(search.extend((root,))))
 
 
 def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
     """The spanning tree of a whole search of `a` from its basepoint; the
     petals are in the order first met."""
-    search, petals = _whole_search(a._steps, a.basepoint, directions)
+    search, petals = _whole_search(a._steps, a.n, a.basepoint, directions)
     if len(search.vertices) != a.num_vertices:
         raise ValueError("automaton is not connected")
     parent = tuple(map(search.parent.get, range(a.num_vertices)))
@@ -506,20 +523,22 @@ def _renumbered(n: int, steps: dict, search: _TreeSearch, petals: Sequence[int],
     letter) order, which is their sorted order.  Returns (automaton, tree,
     arc_map) with arc_map[new] = old arc index.
     """
-    new = {v: i for i, v in enumerate(kept)}
+    new = dict(zip(kept, range(len(kept)))).get
     arcs, arc_map, new_arc = [], [], {}
-    letters = range(1, n + 1)
+    get, width, letters = steps.get, 2 * n + 1, range(1, n + 1)
     for i, v in enumerate(kept):
+        key = v * width
         for k in letters:
-            nxt = steps.get((v, k))
-            if nxt is not None and nxt[0] in new:
-                new_arc[nxt[1]] = len(arcs)
-                arcs.append((i, k, new[nxt[0]]))
-                arc_map.append(nxt[1])
+            nxt = get(key + k)
+            if nxt is not None:
+                j = new(nxt[0])
+                if j is not None:
+                    new_arc[nxt[1]] = len(arcs)
+                    arcs.append((i, k, j))
+                    arc_map.append(nxt[1])
     out = Automaton(n, len(kept), 0, tuple(arcs))
     parent = [None]
-    for v in kept[1:]:
-        arc_idx, d = search.parent[v]
+    for arc_idx, d in map(search.parent.__getitem__, kept[1:]):
         parent.append((new_arc[arc_idx], d))
     out._trees[order] = tree = SpanningTree(
         root=0,
@@ -543,7 +562,7 @@ def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
     same emitting routine, _renumbered.
     """
     order = check_order(order, a.n)
-    search, petals = _whole_search(a._steps, a.basepoint, lambda v: order)
+    search, petals = _whole_search(a._steps, a.n, a.basepoint, lambda v: order)
     if len(search.vertices) != a.num_vertices:
         raise ValueError("automaton is not connected")
     return _renumbered(a.n, a._steps, search, petals, search.vertices, order)
@@ -568,8 +587,8 @@ def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc],
     including those off the basepoint component (no caller builds such).
     """
     order = check_order(order, n)
-    steps = _step_map(arcs)
-    search, petals = _whole_search(steps, basepoint, lambda v: order)
+    steps = _step_map(n, arcs)
+    search, petals = _whole_search(steps, n, basepoint, lambda v: order)
     parent, in_core = search.parent, {basepoint}
     for x in petals:
         for v in (arcs[x][0], arcs[x][2]):
@@ -646,10 +665,13 @@ def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:
 
 def recognizes(a: Automaton, w: Sequence[int]) -> Optional[list[tuple[int, int]]]:
     """The unique basepoint walk reading w, as (arc, direction) steps, or None."""
-    v = a.basepoint
+    word = free_reduce(w)
+    if word and max(map(abs, word)) > a.n:  # its key would name another vertex's step
+        return None
+    get, width, v = a._steps.get, 2 * a.n + 1, a.basepoint
     walk = []
-    for l in free_reduce(w):
-        nxt = a.step(v, l)
+    for l in word:
+        nxt = get(v * width + l)
         if nxt is None:
             return None
         v, arc_idx, d = nxt

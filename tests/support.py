@@ -1,6 +1,14 @@
 """Shared generators and fixtures for the test suite (deterministic seeds)."""
 
-from stallings_fta.abelian import AbelianSpec, vec_add, vec_sub
+from stallings_fta.abelian import (
+    AbelianSpec,
+    _hnf_inplace,
+    _solve_hnf,
+    snf,
+    vec_add,
+    vec_mat,
+    vec_sub,
+)
 from stallings_fta.enriched import Ambient, _normalized, stallings
 from stallings_fta.words import _canonical_core, invert, recognizes
 
@@ -158,3 +166,71 @@ def fg_by_stages(report):
     # the stream labels every arc (0, value)
     return _normalized(report.ambient, skeleton, tree, [last.labels[x][1] for x in kept],
                        last.base)
+
+
+def image_invariants_by_row(l, d_rows):
+    """Oracle for abelian.image_invariants: the Hermite form of [D; L] with
+    every row of D, and one solve per row of D, repeated or not."""
+    m = l.spec.m
+    g = [list(row) for row in d_rows] + [list(row) for row in l.lattice_basis]
+    pivots = _hnf_inplace(g, m)
+    del g[len(pivots):]
+    dec = snf([_solve_hnf(g, pivots, row) for row in l.lattice_basis], len(g))
+    factors = dec.deltas_padded(len(g))
+    keep = [j for j, d in enumerate(factors) if d != 1]
+    deltas = (1,) * (len(d_rows) - len(keep)) + tuple(factors[j] for j in keep)
+    gens = []
+    for row in d_rows:
+        y = vec_mat(_solve_hnf(g, pivots, row), dec.Q, len(g))
+        gens.append(tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep))
+    return deltas, tuple(gens)
+
+
+class RowCayleyBall:
+    """Oracle for intersection._CayleyBall: deltas in any order, and two
+    reductions per row at every vertex, repeated and zero rows included;
+    plus[v][i] and minus[v][i] are the numbers of v + row_i and v - row_i."""
+
+    def __init__(self, deltas, q_rows):
+        self.deltas = tuple(deltas)
+        self.gens = [tuple(a % d if d else a for a, d in zip(row, self.deltas)) for row in q_rows]
+        zero = (0,) * len(self.deltas)
+        self.elements = [zero]
+        self.index = {zero: 0}
+        self.plus, self.minus = [], []
+        self.sphere = range(0, 1)
+
+    def _number(self, vec):
+        v = self.index.get(vec)
+        if v is None:
+            v = self.index[vec] = len(self.elements)
+            self.elements.append(vec)
+        return v
+
+    def grow(self):
+        """v + row_i and then v - row_i for each row in turn."""
+        deltas = self.deltas
+        for v in self.sphere:
+            vec = self.elements[v]
+            plus, minus = [], []
+            for g in self.gens:
+                plus.append(self._number(tuple(
+                    (a + b) % d if d else a + b for a, b, d in zip(vec, g, deltas))))
+                minus.append(self._number(tuple(
+                    (a - b) % d if d else a - b for a, b, d in zip(vec, g, deltas))))
+            self.plus.append(tuple(plus))
+            self.minus.append(tuple(minus))
+        self.sphere = range(self.sphere.stop, len(self.elements))
+
+
+def cayley_by_row(deltas, q_rows, radius=None):
+    """Oracle for intersection.cayley_multidigraph, on RowCayleyBall."""
+    ball = RowCayleyBall(deltas, q_rows)
+    grown = 0
+    while ball.sphere and (radius is None or grown <= radius):
+        ball.grow()
+        grown += 1
+    size = ball.sphere.start
+    arcs = tuple((v, i + 1, w)
+                 for v in range(size) for i, w in enumerate(ball.plus[v]) if w < size)
+    return (len(deltas), size, 0, arcs), tuple(ball.elements[:size])

@@ -19,7 +19,8 @@ from stallings_fta.abelian import (
     vec_sub,
     INFINITY,
 )
-from support import mat_mul
+from stallings_fta import abelian
+from support import image_invariants_by_row, mat_mul
 
 Z2 = AbelianSpec(2)
 Z1 = AbelianSpec(1)
@@ -347,6 +348,43 @@ class TestImageInvariants:
             zero = (0,) * len(factors)
             for v in itertools.product(range(-2, 3), repeat=r):
                 assert (image(v) == zero) == pre.contains(v)
+
+    @staticmethod
+    def seeded(rng, count):
+        """(L, D) with D drawn from a small pool of rows: repeated rows,
+        zero rows, and rows of L, over free, torsion and mixed ambients."""
+        for _ in range(count):
+            spec = rng.choice(TestImageInvariants.SPECS)
+            m = spec.m
+            l = sub(spec, *[tuple(rng.randint(-4, 4) for _ in range(m))
+                            for _ in range(rng.randint(0, 2))])
+            pool = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+            pool += [(0,) * m] + list(l.lattice_basis[:1])
+            yield l, [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+
+    def test_against_the_per_row_solve(self):
+        rng = random.Random("image-invariants-by-row")
+        repeated = 0
+        for l, d in self.seeded(rng, 300):
+            assert image_invariants(l, d) == image_invariants_by_row(l, d)
+            repeated += len(set(d)) < len(d)
+        assert repeated >= 100
+
+    def test_one_solve_per_distinct_row(self, monkeypatch):
+        targets = []
+        real = abelian._solve_hnf
+
+        def counted(h, pivots, target):
+            targets.append(tuple(target))
+            return real(h, pivots, target)
+
+        monkeypatch.setattr(abelian, "_solve_hnf", counted)
+        rng = random.Random("image-invariants-solves")
+        for l, d in self.seeded(rng, 100):
+            targets.clear()
+            image_invariants(l, d)
+            # each row of L once for the Smith form, then each distinct row of D once
+            assert targets == list(l.lattice_basis) + list(dict.fromkeys(d))
 
 
 class TestIndexTransversal:

@@ -35,6 +35,7 @@ from stallings_fta.words import (
     flower,
     fold,
     multiply,
+    recognizes,
     spanning_tree_by_order,
 )
 
@@ -500,6 +501,20 @@ class TestCompletionMembership:
                 member(e, GroupElement((1,), vec))
         with pytest.raises(ValueError, match="abelian part has the wrong length"):
             member(e, GroupElement((2,), (0, 0)))  # not read by the skeleton either
+
+    def test_letters_past_n_are_not_read(self):
+        # <x1^2, x1 x2 x1^-1>: x1 swaps the two vertices and x2 loops at vertex 1.
+        # A step key of letter 3 at vertex 0 is the key of x2^-1 at vertex 1, so
+        # an unguarded lookup would read x3 x1 as that loop and then x1 home.
+        e = stallings(F2Z, elems(F2Z, ((1, 1), (0,)), ((1, 2, -1), (0,))))
+        sk = e.skeleton
+        assert sk.num_vertices == 2 and sk.step(1, -2) == (1, 2, -1)
+        for letter in (3, -3, 0, 5):
+            assert sk.step(0, letter) is None and sk.step(1, letter) is None
+        assert recognizes(sk, (3, 1)) is None and recognizes(sk, (1, 2, -1)) is not None
+        assert completion(e, (3, 1)) is None
+        assert not member(e, GroupElement((3, 1), (0,)))
+        assert member(e, GroupElement((1, 2, -1), (0,)))
 
     def test_member_against_brute_force(self):
         rng = random.Random(7)

@@ -1,0 +1,235 @@
+"""Golden digest of canonical outputs: one sha256 per function family.
+
+Seeded pairs of subgroups over five ambients, half of them under permuted
+letter orders, go through every public construction.  Each output is
+written as nested tuples of ints, strings, booleans and None (no frozenset,
+dataclass or float repr), so renaming a field or changing set iteration
+leaves a hash alone, while any change in a label, a vertex number or an arc
+order changes it.  The labels that reduce and doubly_reduce return are not
+canonical and are left out.  A hash may change only with a deliberate
+change of canonical output.
+
+The corpus holds finite-index "coset" pairs, whose difference matrices D
+have many rows and many repeated and zero ones, next to small random
+pairs; TestCorpus checks that it does.
+"""
+
+import hashlib
+import itertools
+import random
+from functools import lru_cache
+
+import pytest
+
+from stallings_fta.abelian import INFINITY, AbelianSpec
+from stallings_fta.enriched import (
+    Ambient,
+    basis,
+    index_report,
+    stallings,
+    transversal_stream,
+)
+from stallings_fta.intersection import (
+    VERDICT_FG,
+    cayley_multidigraph,
+    intersect_fg,
+    intersection_matrices,
+)
+from stallings_fta.words import free_reduce, spanning_tree_by_order
+
+AMBIENTS = {
+    "F2xZ": Ambient(2, AbelianSpec(1)),
+    "F3xZ2": Ambient(3, AbelianSpec(2)),
+    "F2x(Z+Z6)": Ambient(2, AbelianSpec(1, (6,))),
+    "F2x(Z2+Z4)": Ambient(2, AbelianSpec(0, (2, 4))),
+    "F2": Ambient(2, AbelianSpec(0)),
+}
+PAIRS_PER_AMBIENT = 24
+SMALL_R = 6  # M, its Smith form, A_i, B_i and the CLI's Cayley graph only up to this r
+STAGES = 4
+
+GOLDEN = {
+    "stallings": "2db1b761f237d05a85aae7d4ce0c63e21b478bfc567ef4f139d0180a66cc8ee4",
+    "basis": "2c146aa981fe7797ab5b7f700a9f718d923a506dd30872ba5d0c84d429b4077f",
+    "index": "b7fd61d915e5f97ea0d29c8c5a95cccd34960c83e08ccdb225784b0b49b9a3a8",
+    "matrices": "8e21581d671c4b73e2b66d745fb9682b445e9dba4425435c091a071ba59862c1",
+    "matrices_small_r": "cfdcdf923857f124d4c0d67a070f9183e0b92d512e1ab3893677aa740c95c627",
+    "intersect_fg": "279e1245fdf549c927ad33131b189c5e55ea0a970af92ab5bef4fd50dc123283",
+    "cayley": "05ecc7e8e68b39589476ebbbd4a07f5ec255ded9caafe7f9eb478e0a3450cf46",
+    "stages": "887ecc3f48dee514a87194f804b6aae628d49e2b9f255daca94d7fb4d8580601",
+}
+
+
+def _vec(rng, ambient, bound=2):
+    return tuple(rng.randint(-bound, bound) for _ in range(ambient.m))
+
+
+def _random_gens(rng, ambient):
+    """A few short random generators, sometimes one purely abelian."""
+    letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+    gens = [ambient.element([rng.choice(letters) for _ in range(rng.randint(0, 4))],
+                            _vec(rng, ambient))
+            for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.4:
+        gens.append(ambient.element((), _vec(rng, ambient)))
+    return gens
+
+
+def _coset_gens(rng, ambient, size, phi):
+    """Schreier generators x1^i x_k x1^-j of a subgroup of index size, x1
+    acting as a size-cycle, each with its image under the map phi on the
+    letters; then t^(2, ..., 2) half the time."""
+    acts = [[(i + 1) % size for i in range(size)]]
+    acts += [rng.sample(range(size), size) for _ in range(ambient.n - 1)]
+    gens = []
+    for i in range(size):
+        for k, act in enumerate(acts, 1):
+            j = act[i]
+            word = free_reduce([1] * i + [k] + [-1] * j)
+            if word:
+                vec = tuple(i * a + b - j * a for a, b in zip(phi[0], phi[k - 1]))
+                gens.append(ambient.element(word, vec))
+    if rng.random() < 0.5:
+        gens.append(ambient.element((), (2,) * ambient.m))
+    return gens
+
+
+def _pair(rng, ambient, i):
+    """Coset pairs for i % 5 in (0, 1), sharing the map phi when i % 5 == 0;
+    pairs on one list of words with other vectors for i % 5 == 2; else random."""
+    kind = i % 5
+    if kind < 2:
+        def letter_map():
+            return [_vec(rng, ambient, 1) for _ in range(ambient.n)]
+
+        phi = letter_map()
+        return [_coset_gens(rng, ambient, rng.randint(2, 3), phi if kind == 0 else letter_map())
+                for _ in range(2)]
+    if kind == 2:
+        words = [_random_gens(rng, ambient)[0].word or (1,) for _ in range(rng.randint(2, 3))]
+        return [[ambient.element(w, _vec(rng, ambient)) for w in words] for _ in range(2)]
+    return [_random_gens(rng, ambient) for _ in range(2)]
+
+
+@lru_cache(maxsize=None)
+def corpus():
+    """(ambient name, order, e1, e2, report) for every seeded pair."""
+    out = []
+    for name, ambient in AMBIENTS.items():
+        rng = random.Random(f"golden:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        for i in range(PAIRS_PER_AMBIENT):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = (stallings(ambient, gens, order) for gens in _pair(rng, ambient, i))
+            out.append((name, order, e1, e2, intersection_matrices(e1, e2, order)))
+    return tuple(out)
+
+
+def _count(x):
+    return "inf" if x == INFINITY else x
+
+
+def _automaton(a):
+    return a.n, a.num_vertices, a.basepoint, a.arcs
+
+
+def _enriched(e):
+    return _automaton(e.skeleton), e.labels, e.base.lattice_basis
+
+
+def _elements(gs):
+    return tuple((g.word, g.vec) for g in gs)
+
+
+def _basis(b):
+    return _elements(b.free_part), b.abelian_part.lattice_basis
+
+
+def _tree(t):
+    return t.root, t.parent, tuple(sorted(t.tree_arcs)), t.vertex_age, t.petal_arcs
+
+
+def _square_cayley_inputs():
+    """Seeded deltas and square generator rows with repeated and zero rows,
+    torsion and free coordinates mixed."""
+    rng = random.Random("golden:cayley")
+    for _ in range(12):
+        r = rng.randint(1, 6)
+        deltas = sorted(rng.choice((0, 1, 2, 3, 4, 6)) for _ in range(r))
+        pool = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+        rows = [rng.choice(pool) if rng.random() < 0.7 else (0,) * r for _ in range(r)]
+        yield deltas, rows, None if all(deltas) else 2
+
+
+def family(name):
+    """The canonical outputs of one family over the whole corpus."""
+    out = []
+    if name == "cayley":
+        for deltas, rows, radius in _square_cayley_inputs():
+            aut, elems = cayley_multidigraph(deltas, rows, radius)
+            out.append((_automaton(aut), elems))
+    for _, order, e1, e2, rep in corpus():
+        if name == "stallings":
+            out.append((_enriched(e1), _enriched(e2)))
+        elif name == "basis":
+            out.extend((_basis(basis(e)),
+                        _basis(basis(e, spanning_tree_by_order(e.skeleton, order))))
+                       for e in (e1, e2))
+        elif name == "index":
+            out.extend((tuple(map(_count, index_report(e))),
+                        _elements(itertools.islice(transversal_stream(e), 6))) for e in (e1, e2))
+        elif name == "matrices":
+            prod = rep.prod
+            out.append((
+                rep.order, rep.r, rep.s, rep.D, rep.deltas, rep.generators,
+                rep.base.lattice_basis, rep.verdict, rep.pi_trivial,
+                _count(rep.free_rank), _count(rep.total_rank), rep.words,
+                _automaton(prod.skeleton), prod.labels1, prod.labels2,
+                prod.base1.lattice_basis, prod.base2.lattice_basis, _tree(rep.tree)))
+        elif name == "matrices_small_r" and rep.r <= SMALL_R:
+            dec = rep.snf
+            out.append((rep.M.lattice_basis, dec.deltas, dec.P, dec.Q, dec.S,
+                        rep.A1, rep.A2, rep.B1, rep.B2))
+        elif name == "intersect_fg" and rep.verdict == VERDICT_FG:
+            fg = intersect_fg(e1, e2, order, rep)
+            out.append((_enriched(fg), _basis(basis(fg))))
+        elif name == "cayley" and 0 < rep.r <= SMALL_R:
+            radius = None if all(rep.deltas) else 2  # as the CLI's cayley with --max-radius 2
+            aut, elems = cayley_multidigraph(rep.deltas, rep.snf.Q, radius)
+            out.append((_automaton(aut), elems))
+        elif name == "stages":
+            out.append(tuple(
+                (stage.radius, _elements(stage.new_elements), stage.complete,
+                 _enriched(stage.automaton))
+                for stage in itertools.islice(rep.stages(), STAGES)))
+    return out
+
+
+def digest(name):
+    return hashlib.sha256(repr(family(name)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_digest(name):
+    assert digest(name) == GOLDEN[name]
+
+
+class TestCorpus:
+    """The digest sees what the per-row and per-class code paths branch on."""
+
+    def test_difference_matrices_repeat_and_vanish(self):
+        reports = [rep for *_, rep in corpus()]
+        assert sum(len(set(rep.D)) < rep.r for rep in reports) >= 10
+        assert sum(any(not any(row) for row in rep.D) for rep in reports) >= 10
+        assert max(rep.r for rep in reports) >= 10
+
+    def test_both_verdicts_under_both_orders(self):
+        seen = {(rep.verdict, order is None) for _, order, _, _, rep in corpus()}
+        assert len(seen) == 4
+
+    def test_cayley_rows_repeat_and_vanish(self):
+        inputs = list(_square_cayley_inputs())
+        assert any(len(set(rows)) < len(rows) for _, rows, _ in inputs)
+        assert any(not any(row) for _, rows, _ in inputs for row in rows)
+        assert any(radius is not None for *_, radius in inputs)
+        assert any(radius is None for *_, radius in inputs)

@@ -45,6 +45,8 @@ from stallings_fta.words import (
     spanning_tree_by_order,
 )
 from support import (
+    RowCayleyBall,
+    cayley_by_row,
     doubly_completion,
     fg_by_stages,
     is_deterministic,
@@ -226,6 +228,112 @@ class TestCayley:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             cayley_multidigraph((1, 0), ((1, 0), (0, 1)), radius=-1)
+
+
+class TestCayleyBallClasses:
+    """_CayleyBall works once per distinct nonzero generator class; the
+    per-row ball of support.RowCayleyBall is its oracle."""
+
+    @staticmethod
+    def seeded(rng, count, free_last=True):
+        """(deltas, rows): torsion factors, then free ones unless shuffled;
+        rows drawn from a small pool, so they repeat, with zero rows and
+        rows that vanish once reduced."""
+        for _ in range(count):
+            torsion = sorted(rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(0, 2)))
+            deltas = torsion + [0] * rng.randint(0 if torsion else 1, 2)
+            if not free_last:
+                rng.shuffle(deltas)
+            k = len(deltas)
+            pool = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(1, 3))]
+            pool.append(tuple(d * rng.randint(-1, 1) for d in deltas))
+            rows = [rng.choice(pool) if rng.random() < 0.8 else (0,) * k
+                    for _ in range(rng.randint(1, 10))]
+            yield deltas, rows
+
+    def test_against_the_per_row_ball(self):
+        rng = random.Random("cayley-classes")
+        seen = {"repeated": 0, "zero": 0, "vanishing": 0, "mixed": 0}
+        for deltas, rows in self.seeded(rng, 300):
+            ball, oracle = intersection._CayleyBall(deltas, rows), RowCayleyBall(deltas, rows)
+            for _ in range(4):
+                ball.grow()
+                oracle.grow()
+                assert ball.elements == oracle.elements and ball.sphere == oracle.sphere
+            for v, (plus, minus) in enumerate(zip(ball.plus, ball.minus)):
+                assert tuple(map(plus.__getitem__, ball.row_class)) == oracle.plus[v]
+                assert tuple(map(minus.__getitem__, ball.row_class)) == oracle.minus[v]
+            seen["repeated"] += len(set(map(tuple, rows))) < len(rows)
+            seen["zero"] += any(not any(row) for row in rows)
+            seen["vanishing"] += any(any(row) and not any(g) for row, g in zip(rows, oracle.gens))
+            seen["mixed"] += 0 < deltas.count(0) < len(deltas)
+        assert min(seen.values()) >= 20, seen
+
+    def test_cayley_multidigraph_against_the_per_row_graph(self):
+        # free factors anywhere, as cayley_multidigraph accepts them
+        rng = random.Random("cayley-by-row")
+        for deltas, rows in self.seeded(rng, 150, free_last=False):
+            rows = [row + (0,) * (len(deltas) - len(row)) for row in rows][:len(deltas)]
+            rows += [(0,) * len(deltas)] * (len(deltas) - len(rows))
+            radius = None if all(deltas) else rng.randint(0, 3)
+            aut, elements = cayley_multidigraph(deltas, rows, radius)
+            assert ((aut.n, aut.num_vertices, aut.basepoint, aut.arcs), elements) == \
+                cayley_by_row(deltas, rows, radius)
+
+    def test_rows_must_fit_the_deltas(self):
+        for rows in (((1, 0), (1,)), ((1, 0), (0, 1, 1))):
+            with pytest.raises(ValueError, match="one entry per delta"):
+                cayley_multidigraph((2, 3), rows)
+
+    def test_two_reductions_per_class_and_vertex(self, monkeypatch):
+        numbered = []
+        real = intersection._CayleyBall._number
+
+        def counted(ball, vec):
+            numbered.append(vec)
+            return real(ball, vec)
+
+        monkeypatch.setattr(intersection._CayleyBall, "_number", counted)
+        rng = random.Random("cayley-reductions")
+        for deltas, rows in self.seeded(rng, 60):
+            ball = intersection._CayleyBall(deltas, rows)
+            oracle = RowCayleyBall(deltas, rows)
+            assert len(ball.gens) == len({g for g in oracle.gens if any(g)})
+            numbered.clear()
+            for _ in range(3):
+                ball.grow()
+            assert len(numbered) == 2 * len(ball.gens) * len(ball.plus)
+
+    def test_intersect_fg_grows_once_per_class(self, monkeypatch):
+        balls, numbered = [], []
+        Ball = intersection._CayleyBall
+        real_init, real_number = Ball.__init__, Ball._number
+
+        def kept(ball, *args):
+            balls.append(ball)
+            real_init(ball, *args)
+
+        def counted(ball, vec):
+            numbered.append(vec)
+            return real_number(ball, vec)
+
+        monkeypatch.setattr(Ball, "__init__", kept)
+        monkeypatch.setattr(Ball, "_number", counted)
+        ambient = Ambient(2, AbelianSpec(0, (2, 4)))
+        rng = random.Random("fg-ball-classes")
+        checked = 0
+        for i in range(400):
+            rep = intersection_matrices(*TestFgExpandsOnce.pair(rng, ambient, i, None))
+            if rep.pi_trivial or len(set(rep.D)) == rep.r:
+                continue
+            balls.clear()
+            numbered.clear()
+            intersect_fg(*rep.factors, report=rep)
+            ball, = balls
+            assert len(ball.gens) <= len(set(rep.generators)) < rep.r
+            assert len(numbered) == 2 * len(ball.gens) * len(ball.elements)
+            checked += 1
+        assert checked >= 10
 
 
 class TestExpansion:
