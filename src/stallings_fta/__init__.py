@@ -12,7 +12,6 @@ from .abelian import (
     AbelianSpec,
     AbelianSubgroup,
     SnfDecomposition,
-    canonicalize,
     coset_intersection_witness,
     hnf,
     preimage_under_matrix,
@@ -46,7 +45,6 @@ from .intersection import (
     intersect_stages,
     intersect_stream,
     intersection_matrices,
-    is_equalizable,
     vertex_expand,
 )
 from .syntax import ProblemFile, format_element, parse_element, parse_problem

@@ -11,6 +11,14 @@ AbelianSubgroup coincides with equality of the subgroups they denote, and
 every operation (sum, intersection, preimages, indices, transversals,
 coset witnesses) is plain lattice arithmetic.
 
+Every Hermite form comes from one row elimination, _hnf_inplace.  It carries
+one tag vector per row through the same row operations and returns the
+pivot map {pivot column: row}, the one way a Hermite form is held and
+solved against.  The tags say what is tracked: identity tags give kernels
+and solutions, each row's L1-part gives coset witnesses and L1 & L2, and
+e_i on row i of D gives the preimage (L)D^-1.  snf is the one other
+elimination.
+
 All arithmetic uses Python integers; intermediate entries in normal-form
 computations can exceed machine words even for small inputs.
 """
@@ -20,7 +28,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -64,16 +71,21 @@ def _row_sub(mat: list[list[int]], i: int, j: int, q: int) -> None:
 
 
 def _hnf_inplace(mat: list[list[int]], width: int,
-                 trans: Optional[list[list[int]]] = None) -> list[tuple[int, int]]:
-    """Reduce mat to row Hermite normal form in place; return pivot positions.
+                 tags: Optional[list[list[int]]] = None) -> dict[int, list[int]]:
+    """Reduce mat to row Hermite normal form in place; return the pivot map.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and the
-    pivot columns are strictly increasing.  If trans is given the same row
-    operations are applied to it, so trans @ original == mat afterwards.
+    pivot columns are strictly increasing.  The map sends each pivot column
+    to the row of mat whose pivot is there, in row order, so the pivot rows
+    are mat[:len(map)] and the zero rows follow.  If tags is given it holds
+    one list per row of mat, of any one width, and takes the same row
+    operations: each tag ends as the same combination of the original tags
+    as its row is of the original rows.  Identity tags give the transform;
+    tags past the pivots then span the left kernel.
     """
     nrows = len(mat)
     r = 0
-    pivots: list[tuple[int, int]] = []
+    pivots: dict[int, list[int]] = {}
     for col in range(width):
         while True:
             nz = [i for i in range(r, nrows) if mat[i][col]]
@@ -83,15 +95,15 @@ def _hnf_inplace(mat: list[list[int]], width: int,
             i0 = min(nz, key=lambda i: (abs(mat[i][col]), i))
             if i0 != r:
                 mat[r], mat[i0] = mat[i0], mat[r]
-                if trans is not None:
-                    trans[r], trans[i0] = trans[i0], trans[r]
+                if tags is not None:
+                    tags[r], tags[i0] = tags[i0], tags[r]
             clean = True
             for i in range(r + 1, nrows):
                 if mat[i][col]:
                     q = mat[i][col] // mat[r][col]
                     _row_sub(mat, i, r, q)
-                    if trans is not None:
-                        _row_sub(trans, i, r, q)
+                    if tags is not None:
+                        _row_sub(tags, i, r, q)
                     if mat[i][col]:
                         clean = False
             if clean:
@@ -100,16 +112,28 @@ def _hnf_inplace(mat: list[list[int]], width: int,
             continue
         if mat[r][col] < 0:
             mat[r] = [-a for a in mat[r]]
-            if trans is not None:
-                trans[r] = [-a for a in trans[r]]
+            if tags is not None:
+                tags[r] = [-a for a in tags[r]]
         for i in range(r):
             q = mat[i][col] // mat[r][col]
             _row_sub(mat, i, r, q)
-            if trans is not None:
-                _row_sub(trans, i, r, q)
-        pivots.append((r, col))
+            if tags is not None:
+                _row_sub(tags, i, r, q)
+        pivots[col] = mat[r]  # later steps change this row in place only
         r += 1
     return pivots
+
+
+def _matrix(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """rows as fresh lists, each checked to have width entries."""
+    mat = [list(row) for row in rows]
+    if any(len(row) != width for row in mat):
+        raise ValueError("ragged matrix")
+    return mat
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [list(row) for row in mat_identity(n)]
 
 
 def hnf(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> Matrix:
@@ -117,36 +141,18 @@ def hnf(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> Matrix:
 
     Zero rows are removed; the zero lattice yields the empty matrix.
     """
-    mat = [list(r) for r in rows]
     if width is None:
-        width = len(mat[0]) if mat else 0
-    for r in mat:
-        if len(r) != width:
-            raise ValueError("ragged matrix")
-    pivots = _hnf_inplace(mat, width)
-    return tuple(tuple(r) for r in mat[: len(pivots)])
-
-
-def hnf_with_transform(
-    rows: Sequence[Sequence[int]], width: Optional[int] = None
-) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
-    """Return (H, U, pivots) with U unimodular, U @ rows == H (zero rows kept)."""
-    mat = [list(r) for r in rows]
-    if width is None:
-        width = len(mat[0]) if mat else 0
-    trans = [list(row) for row in mat_identity(len(mat))]
-    pivots = _hnf_inplace(mat, width, trans)
-    return (
-        tuple(tuple(r) for r in mat),
-        tuple(tuple(r) for r in trans),
-        pivots,
-    )
+        width = len(rows[0]) if rows else 0
+    return tuple(map(tuple, _hnf_inplace(_matrix(rows, width), width).values()))
 
 
 def kernel(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> Matrix:
     """Basis of the left kernel {x : x @ rows == 0}, one row per basis vector."""
-    _, trans, pivots = hnf_with_transform(rows, width)
-    return trans[len(pivots):]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    tags = _identity_rows(len(rows))
+    pivots = _hnf_inplace(_matrix(rows, width), width, tags)
+    return tuple(map(tuple, tags[len(pivots):]))
 
 
 def solve_left(
@@ -156,26 +162,22 @@ def solve_left(
     """Some integer x with x @ rows == target, or None if unsolvable."""
     if width is None:
         width = len(rows[0]) if rows else len(target)
-    h, trans, pivots = hnf_with_transform(rows, width)
-    coeff = _solve_hnf(h, pivots, target)
-    return None if coeff is None else vec_mat(coeff, trans, len(rows))
+    tags = _identity_rows(len(rows))
+    coeff = _solve_hnf(_hnf_inplace(_matrix(rows, width), width, tags), target)
+    return None if coeff is None else vec_mat(coeff, tags, len(rows))
 
 
-def _solve_hnf(
-    h: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]],
-    target: Sequence[int],
-) -> Optional[list[int]]:
-    """Some x with x @ h == target, for h in Hermite form with the given
-    (row, column) pivots; None if target is not in h's row space."""
+def _solve_hnf(pivots: dict[int, Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
+    """Some x with x @ (the pivot rows) == target, for the pivot map of a
+    Hermite form; None if target is not in its row space."""
     resid = list(target)
-    coeff = [0] * len(h)
-    for r, c in pivots:
-        row = h[r]
+    coeff = []
+    for c, row in pivots.items():
         q, rem = divmod(resid[c], row[c])
         if rem:
             return None
+        coeff.append(q)
         if q:
-            coeff[r] = q
             for j in range(c, len(row)):
                 resid[j] -= q * row[j]
     if any(resid):
@@ -215,8 +217,8 @@ def snf(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> SnfDecomp
     k = len(mat)
     if width is None:
         width = len(mat[0]) if mat else 0
-    p = [list(row) for row in mat_identity(k)]
-    q = [list(row) for row in mat_identity(width)]
+    p = _identity_rows(k)
+    q = _identity_rows(width)
 
     def col_sub(j: int, t: int, factor: int) -> None:
         if factor:
@@ -377,8 +379,10 @@ class AbelianSubgroup:
     lattice_basis: Matrix = ()
 
     def __post_init__(self):
-        rows = list(self.lattice_basis) + list(self.spec.relation_rows())
-        object.__setattr__(self, "lattice_basis", hnf(rows, self.spec.m))
+        rows = _matrix((*self.lattice_basis, *self.spec.relation_rows()), self.spec.m)
+        # _pivots: pivot column -> the Hermite row whose pivot is there, in row order
+        object.__setattr__(self, "_pivots", _hnf_inplace(rows, self.spec.m))
+        object.__setattr__(self, "lattice_basis", tuple(map(tuple, self._pivots.values())))
 
     @classmethod
     def from_generators(cls, spec: AbelianSpec, gens: Sequence[Sequence[int]]) -> "AbelianSubgroup":
@@ -398,12 +402,6 @@ class AbelianSubgroup:
     def contains(self, vec: Sequence[int]) -> bool:
         """True iff vec represents an element of this subgroup of A."""
         return not any(self.reduce_mod(vec))
-
-    @cached_property
-    def _pivots(self) -> dict[int, Vector]:
-        """Pivot column -> the HNF row whose pivot is there, in row order;
-        computed once per subgroup."""
-        return {next(j for j, a in enumerate(row) if a): row for row in self.lattice_basis}
 
     def generator_rows(self) -> Matrix:
         """Lattice rows with nontrivial image in A (drops pure relation rows)."""
@@ -448,8 +446,7 @@ class AbelianSubgroup:
         if h == 0 or not self.spec.torsion:
             return h
         # express the relation lattice in the basis; kill unit invariant factors
-        pivots = list(enumerate(self._pivots))
-        coeffs = [_solve_hnf(self.lattice_basis, pivots, row) for row in self.spec.relation_rows()]
+        coeffs = [_solve_hnf(self._pivots, row) for row in self.spec.relation_rows()]
         dec = snf(coeffs, h)
         return h - sum(1 for d in dec.deltas if d == 1)
 
@@ -482,45 +479,32 @@ class AbelianSubgroup:
         if h == m:
             return self
         dec = snf(self.lattice_basis, m)
-        # rows of Q^-1 = rows occurring in S Q^-1 ... compute inverse via solve
-        q_inv = _unimodular_inverse(dec.Q)
-        extra = [q_inv[i] for i in range(dec.s, m)]
-        return AbelianSubgroup(self.spec, self.lattice_basis + tuple(extra))
-
-
-def _unimodular_inverse(q: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix."""
-    n = len(q)
-    h, trans, pivots = hnf_with_transform(q, n)
-    if len(pivots) != n or any(h[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return trans
-
-
-def canonicalize(vec: Sequence[int], spec: AbelianSpec) -> Vector:
-    """Module-level alias for AbelianSpec.canonicalize."""
-    return spec.canonicalize(vec)
+        # Q is unimodular, so its Hermite form is the identity and the
+        # identity tags end as Q^-1
+        q_inv = _identity_rows(m)
+        _hnf_inplace(_matrix(dec.Q, m), m, q_inv)
+        return AbelianSubgroup(self.spec, self.lattice_basis + tuple(map(tuple, q_inv[dec.s:])))
 
 
 class CosetIntersection:
     """Witnesses of (a + L1) & (b + L2) for one fixed pair L1, L2.
 
-    The Hermite form of [L1; -L2] and the L1-part of each row of its
-    transform are computed once.  The rows past the pivots span the kernel,
-    so their L1-parts span base = L1 & L2; each witness is then one
-    triangular solve, reduced modulo base.
+    The Hermite form of [L1; -L2] is computed once, each row tagged with
+    its L1-part (the row itself, or zero), so the elimination carries the
+    L1-part of every Hermite row.  The rows past the pivots are zero, so
+    their L1-parts span base = L1 & L2; each witness is then one triangular
+    solve, reduced modulo base.
     """
 
     def __init__(self, l1: AbelianSubgroup, l2: AbelianSubgroup):
         if l1.spec != l2.spec:
             raise ValueError("mismatched ambient abelian groups")
         self.m = m = l1.spec.m
-        b1 = l1.lattice_basis
-        stacked = list(b1) + [vec_neg(r) for r in l2.lattice_basis]
-        self._h, trans, self._pivots = hnf_with_transform(stacked, m)
-        # the L1-part of each row of the Hermite form, as a vector
-        self._lifts = [vec_mat(t[: len(b1)], b1, m) for t in trans]
-        self.base = AbelianSubgroup(l1.spec, tuple(self._lifts[len(self._pivots):]))
+        b1, b2 = l1.lattice_basis, l2.lattice_basis
+        stacked = _matrix(b1 + tuple(map(vec_neg, b2)), m)
+        self._lifts = _matrix(b1, m) + [[0] * m for _ in b2]
+        self._pivots = _hnf_inplace(stacked, m, self._lifts)
+        self.base = AbelianSubgroup(l1.spec, tuple(map(tuple, self._lifts[len(self._pivots):])))
 
     def witness(self, a: Sequence[int], b: Sequence[int]) -> Optional[Vector]:
         """Some c in (a + L1) & (b + L2), canonical mod L1 & L2; None iff empty.
@@ -530,7 +514,7 @@ class CosetIntersection:
         m = self.m
         if len(a) != m or len(b) != m:
             raise ValueError("dimension mismatch")
-        coeff = _solve_hnf(self._h, self._pivots, vec_sub(b, a))
+        coeff = _solve_hnf(self._pivots, vec_sub(b, a))
         if coeff is None:
             return None
         return self.base.reduce_mod(vec_add(a, vec_mat(coeff, self._lifts, m)))
@@ -549,24 +533,22 @@ def coset_intersection_witness(
     return CosetIntersection(l1, l2).witness(a, b)
 
 
-def preimage_under_matrix(
-    l: AbelianSubgroup, d_rows: Sequence[Sequence[int]], r: Optional[int] = None
-) -> AbelianSubgroup:
+def preimage_under_matrix(l: AbelianSubgroup, d_rows: Sequence[Sequence[int]]) -> AbelianSubgroup:
     """The lattice (L)D^-1 = {v in Z^r : v @ D in L}, canonical in Z^r.
 
     D is an r x m integer matrix given by rows; the result always contains
-    ker D and is returned as a subgroup of the free group Z^r.
+    ker D and is returned as a subgroup of the free group Z^r.  Row i of
+    [D; -L] is tagged e_i and each row of -L zero, so the tags past the
+    pivots are the D-parts of a left kernel basis: they generate (L)D^-1.
     """
-    if r is None:
-        r = len(d_rows)
-    m = l.spec.m
+    r, m = len(d_rows), l.spec.m
     for row in d_rows:
         if len(row) != m:
             raise ValueError("dimension mismatch")
-    stacked = list(d_rows) + [vec_neg(row) for row in l.lattice_basis]
-    ker = kernel(stacked, m)
-    rows = [k[:r] for k in ker]
-    return AbelianSubgroup.from_generators(AbelianSpec(r), rows)
+    b = l.lattice_basis
+    tags = _identity_rows(r) + [[0] * r for _ in b]
+    pivots = _hnf_inplace(_matrix(tuple(d_rows) + tuple(map(vec_neg, b)), m), m, tags)
+    return AbelianSubgroup(AbelianSpec(r), tuple(map(tuple, tags[len(pivots):])))
 
 
 def image_invariants(
@@ -591,16 +573,14 @@ def image_invariants(
     for row in rows:
         if len(row) != m:
             raise ValueError("dimension mismatch")
-    g = [list(row) for row in rows] + [list(row) for row in l.lattice_basis]
-    pivots = _hnf_inplace(g, m)
-    del g[len(pivots):]
+    pivots = _hnf_inplace(_matrix(rows + list(l.lattice_basis), m), m)
     # every row of D and L lies in G's row space, so these solves are exact
-    dec = snf([_solve_hnf(g, pivots, row) for row in l.lattice_basis], len(g))
-    factors = dec.deltas_padded(len(g))
+    dec = snf([_solve_hnf(pivots, row) for row in l.lattice_basis], len(pivots))
+    factors = dec.deltas_padded(len(pivots))
     keep = [j for j, d in enumerate(factors) if d != 1]
     deltas = (1,) * (len(d_rows) - len(keep)) + tuple(factors[j] for j in keep)
     images = {}
     for row in rows:
-        y = vec_mat(_solve_hnf(g, pivots, row), dec.Q, len(g))
+        y = vec_mat(_solve_hnf(pivots, row), dec.Q, len(pivots))
         images[row] = tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep)
     return deltas, tuple(map(images.__getitem__, map(tuple, d_rows)))

@@ -91,9 +91,6 @@ class GroupElement:
     word: Word
     vec: Vector
 
-    def is_identity(self) -> bool:
-        return not self.word and not any(self.vec)
-
     def __str__(self) -> str:
         w = word_str(self.word) if self.word else ""
         t = "t^(" + ",".join(str(a) for a in self.vec) + ")" if any(self.vec) else ""

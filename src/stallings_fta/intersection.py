@@ -280,7 +280,7 @@ class IntersectionReport:
     @cached_property
     def M(self) -> AbelianSubgroup:
         """(L1 + L2) D^-1 <= Z^r, built on first use."""
-        return preimage_under_matrix(self.prod.base1.sum(self.prod.base2), self.D, r=self.r)
+        return preimage_under_matrix(self.prod.base1.sum(self.prod.base2), self.D)
 
     @cached_property
     def snf(self) -> SnfDecomposition:
@@ -497,15 +497,6 @@ def vertex_expand(
     return DoublyEnrichedAutomaton(
         theta.ambient, skeleton, tuple(labels1), tuple(labels2), theta.base1, theta.base2
     )
-
-
-def is_equalizable(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> bool:
-    """True iff every non-tree double label admits a common completion."""
-    try:
-        equalize(x, tree)
-    except NotEqualizableError:
-        return False
-    return True
 
 
 def _witness_memo(known: dict, solve, m: int) -> Callable[[Vector], Vector]:

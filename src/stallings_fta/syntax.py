@@ -214,10 +214,3 @@ def _split_outside_parens(text: str):
             yield text[start:i], start
             start = i + 1
     yield text[start:], start
-
-
-def format_problem(problem: ProblemFile) -> str:
-    lines = [f"group {format_group(problem.ambient)}"]
-    for name, gens in problem.subgroups:
-        lines.append(f"{name}: " + ", ".join(format_element(g) for g in gens))
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from stallings_fta.abelian import (
     vec_sub,
 )
 from stallings_fta.enriched import Ambient, _normalized, stallings
+from stallings_fta.syntax import format_element, format_group
 from stallings_fta.words import _canonical_core, invert, recognizes
 
 F2Z = Ambient(2, AbelianSpec(1))
@@ -174,14 +175,13 @@ def image_invariants_by_row(l, d_rows):
     m = l.spec.m
     g = [list(row) for row in d_rows] + [list(row) for row in l.lattice_basis]
     pivots = _hnf_inplace(g, m)
-    del g[len(pivots):]
-    dec = snf([_solve_hnf(g, pivots, row) for row in l.lattice_basis], len(g))
-    factors = dec.deltas_padded(len(g))
+    dec = snf([_solve_hnf(pivots, row) for row in l.lattice_basis], len(pivots))
+    factors = dec.deltas_padded(len(pivots))
     keep = [j for j, d in enumerate(factors) if d != 1]
     deltas = (1,) * (len(d_rows) - len(keep)) + tuple(factors[j] for j in keep)
     gens = []
     for row in d_rows:
-        y = vec_mat(_solve_hnf(g, pivots, row), dec.Q, len(g))
+        y = vec_mat(_solve_hnf(pivots, row), dec.Q, len(pivots))
         gens.append(tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep))
     return deltas, tuple(gens)
 
@@ -234,3 +234,11 @@ def cayley_by_row(deltas, q_rows, radius=None):
     arcs = tuple((v, i + 1, w)
                  for v in range(size) for i, w in enumerate(ball.plus[v]) if w < size)
     return (len(deltas), size, 0, arcs), tuple(ball.elements[:size])
+
+
+def format_problem(problem):
+    """The problem-file text of a ProblemFile, for parse round-trips."""
+    lines = [f"group {format_group(problem.ambient)}"]
+    for name, gens in problem.subgroups:
+        lines.append(f"{name}: " + ", ".join(format_element(g) for g in gens))
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,6 @@ import pytest
 from stallings_fta.abelian import (
     AbelianSpec,
     AbelianSubgroup,
-    canonicalize,
     coset_intersection_witness,
     hnf,
     image_invariants,
@@ -33,18 +32,18 @@ def sub(spec, *gens):
 class TestCanonicalize:
     def test_torsion_reduction(self):
         spec = AbelianSpec(1, (6,))
-        assert canonicalize((5, 8), spec) == (5, 2)
+        assert spec.canonicalize((5, 8)) == (5, 2)
 
     def test_torsion_free_identity(self):
-        assert canonicalize((3, -3), Z2) == (3, -3)
+        assert Z2.canonicalize((3, -3)) == (3, -3)
 
     def test_negative_entries(self):
         spec = AbelianSpec(0, (2, 4))
-        assert canonicalize((-1, 9), spec) == (1, 1)
+        assert spec.canonicalize((-1, 9)) == (1, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            canonicalize((1, 2, 3), Z2)
+            Z2.canonicalize((1, 2, 3))
 
 
 class TestHnf:
@@ -336,7 +335,7 @@ class TestImageInvariants:
                             for _ in range(rng.randint(0, 2))])
             d = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(r)]
             deltas, gens = image_invariants(l, d)
-            pre = preimage_under_matrix(l, d, r)
+            pre = preimage_under_matrix(l, d)
             assert deltas == snf(pre.lattice_basis, r).deltas_padded(r)
             factors = [x for x in deltas if x != 1]
             assert len(gens) == r and all(len(g) == len(factors) for g in gens)
@@ -374,9 +373,9 @@ class TestImageInvariants:
         targets = []
         real = abelian._solve_hnf
 
-        def counted(h, pivots, target):
+        def counted(pivots, target):
             targets.append(tuple(target))
-            return real(h, pivots, target)
+            return real(pivots, target)
 
         monkeypatch.setattr(abelian, "_solve_hnf", counted)
         rng = random.Random("image-invariants-solves")
@@ -503,3 +502,24 @@ class TestSerialization:
         assert solve_left(rows, (0, 0, 5)) is None
         for k in kernel(rows):
             assert vec_mat(k, rows, 3) == (0, 0, 0)
+
+    def test_kernel_and_solve_by_property(self):
+        # neither answer is canonical: check what they satisfy, not their bytes
+        rng = random.Random("kernel-solve")
+        for _ in range(200):
+            k, width = rng.randint(0, 6), rng.randint(1, 4)
+            rows = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(k)]
+            if rows and rng.random() < 0.3:
+                rows.append(rows[0])
+            ker = kernel(rows, width)
+            assert len(ker) == len(rows) - len(hnf(rows, width))
+            assert all(vec_mat(x, rows, width) == (0,) * width for x in ker)
+            # independent and saturated: the whole left kernel, not a sublattice
+            assert all(d == 1 for d in snf(ker, len(rows)).deltas_padded(len(ker)))
+            spanned = AbelianSubgroup.from_generators(AbelianSpec(width), rows)
+            inside = vec_mat([rng.randint(-3, 3) for _ in rows], rows, width)
+            for target in (inside, tuple(rng.randint(-9, 9) for _ in range(width))):
+                x = solve_left(rows, target, width)
+                assert (x is not None) == spanned.contains(target)
+                if x is not None:
+                    assert len(x) == len(rows) and vec_mat(x, rows, width) == target

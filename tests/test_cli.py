@@ -9,10 +9,10 @@ from stallings_fta.syntax import (
     MAX_RANK,
     MAX_WORD_LETTERS,
     ProblemParseError,
-    format_problem,
     parse_element,
     parse_problem,
 )
+from support import format_problem
 
 MOLDAVANSKI = """\
 # Moldavanski's example
@@ -164,7 +164,7 @@ class TestParsing:
     def test_identity_and_scalar_tail(self):
         problem = parse_problem("group F1 x Z\nH: 1, x1 t^3\n")
         gens = problem.subgroup("H")
-        assert gens[0].is_identity()
+        assert gens[0] == problem.ambient.identity()
         assert gens[1].vec == (3,)
 
 

@@ -11,7 +11,10 @@ change of canonical output.
 
 The corpus holds finite-index "coset" pairs, whose difference matrices D
 have many rows and many repeated and zero ones, next to small random
-pairs; TestCorpus checks that it does.
+pairs; TestCorpus checks that it does.  The abelian family runs the lattice
+layer on its own seeded inputs: tall and wide generator lists and D with up
+to 40 rows.  Its kernel and solve_left answers are not canonical and are
+checked by property in test_abelian instead.
 """
 
 import hashlib
@@ -21,7 +24,15 @@ from functools import lru_cache
 
 import pytest
 
-from stallings_fta.abelian import INFINITY, AbelianSpec
+from stallings_fta.abelian import (
+    INFINITY,
+    AbelianSpec,
+    AbelianSubgroup,
+    CosetIntersection,
+    hnf,
+    image_invariants,
+    preimage_under_matrix,
+)
 from stallings_fta.enriched import (
     Ambient,
     basis,
@@ -57,7 +68,17 @@ GOLDEN = {
     "intersect_fg": "279e1245fdf549c927ad33131b189c5e55ea0a970af92ab5bef4fd50dc123283",
     "cayley": "05ecc7e8e68b39589476ebbbd4a07f5ec255ded9caafe7f9eb478e0a3450cf46",
     "stages": "887ecc3f48dee514a87194f804b6aae628d49e2b9f255daca94d7fb4d8580601",
+    "abelian": "bb8ea73bc35f879535b7610b7579186c241eb26aa1085ec1534a2a1c69ad4fa5",
 }
+LATTICE_SPECS = {
+    "Z": AbelianSpec(1),
+    "Z^2": AbelianSpec(2),
+    "Z^3": AbelianSpec(3),
+    "Z+Z6": AbelianSpec(1, (6,)),
+    "Z2+Z4": AbelianSpec(0, (2, 4)),
+}
+LATTICE_CASES = 24
+MAX_D_ROWS = 40
 
 
 def _vec(rng, ambient, bound=2):
@@ -161,9 +182,59 @@ def _square_cayley_inputs():
         yield deltas, rows, None if all(deltas) else 2
 
 
+def _lattice_inputs():
+    """Seeded (spec, gens1, gens2, D, cosets): generator lists tall (more
+    rows than m) or wide (fewer), D of 0 to 40 rows drawn from a pool with
+    a zero row and rows of L1, and coset pairs (a, b) half of which meet."""
+    for name, spec in LATTICE_SPECS.items():
+        rng = random.Random(f"golden:abelian:{name}")
+        m = spec.m
+        for i in range(LATTICE_CASES):
+            bound = (2, 5, 30)[i % 3]
+
+            def rows(count):
+                return [tuple(rng.randint(-bound, bound) for _ in range(m)) for _ in range(count)]
+
+            gens1 = rows(rng.randint(0, m - 1) if i % 2 else rng.randint(m + 1, m + 4))
+            gens2 = rows(rng.randint(0, m + 2))
+            pool = rows(rng.randint(1, 3)) + [(0,) * m] + gens1[:1]
+            r = rng.randint(0, 6) if i % 4 else rng.randint(10, MAX_D_ROWS)
+            d_rows = [rng.choice(pool) for _ in range(r)]
+            cosets = []
+            for k in range(4):
+                a = rows(1)[0]
+                b = rows(1)[0]
+                if k % 2:  # b - a in L1 + L2
+                    b = a
+                    for g in gens1 + gens2:
+                        b = tuple(x + rng.randint(-2, 2) * y for x, y in zip(b, g))
+                cosets.append((a, b))
+            yield spec, gens1, gens2, d_rows, cosets
+
+
+def _lattice(spec, gens1, gens2, d_rows, cosets):
+    """The canonical outputs of the lattice layer on one input."""
+    m = spec.m
+    l1, l2 = (AbelianSubgroup.from_generators(spec, gens) for gens in (gens1, gens2))
+    both = CosetIntersection(l1, l2)
+    subgroups = (l1, l2, l1.sum(l2), l1.intersect(l2))
+    columns = tuple(zip(*d_rows)) if d_rows else ()
+    return (
+        hnf(gens1, m), hnf(d_rows, m), hnf(columns, len(d_rows)),
+        tuple((s.lattice_basis, _count(s.index()), s.rank(),
+               s.finite_index_completion().lattice_basis) for s in subgroups),
+        both.base.lattice_basis, tuple(both.witness(a, b) for a, b in cosets),
+        preimage_under_matrix(l1, d_rows).lattice_basis,
+        preimage_under_matrix(subgroups[2], d_rows).lattice_basis,
+        image_invariants(l1, d_rows), image_invariants(subgroups[2], d_rows),
+    )
+
+
 def family(name):
     """The canonical outputs of one family over the whole corpus."""
     out = []
+    if name == "abelian":
+        return [_lattice(*case) for case in _lattice_inputs()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -233,3 +304,16 @@ class TestCorpus:
         assert any(not any(row) for _, rows, _ in inputs for row in rows)
         assert any(radius is not None for *_, radius in inputs)
         assert any(radius is None for *_, radius in inputs)
+
+    def test_lattice_shapes(self):
+        inputs = list(_lattice_inputs())
+        assert {spec for spec, *_ in inputs} == set(LATTICE_SPECS.values())
+        assert sum(len(g) > spec.m for spec, g, *_ in inputs) >= 20  # tall
+        assert sum(len(g) < spec.m for spec, g, *_ in inputs if spec.m > 1) >= 10  # wide
+        d_rows = [d for *_, d, _ in inputs]
+        assert max(map(len, d_rows)) >= 30
+        assert sum(len(set(d)) < len(d) for d in d_rows) >= 20
+        assert sum(any(not any(row) for row in d) for d in d_rows) >= 20
+        assert any(not d for d in d_rows)
+        witnesses = [w for case in inputs for w in _lattice(*case)[5]]
+        assert witnesses.count(None) >= 20 and len(witnesses) - witnesses.count(None) >= 20
