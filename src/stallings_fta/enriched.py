@@ -40,6 +40,7 @@ from .words import (
     Word,
     _canonical_core,
     _Folding,
+    _step_map,
     canonical_renumber,
     default_order,
     free_reduce,
@@ -259,7 +260,8 @@ def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int,
     for zero) and the closed-fold vectors."""
     rep, kept, gained = folding.result()
     resolved = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
-    skeleton, tree, survivors = _canonical_core(ambient.n, rep[basepoint], resolved, order)
+    skeleton, tree, survivors = _canonical_core(
+        ambient.n, rep[basepoint], resolved, _step_map(ambient.n, resolved), order)
     return skeleton, tree, [folding.read(kept[i], 1) for i in survivors], gained
 
 

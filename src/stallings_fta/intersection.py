@@ -27,22 +27,25 @@ computed there, from matrices of at most m rows and columns
 The intersection is built by vertex-expanding that Cayley graph by the
 product automaton and equalizing each double label (a, b) to a witness in
 (a+L1) & (b+L2), solved once per distinct pair.  One expansion routine
-grows the Cayley ball a sphere at a time and copies the product's arcs
-for it.  The images of the e_i repeat heavily, so image_invariants solves
-each distinct row of D once and the ball grows once per distinct
-generator class, each row reading its class's neighbours.  The stream
-(report.stages()) equalizes each sphere as it comes: its stages form a
-strictly increasing chain of automata whose petals enumerate a recursive
-basis, and every element of the intersection with free length at most 2n
-is already recognized by the n-th stage.  A stage
-costs time in proportion to its new sphere, not to the ball: it copies no
-arc of earlier stages, cuts its petal words from the root paths of the
-two spheres its arcs join, and builds its automaton only when that is
-read.  Only stages() builds these per-stage trees, potentials and words.
-In the finitely generated case the Cayley graph is finite: intersect_fg
-runs the same expansion to completion and equalizes it once, one witness
-per canonical petal of its core, on the core's canonical tree; that is
-the Stallings automaton of the intersection.
+grows the Cayley ball a sphere at a time and copies the product's arcs for
+it, writing each copy's step map entries as it appends the copy, so the
+expansion has one step map, kept with its arcs.  The images of the e_i
+repeat heavily, so image_invariants solves each distinct row of D once and
+the ball grows once per distinct generator class, each row reading its
+class's neighbours.  The stream (report.stages()) equalizes each sphere as
+it comes: its stages form a strictly increasing chain of automata whose
+petals enumerate a recursive basis, and every element of the intersection
+with free length at most 2n is already recognized by the n-th stage.  A
+stage costs time in proportion to its new sphere, not to the ball: it
+copies no arc of earlier stages, resumes the tree search where the last
+sphere's vertices begin, labels its new arcs and cuts their petal words
+from the root paths of the two spheres they join in one loop, and builds
+its automaton only when that is read.  Only stages() builds these per-stage
+trees, potentials and words.  In the finitely generated case the Cayley
+graph is finite: intersect_fg runs the same expansion to completion, hands
+its arcs and step map to _canonical_core and equalizes it once, one witness
+per canonical petal of its core, on the core's canonical tree; that is the
+Stallings automaton of the intersection.
 
 The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
@@ -96,7 +99,8 @@ from .words import (
     _canonical_core,
     _Folding,
     _petal_cut,
-    _root_path,
+    _root_paths,
+    _step_map,
     _TreeSearch,
     canonical_renumber,  # not called here; bench/tracer.py rebinds it in this namespace too
     check_order,
@@ -179,7 +183,8 @@ def doubly_enriched_product(
         raise ValueError("ambient group mismatch")
     ambient = e1.ambient
     raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
-    skeleton, tree, kept = _canonical_core(ambient.n, raw.basepoint, raw.arcs, order)
+    skeleton, tree, kept = _canonical_core(
+        ambient.n, raw.basepoint, raw.arcs, _step_map(ambient.n, raw.arcs), order)
     m, zero = ambient.m, ambient.zero()
     diffs1, diffs2 = (
         _label_differences(normalize(e, spanning_tree_by_order(e.skeleton, order)).labels)
@@ -373,8 +378,9 @@ class _CayleyBall:
     v - g for each class g in turn, over the outer sphere; this numbers the
     vertices as a pass over the rows would, since a repeated or zero row
     meets no new vertex.  Those not seen yet become the next sphere.
-    plus[v][c] and minus[v][c] are the numbers of v + g_c and v - g_c, and
-    v itself for the loop class, so v + row_i is plus[v][row_class[i]].
+    plus[v][c] is the number of v + g_c, and v itself for the loop class,
+    so v + row_i is plus[v][row_class[i]]; v - g_c is numbered, not kept,
+    since w = u + g exactly when u = w - g.
     """
 
     def __init__(self, deltas: Sequence[int], q_rows: Sequence[Sequence[int]]):
@@ -394,8 +400,8 @@ class _CayleyBall:
         self.elements = [zero]
         self.index = {zero: 0}
         self.plus: list[tuple[int, ...]] = []
-        self.minus: list[tuple[int, ...]] = []
         self.sphere = range(0, 1)  # the outer sphere, not grown yet
+        self.grown = range(0)  # the sphere grown last, inside the outer one
 
     def _reduced(self, vec: Vector) -> Vector:
         """vec reduced up to the last nonzero delta."""
@@ -415,15 +421,13 @@ class _CayleyBall:
         number, reduced = self._number, self._reduced
         for v in self.sphere:
             vec = self.elements[v]
-            plus, minus = [], []
+            plus = []
             for g in self.gens:
                 plus.append(number(reduced(tuple(map(add, vec, g)))))
-                minus.append(number(reduced(tuple(map(sub, vec, g)))))
+                number(reduced(tuple(map(sub, vec, g))))
             plus.append(v)
-            minus.append(v)
             self.plus.append(tuple(plus))
-            self.minus.append(tuple(minus))
-        self.sphere = range(self.sphere.stop, len(self.elements))
+        self.grown, self.sphere = self.sphere, range(self.sphere.stop, len(self.elements))
 
 
 def cayley_multidigraph(
@@ -547,10 +551,12 @@ def intersect_fg(
     sphere, runs until the finite Cayley graph of Z^r / M is exhausted,
     with no per-stage tree, potentials or petal words.  Its core (with
     r = 1 the copies of the product hang stems off the expanded cycle) is
-    canonically renumbered, each arc's joined value is read through the
-    product arc it copies and summed around the canonical petals, and each
-    petal is equalized once, as equalize does.  A given report must have
-    been built under the same letter order.
+    canonically renumbered from the expansion's own step map, which
+    _canonical_core checks for determinism by its size alone; each arc's
+    joined value is read through the product arc it copies and summed
+    around the canonical petals, and each petal is equalized once, as
+    equalize does.  A given report must have been built under the same
+    letter order.
     """
     ambient = e1.ambient
     if report is None:
@@ -563,8 +569,8 @@ def intersect_fg(
     if not report.pi_trivial:  # else block 0 with no arcs: the point
         while expansion.ball.sphere:
             expansion._expand()
-    skeleton, tree, kept = _canonical_core(
-        ambient.n, report.prod.skeleton.basepoint, expansion.arcs, report.order)
+    skeleton, tree, kept = _canonical_core(ambient.n, report.prod.skeleton.basepoint,
+                                           expansion.arcs, expansion.steps, report.order)
     zero = ambient.zero()
     values = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
     witness = _witness_memo({}, report.solver.witness, ambient.m)
@@ -642,44 +648,47 @@ class _ExpansionStream:
     Vertex ids are stable across stages: Cayley vertex number d (in BFS
     discovery order) occupies the block [d*vt, (d+1)*vt).  The expansion
     (_expand) grows one sphere and appends the arcs it adds, each with the
-    joined label difference of the product arc it copies; intersect_fg runs
-    it alone to the end.  stages() also equalizes each sphere's arcs as
-    they come.  One _TreeSearch over the growing step map resumes at each
-    stage from the tree vertices the new arcs touch, so each stage's tree
-    extends the last, earlier stages are full subautomata of later ones,
-    and petals never disappear.  (A whole search of a later stage can
-    reach an old vertex by a new arc.)
+    joined label difference of the product arc it copies and with its two
+    entries in the step map: the step map lives with the arcs, and
+    intersect_fg runs the expansion alone to the end and hands both to
+    _canonical_core.  stages() also equalizes each sphere's arcs as they
+    come, in one loop.  One _TreeSearch over the step map resumes at each
+    stage, so each stage's tree extends the last, earlier stages are full
+    subautomata of later ones, and petals never disappear.  (A whole search
+    of a later stage can reach an old vertex by a new arc.)
 
-    A stage costs time in proportion to its sphere: it touches only its own
-    arcs, and fills potentials and root paths, with the routines that serve
-    finished automata, for the vertices the search adds.  Every new arc of
-    stage n joins blocks of spheres n-1 and n, so only those keep them and
-    their steps; the search starts from those blocks and only looks older
-    vertices up in its age map.  Potentials and arc values are joined
-    vectors a || b, one per vertex and one per arc.  Each distinct double
-    label is solved once: its canonical witness is kept, keyed by a || b,
-    for the later arcs that carry it, at most one entry per non-tree arc.
-    A stage's automaton is built when it is read."""
+    A stage costs time in proportion to its sphere.  Every new arc of stage
+    n joins blocks of spheres n-1 and n, and the search adds each sphere's
+    vertices in one run, so stage n resumes it where sphere n-1's begin;
+    only those two spheres keep their potentials, root paths and steps,
+    while the search's parent map and vertex list span the ball.
+    Potentials and arc values are joined vectors a || b, one per vertex and
+    one per arc, filled with the routines that serve finished automata.
+    Each distinct double label is solved once: its canonical witness is
+    kept, keyed by a || b, for the later arcs that carry it, at most one
+    entry per non-tree arc.  A stage's automaton is built when it is read."""
 
     def __init__(self, report: IntersectionReport):
         self.report = report
         self.prod = report.prod
-        self.tree = report.tree
         self.ambient = report.ambient
         self.ball = _CayleyBall([d for d in report.deltas if d != 1], report.generators)
+        prod_arcs, prod_diffs = self.prod.skeleton.arcs, self.prod._joined_differences
         # the product's tree arcs, which every block copies; the product is
         # normalized on this tree, so their differences are None
-        self.block = [self.prod.skeleton.arcs[x] for x in sorted(self.tree.tree_arcs)]
+        self.block = [prod_arcs[x] for x in sorted(report.tree.tree_arcs)]
+        # Cayley arc i copies petal i, with its joined label difference
+        self.petals = [(prod_arcs[x], prod_diffs[x]) for x in report.tree.petal_arcs]
         # expansion state
         self.vt = self.prod.skeleton.num_vertices
         self.arcs: list[tuple[int, int, int]] = []
         # per arc, the joined label difference of the product arc it copies
         self.diffs: list[Optional[Vector]] = []
+        self.steps: dict[int, tuple[int, int, int]] = {}  # of the arcs, see words
         # per-stage equalization state
         self.witness = report.solver.witness
         self.witnesses: dict[Vector, Vector] = {}  # a || b -> canonical witness
         self.labels: list[ArcLabel] = []  # equalized, one per arc
-        self.steps: dict[int, tuple[int, int, int]] = {}  # a step map, see words
         # spanning tree; potentials and root-path words of two spheres only
         basepoint = self.prod.skeleton.basepoint
         order = report.order  # the search must not keep the stream alive
@@ -689,70 +698,34 @@ class _ExpansionStream:
         self.path: dict[int, Word] = {basepoint: ()}
 
     def _expand(self) -> range:
-        """Grow the ball's outer sphere and append the arcs it adds: the
-        copies of the product's tree arcs in each of its blocks, then the
-        copies of petal arcs along its Cayley arcs, those from the inner
-        ball into the sphere, ordered by origin and generator, then those
-        from the sphere into the ball of its radius.  Return the sphere."""
-        ball, vt, arcs, diffs = self.ball, self.vt, self.arcs, self.diffs
-        prod_arcs, petals = self.prod.skeleton.arcs, self.tree.petal_arcs
-        prod_diffs, block = self.prod._joined_differences, self.block
-        sphere = ball.sphere
+        """Grow the ball's outer sphere and append the arcs it adds, with
+        their steps: the copies of the product's tree arcs in each of its
+        blocks, then the copies of petal arcs along its Cayley arcs, those
+        from the inner ball into the sphere, ordered by origin and
+        generator, then those from the sphere into the ball of its radius.
+        Return the sphere.  The entering arcs come in order from the plus
+        rows of the sphere grown before it, with no sort: a neighbour of the
+        sphere inside the ball lies in that sphere, and w = u + g exactly
+        when u = w - g."""
+        ball, vt, arcs, diffs, steps = self.ball, self.vt, self.arcs, self.diffs, self.steps
+        width, petals, row_class = self.search.width, self.petals, ball.row_class
+        inner, sphere = ball.grown, ball.sphere
         ball.grow()
-        for d in sphere:
-            shift = d * vt
-            arcs.extend([(shift + o, k, shift + t) for o, k, t in block])
-            diffs.extend([None] * len(block))
-        row_class = ball.row_class  # Cayley arc i is row i's, read through its class
-        entering = sorted(
-            (u, i, w)
-            for w in sphere
-            for i, u in enumerate(map(ball.minus[w].__getitem__, row_class))
-            if u < sphere.start
-        )
-        leaving = [
-            (w, i, u)
-            for w in sphere
-            for i, u in enumerate(map(ball.plus[w].__getitem__, row_class))
-            if u < sphere.stop
-        ]
-        for do, i, dt in entering + leaving:
-            src = petals[i]
-            o, k, t = prod_arcs[src]
-            arcs.append((do * vt + o, k, dt * vt + t))
-            diffs.append(prod_diffs[src])
+        # (origin block's offset, product arc, its joined difference, target block's offset)
+        copies = [(d * vt, arc, None, d * vt) for d in sphere for arc in self.block]
+        copies += [(u * vt, *petals[i], w * vt) for u in inner
+                   for i, w in enumerate(map(ball.plus[u].__getitem__, row_class))
+                   if w >= sphere.start]
+        copies += [(w * vt, *petals[i], u * vt) for w in sphere
+                   for i, u in enumerate(map(ball.plus[w].__getitem__, row_class))
+                   if u < sphere.stop]
+        for x, (shift, (o, k, t), diff, target_shift) in enumerate(copies, len(arcs)):
+            o += shift
+            t += target_shift
+            steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
+            arcs.append((o, k, t))
+            diffs.append(diff)
         return sphere
-
-    def _extend_tree(self, start_arc):
-        """Add the arcs from start_arc on to the step map, resume the
-        search over them and fill what it adds."""
-        steps, arcs, width = self.steps, self.arcs, self.search.width
-        for idx, (o, k, t) in enumerate(arcs[start_arc:], start_arc):
-            steps[o * width + k] = (t, idx, 1)
-            steps[t * width - k] = (o, idx, -1)
-        search = self.search
-        start = len(search.vertices)
-        search.extend({v for o, _, t in arcs[start_arc:] for v in (o, t)})
-        added = search.vertices[start:]
-        _fill_potentials(self.phi, added, search.parent, arcs, self.diffs)
-        for w in added:
-            _root_path(self.path, w, search.parent, arcs)
-
-    def _equalize_new_arcs(self, start_arc):
-        """Append the label of each arc from start_arc on; return the new petals."""
-        zero = self.ambient.zero()
-        tree_arcs = self.search.tree_arcs
-        witness = _witness_memo(self.witnesses, self.witness, self.ambient.m)
-        out = []
-        for arc_idx in range(start_arc, len(self.arcs)):
-            if arc_idx in tree_arcs:
-                self.labels.append((zero, zero))
-                continue
-            arc = o, _, t = self.arcs[arc_idx]
-            c = witness(_arc_value(self.phi, o, t, self.diffs[arc_idx]))
-            self.labels.append((zero, c))
-            out.append(GroupElement(_petal_cut(self.path, arc), c))
-        return tuple(out)
 
     def _automaton(self, num_vertices: int, num_arcs: int) -> EnrichedAutomaton:
         """The equalized automaton on the first vertices and arcs."""
@@ -767,31 +740,47 @@ class _ExpansionStream:
     def stages(self) -> Iterator[IntersectionStage]:
         """Stages of radius 0, 1, ..., ending with the first complete one.
 
-        Stage n expands the Cayley sphere of radius n, then extends the
-        tree over its arcs and equalizes them.  Then the potentials, root
-        paths and steps of sphere n-1 are dropped: no later arc reaches
-        it.  A trivial free projection is the one complete stage of radius
-        0, the point automaton carrying L1 & L2.
+        Stage n expands the Cayley sphere of radius n and resumes the
+        search where sphere n-1's vertices begin.  It fills the potentials
+        and root paths of the vertices the search adds, then makes one pass
+        over the new arcs for their labels and petal words.  Then the
+        potentials, root paths and steps of sphere n-1 are dropped: no
+        later arc reaches it.  A trivial free projection is the one
+        complete stage of radius 0, the point automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
             point = EnrichedAutomaton(ambient, Automaton(ambient.n, 1, 0, ()), (), self.report.base)
             yield IntersectionStage(0, (), True, lambda: point)
             return
-        vt, steps, width = self.vt, self.steps, self.search.width
-        letters = self.report.order
-        previous = range(0)
+        arcs, diffs, labels, steps, phi, path, search = (
+            self.arcs, self.diffs, self.labels, self.steps, self.phi, self.path, self.search)
+        vertices, parent, tree_arcs = search.vertices, search.parent, search.tree_arcs
+        witness = _witness_memo(self.witnesses, self.witness, ambient.m)
+        zero, letters, vt, width = ambient.zero(), self.report.order, self.vt, search.width
+        inner = begin = 0  # where spheres n-1 and n begin among the search's vertices
         for radius in itertools.count():
-            start_arc = len(self.arcs)
+            start_arc = len(arcs)
             sphere = self._expand()
-            self._extend_tree(start_arc)
-            new_elements = self._equalize_new_arcs(start_arc)
-            for v in range(previous.start * vt, previous.stop * vt):
-                del self.path[v], self.phi[v]
+            added = len(vertices)
+            search.resume(inner)
+            _fill_potentials(phi, vertices[added:], parent, arcs, diffs)
+            _root_paths(path, vertices[added:], parent, arcs)
+            new_elements = []
+            for x in range(start_arc, len(arcs)):
+                if x in tree_arcs:
+                    labels.append((zero, zero))
+                    continue
+                arc = o, _, t = arcs[x]
+                c = witness(_arc_value(phi, o, t, diffs[x]))
+                labels.append((zero, c))
+                new_elements.append(GroupElement(_petal_cut(path, arc), c))
+            for v in vertices[inner:begin]:  # sphere n-1
+                del path[v], phi[v]
                 for k in letters:
                     steps.pop(v * width + k, None)
-            previous = sphere
-            build = partial(self._automaton, sphere.stop * vt, len(self.arcs))
-            yield IntersectionStage(radius, new_elements, not self.ball.sphere, build)
+            inner, begin = begin, len(vertices)
+            build = partial(self._automaton, sphere.stop * vt, len(arcs))
+            yield IntersectionStage(radius, tuple(new_elements), not self.ball.sphere, build)
             if not self.ball.sphere:
                 return

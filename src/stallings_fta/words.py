@@ -11,16 +11,19 @@ the one integer v * (2n + 1) + s, which is unique for the letters s in
 +-1..n; a larger letter would alias another vertex's step (n + 1 at v is
 -n at v + 1), so the public lookups turn such letters away first.
 
-Spanning trees come from one resumable breadth-first search, _TreeSearch,
-run whole for a finished automaton and resumed by the intersection's
-expansion stream; both cut petal words from root paths found by _root_path.
-Folding, the product and the intersection end in _canonical_core: one step
-map of their arcs, one search from the basepoint, and from it the core (the
-basepoint and the ancestors of the petals' ends), its canonical numbering,
-its arcs in sorted order and its spanning tree.  canonical_renumber is the
-same search and emission without the pruning.  core keeps its own
-adjacency-list pruning, and core and fold their compaction, as both accept
-nondeterministic arcs.
+Spanning trees come from one resumable breadth-first search, _TreeSearch:
+resume(start) scans its vertex list from index start while the list grows,
+and its parent map is its visited set.  A finished automaton is searched
+whole, resume(0); the intersection's expansion stream resumes its search at
+each stage where the last sphere's vertices begin.  Both cut petal words
+from root paths found by _root_paths.  Folding, the product and the
+intersection end in _canonical_core: the step map of their arcs, which the
+caller builds or, as the expansion does, keeps as it appends them, one
+search from the basepoint, and from it the core (the basepoint and the
+ancestors of the petals' ends), its canonical numbering, its arcs in sorted
+order and its spanning tree.  canonical_renumber is the same search and
+emission without the pruning.  core keeps its own adjacency-list pruning,
+and core and fold their compaction, as both accept nondeterministic arcs.
 """
 
 from __future__ import annotations
@@ -449,47 +452,46 @@ class _TreeSearch:
     """The one breadth-first spanning-tree search; it can be resumed.
 
     steps is a step map over the n letters, as Automaton._steps is, and may
-    gain arcs between calls to extend.  A scanned vertex tries the letters
+    gain arcs between calls to resume.  A scanned vertex tries the letters
     directions(v) in turn: an arc reaching a new vertex joins the tree; any
-    other non-tree arc is a petal, as it meets two visited vertices.  age
-    (vertex -> insertion index), vertices (in that order) and parent
-    (vertex -> (arc index, direction), None at the root) describe the tree;
-    petals are returned, not kept."""
+    other non-tree arc is a petal, as it meets two visited vertices.
+    vertices (in insertion order) and parent (vertex -> (arc index,
+    direction), None at the root; its keys are the visited vertices)
+    describe the tree; petals are returned, not kept."""
 
     def __init__(self, steps: dict, n: int, root: int,
                  directions: Callable[[int], Sequence[int]]):
         self.steps = steps
         self.width = 2 * n + 1
         self.directions = directions
-        self.age = {root: 0}
         self.vertices = [root]
         self.parent: dict[int, Optional[tuple[int, int]]] = {root: None}
         self.tree_arcs: set[int] = set()
 
-    def extend(self, vertices: Iterable[int]) -> list[int]:
-        """Scan the given vertices that are in the tree, oldest first, then
-        each vertex this adds; return the petals met, in the order met, each
-        as often as met.  Once arcs join steps, only the tree vertices they
-        touch can reach anything new, so resuming from those adds what
-        resuming from every vertex would."""
-        get, width, directions, age, order, parent, tree = (
-            self.steps.get, self.width, self.directions, self.age, self.vertices, self.parent,
+    def resume(self, start: int) -> list[int]:
+        """Scan vertices[start:], the list growing by each vertex this adds;
+        return the petals met, in the order met, each as often as met.  A
+        whole search is resume(0).  Once arcs join steps, resuming at or
+        before the oldest tree vertex they touch adds what resume(0) would:
+        a vertex that no new arc touches reaches nothing new."""
+        get, width, directions, order, parent, tree = (
+            self.steps.get, self.width, self.directions, self.vertices, self.parent,
             self.tree_arcs)
         met = []
-        queue = sorted((v for v in vertices if v in age), key=age.__getitem__)
-        for v in queue:  # queue grows while it is read
+        i = start
+        while i < len(order):  # order grows while it is read
+            v = order[i]
+            i += 1
             key = v * width
             for s in directions(v):
                 nxt = get(key + s)
                 if nxt is None:
                     continue
                 w, arc_idx, d = nxt
-                if w not in age:
-                    age[w] = len(order)
+                if w not in parent:
                     order.append(w)
                     parent[w] = (arc_idx, d)
                     tree.add(arc_idx)
-                    queue.append(w)
                 elif arc_idx not in tree:
                     met.append(arc_idx)
         return met
@@ -499,7 +501,7 @@ def _whole_search(steps: dict, n: int, root: int, directions: Callable[[int], Se
     """A whole search of steps from root: (search, its petals in the order
     first met)."""
     search = _TreeSearch(steps, n, root, directions)
-    return search, tuple(dict.fromkeys(search.extend((root,))))
+    return search, tuple(dict.fromkeys(search.resume(0)))
 
 
 def _breadth_first(a: Automaton, directions: Callable[[int], Sequence[int]]) -> SpanningTree:
@@ -568,26 +570,30 @@ def canonical_renumber(a: Automaton, order: Optional[Sequence[int]] = None):
     return _renumbered(a.n, a._steps, search, petals, search.vertices, order)
 
 
-def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc],
+def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc], steps: dict,
                     order: Optional[Sequence[int]]):
     """The core of the basepoint component, canonically renumbered under
     order; the one ending of folding, the product and the intersection.
 
-    One step map and one search from the basepoint: the core is the
-    basepoint with every ancestor of a petal's ends (each petal closes a
-    reduced closed walk through its ends' root paths, and a subtree holding
-    no petal end hangs by one arc), and the search restricted to it is the
-    search of the core alone, as a hanging tree is reached only through the
-    vertex it hangs from.  So its tree and petals are the core's own.
-    Vertices off the basepoint component, such as folded-away classes, are
-    never reached, so the vertex count need not be given.
+    steps is the step map of arcs, which the caller builds (_step_map) or,
+    as the expansion does, keeps as it appends the arcs.  One search from
+    the basepoint: the core is the basepoint with every ancestor of a
+    petal's ends (each petal closes a reduced closed walk through its ends'
+    root paths, and a subtree holding no petal end hangs by one arc), and
+    the search restricted to it is the search of the core alone, as a
+    hanging tree is reached only through the vertex it hangs from.  So its
+    tree and petals are the core's own.  Vertices off the basepoint
+    component, such as folded-away classes, are never reached, so the
+    vertex count need not be given.
 
     Returns (automaton, tree, kept) with kept[i] the index in arcs of the
     automaton's arc i.  ValueError unless all the arcs are deterministic,
-    including those off the basepoint component (no caller builds such).
+    including those off the basepoint component (no caller builds such):
+    two arcs leaving one vertex by one letter share a key of steps.
     """
     order = check_order(order, n)
-    steps = _step_map(n, arcs)
+    if len(steps) != 2 * len(arcs):
+        raise ValueError("automaton is not deterministic")
     search, petals = _whole_search(steps, n, basepoint, lambda v: order)
     parent, in_core = search.parent, {basepoint}
     for x in petals:
@@ -628,19 +634,20 @@ def spanning_tree_by_order(
     return _breadth_first(a, lambda v: dict.fromkeys(per_vertex.get(v, ())))
 
 
-def _root_path(paths: dict, v: int, parent, arcs: Sequence[Arc]) -> Word:
-    """v's root-path word: walks up the parent map (vertex -> (arc index,
-    direction)) from v to the nearest vertex whose word paths holds, and
-    stores v's word alone there (storing each word walked past costs walk^2)."""
-    letters, u = [], v
-    while (path := paths.get(u)) is None:
-        arc_idx, d = parent[u]
-        o, k, t = arcs[arc_idx]
-        letters.append(k * d)
-        u = o if d == 1 else t
-    if letters:
-        path = paths[v] = path + tuple(reversed(letters))
-    return path
+def _root_paths(paths: dict, vertices: Iterable[int], parent, arcs: Sequence[Arc]) -> None:
+    """Store the root-path word of each of vertices in paths, in turn: a walk
+    up the parent map (vertex -> (arc index, direction)) stops at the
+    nearest vertex whose word paths holds, and only the walk's start is
+    stored (storing each word walked past costs walk^2)."""
+    for v in vertices:
+        letters, u = [], v
+        while (path := paths.get(u)) is None:
+            arc_idx, d = parent[u]
+            o, k, t = arcs[arc_idx]
+            letters.append(k * d)
+            u = o if d == 1 else t
+        if letters:
+            paths[v] = path + tuple(reversed(letters))
 
 
 def _petal_cut(paths, arc: Arc) -> Word:
@@ -658,8 +665,7 @@ def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:
     """
     arcs, paths = a.arcs, {t.root: ()}
     ends = {v for i in t.petal_arcs for v in (arcs[i][0], arcs[i][2])}
-    for v in filter(ends.__contains__, t.vertex_age):
-        _root_path(paths, v, t.parent, arcs)
+    _root_paths(paths, filter(ends.__contains__, t.vertex_age), t.parent, arcs)
     return [_petal_cut(paths, arcs[i]) for i in t.petal_arcs]
 
 

@@ -163,7 +163,8 @@ def fg_by_stages(report):
         pass
     last = stage.automaton
     sk = last.skeleton
-    skeleton, tree, kept = _canonical_core(report.ambient.n, sk.basepoint, sk.arcs, report.order)
+    skeleton, tree, kept = _canonical_core(report.ambient.n, sk.basepoint, sk.arcs, sk._steps,
+                                           report.order)
     # the stream labels every arc (0, value)
     return _normalized(report.ambient, skeleton, tree, [last.labels[x][1] for x in kept],
                        last.base)

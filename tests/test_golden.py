@@ -14,7 +14,11 @@ have many rows and many repeated and zero ones, next to small random
 pairs; TestCorpus checks that it does.  The abelian family runs the lattice
 layer on its own seeded inputs: tall and wide generator lists and D with up
 to 40 rows.  Its kernel and solve_left answers are not canonical and are
-checked by property in test_abelian instead.
+checked by property in test_abelian instead.  The stream family runs
+seeded not finitely generated pairs (lines, a diagonal, a Schreier family
+of index 3, planes, rank 3, and torsion that wraps the ball around) for up
+to 24 stages each, and reads every stage automaton only once the stream has
+moved past it.
 """
 
 import hashlib
@@ -42,6 +46,7 @@ from stallings_fta.enriched import (
 )
 from stallings_fta.intersection import (
     VERDICT_FG,
+    _CayleyBall,
     cayley_multidigraph,
     intersect_fg,
     intersection_matrices,
@@ -69,6 +74,7 @@ GOLDEN = {
     "cayley": "05ecc7e8e68b39589476ebbbd4a07f5ec255ded9caafe7f9eb478e0a3450cf46",
     "stages": "887ecc3f48dee514a87194f804b6aae628d49e2b9f255daca94d7fb4d8580601",
     "abelian": "bb8ea73bc35f879535b7610b7579186c241eb26aa1085ec1534a2a1c69ad4fa5",
+    "stream": "aa9df876da0a4a05a73d3d762b988bf8abc5348313f75cf6badbfc4f6e9504cb",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -79,6 +85,21 @@ LATTICE_SPECS = {
 }
 LATTICE_CASES = 24
 MAX_D_ROWS = 40
+# name -> (ambient, index of S in F_n, the image of each letter before the
+# seeded signs and, with index 1, the seeded shuffle of the letters)
+STREAM_SHAPES = {
+    "line": (AMBIENTS["F2xZ"], 1, ((1,), (0,))),
+    "diagonal": (AMBIENTS["F2xZ"], 1, ((1,), (1,))),
+    "schreier": (AMBIENTS["F2xZ"], 3, ((0,), (1,))),
+    "plane": (Ambient(2, AbelianSpec(2)), 1, ((1, 0), (0, 1))),
+    "plane-index-2": (Ambient(2, AbelianSpec(2)), 2, ((1, 0), (0, 1))),
+    "rank3-line": (Ambient(3, AbelianSpec(1)), 1, ((1,), (0,), (0,))),
+    "rank3-plane": (AMBIENTS["F3xZ2"], 1, ((1, 0), (0, 1), (0, 0))),
+    "torsion-ball": (AMBIENTS["F2x(Z+Z6)"], 2, ((0, 2), (0, 1))),
+    "torsion-cylinder": (AMBIENTS["F2x(Z+Z6)"], 1, ((1, 0), (0, 1))),
+}
+STREAM_PAIRS = 2  # per shape
+STREAM_STAGES = 24
 
 
 def _vec(rng, ambient, bound=2):
@@ -144,6 +165,55 @@ def corpus():
             e1, e2 = (stallings(ambient, gens, order) for gens in _pair(rng, ambient, i))
             out.append((name, order, e1, e2, intersection_matrices(e1, e2, order)))
     return tuple(out)
+
+
+def _stream_gens(rng, ambient, index, images):
+    """H1 = <s t^phi(s)> and H2 = <s> over the Schreier generators s of a
+    subgroup S of F_n of the given index (x1 acting as a cycle), phi
+    sending each letter to a seeded sign times its image; where phi is
+    nonzero on S, H1 & H2 is the kernel of phi on S, not finitely
+    generated unless the image of phi is finite."""
+    images = list(images)
+    if index == 1:
+        rng.shuffle(images)
+    phi = [tuple(rng.choice((-1, 1)) * x for x in image) for image in images]
+    acts = [[(i + 1) % index for i in range(index)]]
+    acts += [rng.sample(range(index), index) for _ in range(ambient.n - 1)]
+    h1, h2 = [], []
+    for i in range(index):
+        for k, act in enumerate(acts, 1):
+            j = act[i]
+            word = free_reduce([1] * i + [k] + [-1] * j)
+            if word:
+                vec = tuple(i * a + b - j * a for a, b in zip(phi[0], phi[k - 1]))
+                h1.append(ambient.element(word, vec))
+                h2.append(ambient.element(word))
+    return h1, h2
+
+
+@lru_cache(maxsize=None)
+def stream_corpus():
+    """(shape name, report) for every seeded stream pair; odd pairs are
+    under a permuted letter order."""
+    out = []
+    for name, (ambient, index, images) in STREAM_SHAPES.items():
+        rng = random.Random(f"golden:stream:{name}")
+        letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+        for i in range(STREAM_PAIRS):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = (stallings(ambient, gens, order)
+                      for gens in _stream_gens(rng, ambient, index, images))
+            out.append((name, intersection_matrices(e1, e2, order)))
+    return tuple(out)
+
+
+def _stream(rep):
+    """Up to STREAM_STAGES stages: radius, new elements and completeness as
+    each stage comes, then every stage automaton, read after the stream
+    has moved past it."""
+    stages = list(itertools.islice(rep.stages(), STREAM_STAGES))
+    return (tuple((s.radius, _elements(s.new_elements), s.complete) for s in stages),
+            tuple(_enriched(s.automaton) for s in stages))
 
 
 def _count(x):
@@ -235,6 +305,8 @@ def family(name):
     out = []
     if name == "abelian":
         return [_lattice(*case) for case in _lattice_inputs()]
+    if name == "stream":
+        return [_stream(rep) for _, rep in stream_corpus()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -317,3 +389,22 @@ class TestCorpus:
         assert any(not d for d in d_rows)
         witnesses = [w for case in inputs for w in _lattice(*case)[5]]
         assert witnesses.count(None) >= 20 and len(witnesses) - witnesses.count(None) >= 20
+
+    def test_stream_spheres_rows_and_wraps(self):
+        """Spheres of 3 or more blocks, zero and repeated generator rows,
+        finite balls and torsion that wraps an infinite ball around."""
+        wide = zero = repeated = finite = cylinder = 0
+        for _, rep in stream_corpus():
+            ball = _CayleyBall([d for d in rep.deltas if d != 1], rep.generators)
+            spheres = []
+            while ball.sphere and len(spheres) < STREAM_STAGES:
+                spheres.append(len(ball.sphere))
+                ball.grow()
+            assert len(spheres) == STREAM_STAGES or not ball.sphere
+            wide += max(spheres) >= 3
+            zero += any(not any(row) for row in rep.generators)
+            repeated += len(set(rep.generators)) < len(rep.generators)
+            torsion = any(d > 1 for d in rep.deltas)
+            finite += torsion and not ball.sphere
+            cylinder += torsion and bool(ball.sphere)
+        assert min(wide, zero, repeated, finite, cylinder) >= 2

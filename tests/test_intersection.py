@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from stallings_fta import abelian, intersection, words
+from stallings_fta import abelian, enriched, intersection, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup, snf
 from stallings_fta.enriched import (
     Ambient,
@@ -38,6 +38,7 @@ from stallings_fta.intersection import (
 )
 from stallings_fta.words import (
     _canonical_core,
+    _step_map,
     core,
     product,
     product_with_provenance,
@@ -56,6 +57,7 @@ from support import (
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
+TORSION = Ambient(2, AbelianSpec(1, (6,)))
 
 X, Y = (1,), (2,)
 
@@ -259,9 +261,8 @@ class TestCayleyBallClasses:
                 ball.grow()
                 oracle.grow()
                 assert ball.elements == oracle.elements and ball.sphere == oracle.sphere
-            for v, (plus, minus) in enumerate(zip(ball.plus, ball.minus)):
+            for v, plus in enumerate(ball.plus):  # v - row_i is numbered as in elements
                 assert tuple(map(plus.__getitem__, ball.row_class)) == oracle.plus[v]
-                assert tuple(map(minus.__getitem__, ball.row_class)) == oracle.minus[v]
             seen["repeated"] += len(set(map(tuple, rows))) < len(rows)
             seen["zero"] += any(not any(row) for row in rows)
             seen["vanishing"] += any(any(row) and not any(g) for row, g in zip(rows, oracle.gens))
@@ -610,10 +611,16 @@ class TestFgExpandsOnce:
         assert seen["stems"] >= (1 if ambient.m else 0)
 
     def test_no_stage_work_and_one_solve_per_double_label(self, monkeypatch):
-        stage_work = []
-        for name in ("_extend_tree", "_equalize_new_arcs"):
-            monkeypatch.setattr(intersection._ExpansionStream, name,
-                                lambda *args, name=name: stage_work.append(name))
+        # the stream's stage loop and the per-stage tree, potential, root-path
+        # and labelling calls it makes through this module are never reached;
+        # the one search is the canonical core's, from its root
+        stage_work, resumed, resume = [], [], words._TreeSearch.resume
+        monkeypatch.setattr(intersection._ExpansionStream, "stages",
+                            lambda *args: stage_work.append("stages"))
+        for name in ("_fill_potentials", "_root_paths", "_arc_value", "_petal_cut"):
+            monkeypatch.setattr(intersection, name, lambda *args, name=name: stage_work.append(name))
+        monkeypatch.setattr(words._TreeSearch, "resume",
+                            lambda search, start: resumed.append(start) or resume(search, start))
         repeated = 0
         for name, ambient in self.AMBIENTS.items():
             rng = random.Random(f"fg-solves:{name}")
@@ -633,7 +640,9 @@ class TestFgExpandsOnce:
                     return solve(a, b)
 
                 rep.solver.witness = counted
+                resumed.clear()
                 e = intersect_fg(e1, e2, order, report=rep)
+                assert resumed == [0]
                 # each petal's unreduced pair: its word's sums in the product's two layers
                 petals = [doubly_completion(rep.prod, w)
                           for w in words.t_basis(e.skeleton, spanning_tree_by_order(e.skeleton, order))]
@@ -641,6 +650,59 @@ class TestFgExpandsOnce:
                 repeated += len(petals) > len(solved)
         assert stage_work == []
         assert repeated >= 4
+
+    def test_step_map_built_for_the_product_only(self, monkeypatch):
+        # the expansion keeps its own step map as it appends its arcs
+        calls, real = [], words._step_map
+
+        def counted(n, arcs):
+            calls.append(tuple(arcs))
+            return real(n, arcs)
+
+        for module in (words, enriched, intersection):
+            monkeypatch.setattr(module, "_step_map", counted)
+        checked = 0
+        for name, ambient in self.AMBIENTS.items():
+            rng = random.Random(f"fg-step-map:{name}")
+            letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+            for i in range(12):
+                order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+                e1, e2 = self.pair(rng, ambient, i, order)
+                calls.clear()
+                rep = intersection_matrices(e1, e2, order)
+                if rep.verdict != VERDICT_FG:
+                    continue
+                raw, _ = product_with_provenance(e1.skeleton, e2.skeleton)
+                assert calls == [raw.arcs]
+                calls.clear()
+                intersect_fg(e1, e2, order, report=rep)
+                assert calls == []
+                intersect_fg(e1, e2, order)
+                assert calls == [raw.arcs]
+                checked += not rep.pi_trivial
+        assert checked >= 20
+
+    def test_a_repeated_step_key_is_rejected(self, monkeypatch):
+        # an expansion doctored to append its last arc twice: both copies
+        # write the same two step keys, which the O(1) count check catches
+        h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
+        rep = intersection_matrices(h1, h2)
+        assert len(basis(intersect_fg(h1, h2, report=rep)).free_part) == 7
+        real = intersection._ExpansionStream._expand
+
+        def doctored(stream):
+            sphere = real(stream)
+            if not stream.ball.sphere:
+                arc = o, k, t = stream.arcs[-1]
+                x, width = len(stream.arcs), stream.search.width
+                stream.steps[o * width + k], stream.steps[t * width - k] = (t, x, 1), (o, x, -1)
+                stream.arcs.append(arc)
+                stream.diffs.append(stream.diffs[-1])
+            return sphere
+
+        monkeypatch.setattr(intersection._ExpansionStream, "_expand", doctored)
+        with pytest.raises(ValueError, match="not deterministic"):
+            intersect_fg(h1, h2, report=rep)
 
     @pytest.mark.parametrize("name", list(AMBIENTS))
     def test_product_tree_arcs_carry_nothing(self, name):
@@ -767,11 +829,11 @@ class TestOneContext:
         # whole search; every other tree is read from a memo
         h1, h2 = parameterized((1, 0), (0, 1), [(0, 6)], [(3, -3)])
         searches, inside, outside, whole = [], [], [], []
-        extend, core = words._TreeSearch.extend, intersection._canonical_core
+        resume, core = words._TreeSearch.resume, intersection._canonical_core
 
-        def counted_extend(search, vertices):
-            (searches[-1] if inside else outside).append((list(search.vertices), vertices))
-            return extend(search, vertices)
+        def counted_resume(search, start):
+            (searches[-1] if inside else outside).append((list(search.vertices), start))
+            return resume(search, start)
 
         def counted_core(*args):
             searches.append([])
@@ -781,14 +843,14 @@ class TestOneContext:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(words._TreeSearch, "extend", counted_extend)
+        monkeypatch.setattr(words._TreeSearch, "resume", counted_resume)
         monkeypatch.setattr(words, "_breadth_first", lambda *args: whole.append(args))
         monkeypatch.setattr(intersection, "_canonical_core", counted_core)
         rep = intersection_matrices(h1, h2)
         b = basis(intersect_fg(h1, h2, report=rep))
         assert [len(calls) for calls in searches] == [1, 1]
-        for (([root], vertices),) in searches:  # a fresh search, run from its root
-            assert tuple(vertices) == (root,)
+        for (([root], start),) in searches:  # a fresh search, run from its root
+            assert start == 0
         assert outside == [] and whole == []
         assert rep.verdict == VERDICT_FG and len(b.free_part) == 7
 
@@ -909,7 +971,8 @@ class TestJoinedLayers:
     def check_product(self, e1, e2, rep):
         m, zero = rep.ambient.m, rep.ambient.zero()
         raw, prov = product_with_provenance(e1.skeleton, e2.skeleton)
-        skeleton, tree, kept = _canonical_core(rep.ambient.n, raw.basepoint, raw.arcs, rep.order)
+        skeleton, tree, kept = _canonical_core(
+            rep.ambient.n, raw.basepoint, raw.arcs, raw._steps, rep.order)
         assert skeleton == rep.prod.skeleton and tree == rep.tree
         factor_diffs = [
             _label_differences(normalize(e, spanning_tree_by_order(e.skeleton, rep.order)).labels)
@@ -940,8 +1003,10 @@ class TestJoinedLayers:
             expansion._expand()
         layers = self.copied_differences(rep, expansion.arcs)
         assert self.split(expansion.diffs, m) == layers
+        steps = _step_map(rep.ambient.n, expansion.arcs)
+        assert expansion.steps == steps  # kept as the arcs were appended
         skeleton, tree, kept = _canonical_core(
-            rep.ambient.n, rep.prod.skeleton.basepoint, expansion.arcs, rep.order)
+            rep.ambient.n, rep.prod.skeleton.basepoint, expansion.arcs, steps, rep.order)
         alone = [_tree_values(skeleton, tree, [diffs[x] for x in kept], zero) for diffs in layers]
         joined = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
         assert [None if v is None else (v[:m], v[m:]) for v in joined] == [
@@ -1323,33 +1388,97 @@ class TestStageCost:
         assert a != b and a.automaton.base != b.automaton.base
 
     def test_stream_builds_no_automaton_and_two_spheres_of_paths(self, monkeypatch):
-        built, cached = [], []
-        real_automaton = intersection.Automaton
-        real_equalize = intersection._ExpansionStream._equalize_new_arcs
+        built, by_stage = [], {}
+        real_automaton, real_cut = intersection.Automaton, intersection._petal_cut
 
         def counted(*args):
             built.append(args)
             return real_automaton(*args)
 
-        def observed(stream, start_arc):
-            # the path cache is fullest here: sphere n is in, sphere n-1 not yet out
-            cached.append((stream.ball.sphere.start, set(stream.path)))
-            return real_equalize(stream, start_arc)
+        def observed(paths, arc):
+            # the path cache is fullest while petals are cut: sphere n is in,
+            # sphere n-1 not yet out; keyed by where sphere n stops
+            by_stage[stream.ball.sphere.start] = set(paths)
+            return real_cut(paths, arc)
 
         monkeypatch.setattr(intersection, "Automaton", counted)
-        monkeypatch.setattr(intersection._ExpansionStream, "_equalize_new_arcs", observed)
+        monkeypatch.setattr(intersection, "_petal_cut", observed)
         rep = intersection_matrices(*moldavanski())
         stream = intersection._ExpansionStream(rep)
         stages = list(itertools.islice(stream.stages(), 257))
         assert stages[-1].radius == 256 and built == []
+        cached = list(by_stage.items())
+        assert len(cached) == 257  # every stage cuts a petal
         vt, basepoint = stream.vt, rep.prod.skeleton.basepoint
         stops = [0, 0] + [stop for stop, _ in cached]  # stops[n]: where sphere n-1 starts
         for n, (stop, paths) in enumerate(cached):
             assert paths <= set(range(stops[n] * vt, stop * vt)) | {basepoint}
         assert max(len(paths) for _, paths in cached) <= 4 * vt + 1
-        assert len(stream.search.age) == stops[-1] * vt == 513 * vt
+        assert len(stream.search.parent) == stops[-1] * vt == 513 * vt
         stages[-1].automaton
         assert len(built) == 1
+
+    # H1 = <w_i t^(a_i)> and H2 = <w_i> on a free basis w_i of F2 or of an
+    # index-2 subgroup: lines, planes and torsion balls, finite or not
+    KERNEL_PAIRS = {
+        "line with a zero row": (F2Z, ((1,), (2,)), ((1,), (0,))),
+        "diagonal with repeated rows": (F2Z, ((1,), (2,)), ((1,), (1,))),
+        "plane of index 2": (F2Z2, ((1, 1), (2,), (1, 2, -1)), ((1, 0), (0, 1), (0, -1))),
+        "torsion cylinder": (TORSION, ((1, 1), (2,), (1, 2, -1)), ((1, 0), (0, 1), (0, 0))),
+        "finite torsion ball": (TORSION, ((1, 1), (2,), (1, 2, -1)), ((0, 2), (0, 3), (0, 2))),
+    }
+
+    @classmethod
+    def kernel_reports(cls):
+        for ambient, words, vectors in cls.KERNEL_PAIRS.values():
+            h1, h2 = (stallings(ambient, [ambient.element(w, v) for w, v in zip(words, vecs)])
+                      for vecs in (vectors, [ambient.zero()] * len(words)))
+            yield intersection_matrices(h1, h2)
+
+    def test_kernel_pairs_cover_rows_and_wraps(self):
+        seen = {"zero": 0, "repeated": 0, "torsion": 0, "finite": 0, "vt > 1": 0}
+        for rep in self.kernel_reports():
+            stream = intersection._ExpansionStream(rep)
+            *_, last = itertools.islice(stream.stages(), 12)
+            seen["zero"] += any(not any(row) for row in rep.generators)
+            seen["repeated"] += len(set(rep.generators)) < len(rep.generators)
+            seen["torsion"] += any(d > 1 for d in rep.deltas)
+            seen["finite"] += last.complete
+            seen["vt > 1"] += stream.vt > 1
+        assert min(seen.values()) >= 1 and seen["torsion"] == 2, seen
+
+    def test_resume_scans_only_the_last_two_spheres(self):
+        for rep in self.kernel_reports():
+            stream = intersection._ExpansionStream(rep)
+            scanned, order = [], rep.order
+            stream.search.directions = lambda v: scanned.append(v) or order
+            ball, vt, inner = stream.ball, stream.vt, range(0)
+            for stage in itertools.islice(stream.stages(), 12):
+                sphere = ball.grown  # sphere n; inner is sphere n-1
+                assert {v // vt for v in scanned} <= set(inner) | set(sphere)
+                assert len(scanned) <= (len(inner) + len(sphere)) * vt
+                scanned.clear()
+                inner = sphere
+
+    def test_entering_arcs_come_sorted(self):
+        # Cayley arc copies follow the block copies, the arcs entering the
+        # sphere first; they equal the sort of those read off the minus rows
+        # of the per-row oracle ball, which numbers the vertices alike
+        for rep in self.kernel_reports():
+            stream = intersection._ExpansionStream(rep)
+            ball, vt = stream.ball, stream.vt
+            oracle = RowCayleyBall([d for d in rep.deltas if d != 1], rep.generators)
+            petal = {arc: i for i, (arc, _) in enumerate(stream.petals)}
+            while ball.sphere and ball.sphere.start < 400:
+                start = len(stream.arcs)
+                sphere = stream._expand()
+                oracle.grow()
+                copies = stream.arcs[start + len(sphere) * len(stream.block):]
+                cayley = [(o // vt, petal[o % vt, k, t % vt], t // vt) for o, k, t in copies]
+                entering = [arc for arc in cayley if arc[0] < sphere.start]
+                assert cayley[:len(entering)] == entering == sorted(entering) == sorted(
+                    (u, i, w) for w in sphere for i, u in enumerate(oracle.minus[w])
+                    if u < sphere.start)
 
     class _KeepSteps(dict):
         """A step map that ignores the stream's deletions."""

@@ -7,6 +7,7 @@ from support import is_deterministic, reference_tree, tree_petal_word
 from stallings_fta.words import (
     Automaton,
     _canonical_core,
+    _step_map,
     canonical_renumber,
     check_order,
     core,
@@ -389,7 +390,7 @@ class TestCanonicalCore:
     def check(self, a, order):
         """_canonical_core against core() renumbered by the reference search;
         returns the output automaton."""
-        out, tree, kept = _canonical_core(a.n, a.basepoint, a.arcs, order)
+        out, tree, kept = _canonical_core(a.n, a.basepoint, a.arcs, _step_map(a.n, a.arcs), order)
         expected, expected_tree = renumbered_by_reference(core(a), check_order(order, a.n))
         assert out == expected and as_tuple(tree) == expected_tree
         assert spanning_tree_by_order(out, order) is tree
@@ -430,8 +431,13 @@ class TestCanonicalCore:
                 g.arcs.append((o, k, g.num))
                 g.num += 1
             a = g.automaton(rng, Automaton(n, 1, 0, ()))
+            steps, width = {}, 2 * n + 1  # as _step_map builds it, with no check
+            for x, (o, k, t) in enumerate(a.arcs):
+                steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
             with pytest.raises(ValueError, match="not deterministic"):
-                _canonical_core(n, a.basepoint, a.arcs, None)
+                _canonical_core(n, a.basepoint, a.arcs, steps, None)
+            with pytest.raises(ValueError, match="not deterministic"):
+                _step_map(n, a.arcs)
             with pytest.raises(ValueError, match="not deterministic"):
                 canonical_renumber(a)
 
