@@ -257,12 +257,13 @@ def _folded_core(ambient: Ambient, folding: _Folding, basepoint: int,
                  order: Optional[Sequence[int]]):
     """The canonical core of a folded graph, its spanning tree under order,
     each survivor's value (lab2 - lab1 after the vertex potentials, None
-    for zero) and the closed-fold vectors."""
-    rep, kept, gained = folding.result()
-    resolved = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
+    for zero) and the closed-fold vectors.  The survivors lie between
+    roots, so only the basepoint is found, and a value is the arc's vector
+    plus its roots' potentials, read with no search."""
+    base, resolved, kept, gained = folding.result(basepoint)
     skeleton, tree, survivors = _canonical_core(
-        ambient.n, rep[basepoint], resolved, _step_map(ambient.n, resolved), order)
-    return skeleton, tree, [folding.read(kept[i], 1) for i in survivors], gained
+        ambient.n, base, resolved, _step_map(ambient.n, resolved), order)
+    return skeleton, tree, [folding.value(kept[i]) for i in survivors], gained
 
 
 def _labelled(ambient: Ambient, skeleton: Automaton, values, base: AbelianSubgroup,

@@ -63,7 +63,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
     INFINITY,
@@ -390,7 +390,7 @@ class _CayleyBall:
             t -= 1
         self.t, self.mods = t, deltas[:t]  # deltas[t:] are free factors
         classes: dict[Vector, int] = {}
-        reduced = [self._reduced(tuple(row)) for row in q_rows]
+        reduced = [self._reduced(row) for row in q_rows]
         for g in reduced:
             if any(g):
                 classes.setdefault(g, len(classes))
@@ -403,8 +403,9 @@ class _CayleyBall:
         self.sphere = range(0, 1)  # the outer sphere, not grown yet
         self.grown = range(0)  # the sphere grown last, inside the outer one
 
-    def _reduced(self, vec: Vector) -> Vector:
-        """vec reduced up to the last nonzero delta."""
+    def _reduced(self, vec: Iterable[int]) -> Vector:
+        """vec as a tuple, reduced up to the last nonzero delta."""
+        vec = tuple(vec)
         if not self.t:
             return vec
         return (*[x % d if d else x for x, d in zip(vec, self.mods)], *vec[self.t:])
@@ -417,14 +418,15 @@ class _CayleyBall:
         return v
 
     def grow(self) -> None:
-        """Grow the outer sphere; the sphere it numbers becomes the outer one."""
-        number, reduced = self._number, self._reduced
+        """Grow the outer sphere; the sphere it numbers becomes the outer one.
+        A free ball (no nonzero delta) only makes its sums tuples."""
+        number, reduced = self._number, self._reduced if self.t else tuple
         for v in self.sphere:
             vec = self.elements[v]
             plus = []
             for g in self.gens:
-                plus.append(number(reduced(tuple(map(add, vec, g)))))
-                number(reduced(tuple(map(sub, vec, g))))
+                plus.append(number(reduced(map(add, vec, g))))
+                number(reduced(map(sub, vec, g)))
             plus.append(v)
             self.plus.append(tuple(plus))
         self.grown, self.sphere = self.sphere, range(self.sphere.stop, len(self.elements))

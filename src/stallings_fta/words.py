@@ -167,10 +167,16 @@ class _Folding:
     With `vectors` (arc index -> abelian vector read crossing it forward,
     None for zero), each vertex also carries a potential: the vertex
     transformations applied to it so far, stored relative to its union-find
-    parent.  Let e be the vector read along an arc in the fold's direction,
-    potentials included.  An open fold of arc j onto arc i adds e_i - e_j
-    to the class of j's target; a closed fold gains e_j - e_i for the
-    basepoint subgroup.  No arc vector is rewritten.
+    parent.  An arc's value is its vector plus its target's potential minus
+    its origin's.  An open fold of arc j onto arc i adds the value of i
+    minus that of j, read in the fold's direction, to the class of j's
+    target; a closed fold gains the opposite for the basepoint subgroup.
+
+    Every arc end that sits in a slot is its class's root: _rebase moves an
+    end onto its root, and its potential into the arc's vector, when its
+    work item is popped and when its class joins another.  So a walk meets
+    only roots and sums raw arc vectors, and after run() every live arc
+    lies between roots, whose potentials are their own.
 
     Arcs come in two ways.  `fold`, `reduce` and `doubly_reduce` hand all
     their arcs to the constructor, which queues every arc end and folds.
@@ -206,30 +212,33 @@ class _Folding:
             parent[u] = v
         return v
 
-    def potential(self, v: int) -> Optional[Vector]:
-        root = self.find(v)
-        return self.pot[v] if v == root else _add(self.pot[v], self.pot[root])
+    def _rebase(self, x: int, s: int, root: int) -> None:
+        """Move arc x's end on side s (its origin if s > 0), which is root or
+        hangs off it, onto root, keeping the arc's value."""
+        o, k, t = self.arcs[x]
+        end = o if s > 0 else t
+        if end != root:
+            self.arcs[x] = (root, k, t) if s > 0 else (o, k, root)
+            if self.vectors is not None:
+                self.vectors[x] = (_sub if s > 0 else _add)(self.vectors[x], self.pot[end])
 
-    def read(self, x: int, s: int) -> Optional[Vector]:
-        """The vector read crossing arc x in direction s, potentials included."""
+    def value(self, x: int) -> Optional[Vector]:
+        """The value of arc x read forward; both its ends must be roots."""
         o, _, t = self.arcs[x]
-        e = self.vectors[x]
-        if s < 0:
-            o, t = t, o
-            if e is not None:
-                e = vec_neg(e)
-        return _sub(_add(e, self.potential(t)), self.potential(o))
+        return _sub(_add(self.vectors[x], self.pot[t]), self.pot[o])
 
     def run(self) -> None:
         """Fold until no two arcs leave one class by the same signed letter."""
-        find, out, arcs, alive, pot, work = (
-            self.find, self.out, self.arcs, self.alive, self.pot, self.work)
-        read = self.read if self.vectors is not None else None
+        find, rebase, value, out, arcs, alive, pot, work = (
+            self.find, self._rebase, self.value, self.out, self.arcs, self.alive, self.pot,
+            self.work)
         while work:
             a, v, s = work.pop()
             if not alive[a]:
                 continue
-            slots = out[find(v)]
+            r = find(v)
+            rebase(a, s, r)
+            slots = out[r]
             b = slots.setdefault(s, a)
             if b == a:
                 continue
@@ -237,10 +246,13 @@ class _Folding:
             slots[s] = i
             alive[j] = False
             end = 2 if s > 0 else 0
-            ri, rj = find(arcs[i][end]), find(arcs[j][end])
+            for x in (i, j):  # both arcs leave r; their other ends go to their roots
+                rebase(x, -s, find(arcs[x][end]))
+            ri, rj = arcs[i][end], arcs[j][end]
             if out[rj].get(-s) == j:
                 del out[rj][-s]
-            c = _sub(read(i, s), read(j, s)) if read is not None else None
+            c = None if self.vectors is None else (  # i minus j, read in direction s
+                _sub(value(i), value(j)) if s > 0 else _sub(value(j), value(i)))
             if c is not None and not any(c):
                 c = None
             if ri == rj:
@@ -256,19 +268,20 @@ class _Folding:
             self.least[ri] = min(self.least[ri], self.least[rj])
             big = out[ri]
             for s2, x in out[rj].items():
+                rebase(x, s2, ri)
                 if big.setdefault(s2, x) != x:
                     work.append((x, ri, s2))
             out[rj] = None
 
     def _walk(self, v: int, letters: Iterable[int], stop: int):
-        """Follow letters from class v while they read, at most stop of them.
+        """Follow letters from root v while they read, at most stop of them.
 
-        Returns (steps, end class, value, class and value one step earlier).
-        Each letter adds read(x, s), inlined: the arc's ends are found once
-        each, and the potentials are taken relative to their roots.
+        Returns (steps, end root, value, root and value one step earlier).
+        Each letter is one slot lookup: the arc's other end is a root too,
+        and the value is the sum of the raw arc vectors crossed, which is
+        the walk's value minus the end's potential plus the start's.
         """
-        find, out, arcs, vectors, parent, pot = (
-            self.find, self.out, self.arcs, self.vectors, self.parent, self.pot)
+        out, arcs, vectors = self.out, self.arcs, self.vectors
         value = before = back = None
         steps = 0
         for s in letters:
@@ -280,16 +293,9 @@ class _Folding:
             back, before = v, value
             o, _, t = arcs[x]
             e = vectors[x]
-            if s < 0:
-                o, t = t, o
-                if e is not None:
-                    e = vec_neg(e)
-            if o != v and parent[o] != v:  # o is in class v
-                find(o)
-            w = find(t)
-            e = _add(e, pot[t] if t == w else _add(pot[t], pot[w]))
-            value = _add(value, _sub(e, pot[o] if o == v else _add(pot[o], pot[v])))
-            v = w
+            if e is not None:
+                value = _add(value, e) if s > 0 else _sub(value, e)
+            v = t if s > 0 else o
             steps += 1
         return steps, v, value, back, before
 
@@ -305,6 +311,10 @@ class _Folding:
         middle and carries the residual vector on its last arc; an empty
         middle keeps one read letter, whose arc then collides.  Only such
         seam collisions reach the worklist, which is run to completion.
+        Each walk's raw sum misses the potential of its end less the
+        basepoint's.  The basepoint's cancels, and p's and q's are counted
+        by the value of a path between them, so vec + b - a is both the gain
+        of a closed walk and the residual.
         """
         n = len(word)
         base = self.find(0)
@@ -321,8 +331,7 @@ class _Folding:
                 i, p, a = i - 1, p_back, a_back
             else:
                 j, q, b = j + 1, q_back, b_back
-        # a root may carry a potential too: the new path reads from p to q
-        residual = _sub(_add(_add(vec, b), self.potential(p)), _add(a, self.potential(q)))
+        residual = _sub(_add(vec, b), a)
         arcs, vectors, out, work = self.arcs, self.vectors, self.out, self.work
         here = p
         for r in range(i, j):
@@ -349,13 +358,15 @@ class _Folding:
             here = there
         self.run()
 
-    def result(self):
-        """(rep, kept, gained): rep[v] is the least vertex of v's class, kept
-        the surviving arc indices in increasing order, gained the nonzero
-        closed-fold vectors.  read(x, 1) gives a survivor's vector."""
-        rep = [self.least[self.find(v)] for v in range(len(self.parent))]
+    def result(self, basepoint: int):
+        """(basepoint, arcs, kept, gained): the basepoint and the surviving
+        arcs, each vertex named by the least vertex of its class, kept their
+        indices in increasing order and gained the nonzero closed-fold
+        vectors.  Survivors lie between roots, so only the basepoint is found."""
+        least, arcs = self.least, self.arcs
         kept = [x for x, ok in enumerate(self.alive) if ok]
-        return rep, kept, self.gained
+        named = [(least[o], k, least[t]) for o, k, t in map(arcs.__getitem__, kept)]
+        return least[self.find(basepoint)], named, kept, self.gained
 
 
 def _add(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
@@ -371,9 +382,8 @@ def _sub(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
 
 def fold(a: Automaton) -> Automaton:
     """Fold to a deterministic automaton recognizing the same subgroup."""
-    rep, kept, _ = _Folding(a.num_vertices, a.arcs).result()
-    arcs = [(rep[o], k, rep[t]) for o, k, t in (a.arcs[x] for x in kept)]
-    return _compact(a.n, a.num_vertices, rep[a.basepoint], arcs)
+    basepoint, arcs, _, _ = _Folding(a.num_vertices, a.arcs).result(a.basepoint)
+    return _compact(a.n, a.num_vertices, basepoint, arcs)
 
 
 def _compact(n: int, num_vertices: int, basepoint: int, arcs: list[Arc]) -> Automaton:

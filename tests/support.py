@@ -7,11 +7,20 @@ from stallings_fta.abelian import (
     snf,
     vec_add,
     vec_mat,
+    vec_neg,
     vec_sub,
 )
 from stallings_fta.enriched import Ambient, _normalized, stallings
 from stallings_fta.syntax import format_element, format_group
-from stallings_fta.words import _canonical_core, invert, recognizes
+from stallings_fta.words import (
+    _add,
+    _canonical_core,
+    _step_map,
+    _sub,
+    free_reduce,
+    invert,
+    recognizes,
+)
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
@@ -243,3 +252,211 @@ def format_problem(problem):
     for name, gens in problem.subgroups:
         lines.append(f"{name}: " + ", ".join(format_element(g) for g in gens))
     return "\n".join(lines) + "\n"
+
+
+def coset_presentation(rng, ambient, size):
+    """A redundant presentation of an index-size subgroup, as the benchmark's
+    build workload makes them: the Schreier generators x1^i x_k x1^-j (x1
+    acting as a size-cycle, the other letters as seeded permutations), each
+    with a seeded tail vector, then products of two of them, inverses and
+    t^K-shifted copies, and t^K itself, all shuffled."""
+    acts = [[(i + 1) % size for i in range(size)]]
+    acts += [rng.sample(range(size), size) for _ in range(ambient.n - 1)]
+    gens = []
+    for i in range(size):
+        for k, act in enumerate(acts, 1):
+            word = free_reduce([1] * i + [k] + [-1] * act[i])
+            if word:
+                gens.append(ambient.element(word, _tail(rng, ambient)))
+    shift = tuple(rng.randint(2, 4) for _ in range(ambient.m))
+    for _ in range(len(gens)):
+        a, b = rng.choice(gens), rng.choice(gens)
+        roll = rng.random()
+        if roll < 0.4:
+            g = ambient.multiply(a, b if rng.random() < 0.5 else ambient.invert(b))
+        elif roll < 0.7:
+            g = ambient.invert(a)
+        else:
+            g = ambient.element(a.word, tuple(x + rng.randint(-1, 1) * d
+                                              for x, d in zip(a.vec, shift)))
+        gens.append(g)
+    gens.append(ambient.element((), shift))
+    rng.shuffle(gens)
+    return gens
+
+
+def _tail(rng, ambient):
+    return tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(ambient.m))
+
+
+def check_folding(folding):
+    """Assert the slot invariant of a words._Folding whose run() has returned:
+    the worklist is empty; every live arc sits in the slots of both its
+    ends, and both ends are roots; every slot belongs to a root and holds a
+    live arc of its letter whose end on that side is the slot's class."""
+    parent, out, arcs, alive = folding.parent, folding.out, folding.arcs, folding.alive
+    assert not folding.work
+    for x, (o, k, t) in enumerate(arcs):
+        if alive[x]:
+            assert parent[o] == o and parent[t] == t, (x, arcs[x])
+            assert out[o].get(k) == x and out[t].get(-k) == x, (x, arcs[x])
+    for v, slots in enumerate(out):
+        assert (slots is not None) == (parent[v] == v), v
+        for s, x in (slots or {}).items():
+            assert alive[x] and arcs[x][1] == abs(s), (v, s, x)
+            assert arcs[x][0 if s > 0 else 2] == v, (v, s, arcs[x])
+
+
+class ReferenceFolding:
+    """Oracle for words._Folding: the same union-find, worklist and fold
+    order, but no arc end is ever moved and no arc vector rewritten.  So a
+    walk finds both ends of each arc it crosses and adds their potentials,
+    read_word adds the potentials of the two classes its new path joins,
+    and result finds every vertex and reads each survivor's value through
+    the potentials of both its ends."""
+
+    def __init__(self, num_vertices, arcs, vectors=None):
+        self.parent = list(range(num_vertices))
+        self.pot = [None] * num_vertices
+        self.least = list(range(num_vertices))
+        self.out = [{} for _ in range(num_vertices)]
+        self.arcs = list(arcs)
+        self.vectors = vectors
+        self.alive = [True] * len(self.arcs)
+        self.gained = []
+        self.work = [(x, v, s) for x, (o, k, t) in enumerate(self.arcs)
+                     for v, s in ((o, k), (t, -k))]
+        self.run()
+
+    def find(self, v):
+        path = []
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        for u in reversed(path[:-1]):
+            self.pot[u] = _add(self.pot[u], self.pot[self.parent[u]])
+            self.parent[u] = v
+        return v
+
+    def potential(self, v):
+        root = self.find(v)
+        return self.pot[v] if v == root else _add(self.pot[v], self.pot[root])
+
+    def read(self, x, s):
+        """The vector read crossing arc x in direction s, potentials included."""
+        o, _, t = self.arcs[x]
+        e = self.vectors[x]
+        if s < 0:
+            o, t = t, o
+            e = None if e is None else vec_neg(e)
+        return _sub(_add(e, self.potential(t)), self.potential(o))
+
+    def run(self):
+        out, arcs, pot, work = self.out, self.arcs, self.pot, self.work
+        while work:
+            a, v, s = work.pop()
+            if not self.alive[a]:
+                continue
+            slots = out[self.find(v)]
+            b = slots.setdefault(s, a)
+            if b == a:
+                continue
+            i, j = (a, b) if a < b else (b, a)
+            slots[s] = i
+            self.alive[j] = False
+            end = 2 if s > 0 else 0
+            ri, rj = self.find(arcs[i][end]), self.find(arcs[j][end])
+            if out[rj].get(-s) == j:
+                del out[rj][-s]
+            c = None if self.vectors is None else _sub(self.read(i, s), self.read(j, s))
+            if c is not None and not any(c):
+                c = None
+            if ri == rj:
+                if c is not None:
+                    self.gained.append(vec_neg(c))
+                continue
+            if c is not None:
+                pot[rj] = _add(pot[rj], c)
+            if len(out[ri]) < len(out[rj]):
+                ri, rj = rj, ri
+            self.parent[rj] = ri
+            pot[rj] = _sub(pot[rj], pot[ri])
+            self.least[ri] = min(self.least[ri], self.least[rj])
+            for s2, x in out[rj].items():
+                if out[ri].setdefault(s2, x) != x:
+                    work.append((x, ri, s2))
+            out[rj] = None
+
+    def _walk(self, v, letters, stop):
+        """(steps, end class, value, class and value one step earlier)."""
+        value = before = back = None
+        steps = 0
+        for s in letters:
+            if steps == stop:
+                break
+            x = self.out[v].get(s)
+            if x is None:
+                break
+            back, before = v, value
+            o, _, t = self.arcs[x]
+            value = _add(value, self.read(x, s))
+            v = self.find(t if s > 0 else o)
+            steps += 1
+        return steps, v, value, back, before
+
+    def read_word(self, word, vec):
+        n = len(word)
+        base = self.find(0)
+        i, p, a, p_back, a_back = self._walk(base, word, n)
+        k, q, b, q_back, b_back = self._walk(base, [-l for l in reversed(word)], n - i)
+        j = n - k
+        if i == j:
+            if p == q:
+                closed = _sub(_add(vec, b), a)
+                if closed is not None and any(closed):
+                    self.gained.append(closed)
+                return
+            if i:
+                i, p, a = i - 1, p_back, a_back
+            else:
+                j, q, b = j + 1, q_back, b_back
+        residual = _sub(_add(_add(vec, b), self.potential(p)), _add(a, self.potential(q)))
+        here = p
+        for r in range(i, j):
+            l = word[r]
+            if r == j - 1:
+                there, e = q, residual
+            else:
+                there, e = len(self.parent), None
+                self.parent.append(there)
+                self.pot.append(None)
+                self.least.append(there)
+                self.out.append({})
+            x = len(self.arcs)
+            if l > 0:
+                self.arcs.append((here, l, there))
+            else:
+                self.arcs.append((there, -l, here))
+                e = None if e is None else vec_neg(e)
+            self.vectors.append(e)
+            self.alive.append(True)
+            for v, s in ((here, l), (there, -l)):
+                if self.out[v].setdefault(s, x) != x:
+                    self.work.append((x, v, s))
+            here = there
+        self.run()
+
+    def result(self):
+        """(rep, kept, gained): rep[v] is the least vertex of v's class."""
+        rep = [self.least[self.find(v)] for v in range(len(self.parent))]
+        return rep, [x for x, ok in enumerate(self.alive) if ok], self.gained
+
+
+def reference_folded_core(ambient, folding, basepoint, order):
+    """enriched._folded_core on a ReferenceFolding: every vertex found, and
+    each survivor read through its ends' potentials."""
+    rep, kept, gained = folding.result()
+    named = [(rep[o], k, rep[t]) for o, k, t in (folding.arcs[x] for x in kept)]
+    skeleton, tree, survivors = _canonical_core(
+        ambient.n, rep[basepoint], named, _step_map(ambient.n, named), order)
+    return skeleton, tree, [folding.read(kept[i], 1) for i in survivors], gained

@@ -4,9 +4,17 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from support import is_deterministic, parameterized_pair, random_subgroup_gens
+from support import (
+    ReferenceFolding,
+    check_folding,
+    coset_presentation,
+    is_deterministic,
+    parameterized_pair,
+    random_subgroup_gens,
+    reference_folded_core,
+)
 
-from stallings_fta import enriched, words
+from stallings_fta import enriched, intersection, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
 from stallings_fta.enriched import (
     Ambient,
@@ -28,7 +36,12 @@ from stallings_fta.enriched import (
     transversal_stream,
     vertex_transformation,
 )
-from stallings_fta.intersection import intersect_fg
+from stallings_fta.intersection import (
+    DoublyEnrichedAutomaton,
+    doubly_enriched_product,
+    doubly_reduce,
+    intersect_fg,
+)
 from stallings_fta.words import (
     canonical_renumber,
     core,
@@ -255,9 +268,9 @@ def folding_of(monkeypatch):
     seen = []
     real = words._Folding.result
 
-    def result(self):
+    def result(self, basepoint):
         seen.append(self)
-        return real(self)
+        return real(self, basepoint)
 
     monkeypatch.setattr(words._Folding, "result", result)
     return seen
@@ -394,6 +407,175 @@ class TestStallingsReadsGenerators:
         assert e == normalize(folded, spanning_tree_by_order(folded.skeleton))
         assert calls == ["enriched_flower", "reduce"]
         assert foldings == [(), flower.skeleton.arcs] and flower.skeleton.arcs
+
+
+FOLDING_AMBIENTS = {
+    "F2xZ": F2Z,
+    "F3xZ2": Ambient(3, AbelianSpec(2)),
+    "F2x(Z+Z6)": Ambient(2, AbelianSpec(1, (6,))),
+    "F2x(Z2+Z4)": Ambient(2, AbelianSpec(0, (2, 4))),
+    "F2": Ambient(2, AbelianSpec(0)),
+}
+
+
+def folding_inputs(rng, ambient, count):
+    """(order, gens): redundant coset presentations of index 2-5 and short
+    random sets with products of two generators; half under a permuted
+    letter order."""
+    letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+    for trial in range(count):
+        order = None if trial % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+        if trial % 3:
+            gens = coset_presentation(rng, ambient, rng.randint(2, 5))
+        else:
+            gens = random_subgroup_gens(rng, ambient, max_gens=4, maxlen=6)
+            gens += [ambient.multiply(rng.choice(gens), ambient.invert(rng.choice(gens)))
+                     for _ in range(rng.randint(0, 2))]
+        yield order, gens
+
+
+def doubly_flower(rng, ambient, gens):
+    """The flower of gens with a second seeded label system on its arcs."""
+    f = enriched_flower(ambient, [g for g in gens if g.word] or [ambient.element((1,))])
+    second = tuple((ambient.zero(), tuple(rng.randint(-2, 2) for _ in range(ambient.m)))
+                   for _ in f.labels)
+    return DoublyEnrichedAutomaton(ambient, f.skeleton, f.labels, second, f.base,
+                                   AbelianSubgroup.from_generators(ambient.abelian, []))
+
+
+def without_zero(v):
+    return None if v is None or not any(v) else v
+
+
+class TestFoldingKeepsSlottedEndsOnRoots:
+    """words._Folding keeps every arc end that sits in a slot on its class
+    root, so walks read raw arc vectors; support.check_folding states the
+    invariant and support.ReferenceFolding, which never moves an arc end,
+    is the oracle for every label, gain and kept arc."""
+
+    @pytest.mark.parametrize("name", list(FOLDING_AMBIENTS))
+    def test_invariant_after_every_read_and_run(self, name, monkeypatch):
+        ambient = FOLDING_AMBIENTS[name]
+        real_read, real_run = words._Folding.read_word, words._Folding.run
+        seen = {"checks": 0, "cascades": 0, "roots with potentials": 0}
+
+        def read_word(self, word, vec):
+            dead = self.alive.count(False)
+            real_read(self, word, vec)
+            check_folding(self)
+            seen["checks"] += 1
+            # a seam makes at most two collisions; more folds mean a cascade
+            seen["cascades"] += self.alive.count(False) - dead > 2
+            seen["roots with potentials"] += any(
+                slots and self.pot[v] is not None and any(self.pot[v])
+                for v, slots in enumerate(self.out))
+
+        def run(self):
+            real_run(self)
+            check_folding(self)
+
+        monkeypatch.setattr(words._Folding, "read_word", read_word)
+        monkeypatch.setattr(words._Folding, "run", run)
+        rng = random.Random(f"folding-invariant:{name}")
+        for order, gens in folding_inputs(rng, ambient, 30):
+            stallings(ambient, gens, order)
+            reduce(enriched_flower(ambient, gens), order)
+            e1, e2 = (stallings(ambient, gs, order) for gs in (gens, gens[: len(gens) // 2 + 1]))
+            doubly_reduce(doubly_enriched_product(e1, e2, order), order)
+            doubly_reduce(doubly_flower(rng, ambient, gens), order)
+        assert seen["checks"] >= 300 and seen["cascades"] >= 10, seen
+        if ambient.m:
+            assert seen["roots with potentials"] >= 50, seen
+
+    @staticmethod
+    def assert_same_folding(folding, reference, basepoint):
+        base, named, kept, gained = folding.result(basepoint)
+        rep, ref_kept, ref_gained = reference.result()
+        assert kept == ref_kept and gained == ref_gained
+        assert base == rep[basepoint]
+        assert named == [(rep[o], k, rep[t]) for o, k, t in map(reference.arcs.__getitem__, kept)]
+        if folding.vectors is not None:
+            assert [without_zero(folding.value(x)) for x in kept] == \
+                [without_zero(reference.read(x, 1)) for x in kept]
+
+    @pytest.mark.parametrize("name", list(FOLDING_AMBIENTS))
+    def test_matches_the_reference_folding(self, name, monkeypatch):
+        ambient = FOLDING_AMBIENTS[name]
+        rng = random.Random(f"folding-reference:{name}")
+        for order, gens in folding_inputs(rng, ambient, 24):
+            # the engines side by side, on every read and on whole flowers
+            folding, reference = words._Folding(1, (), []), ReferenceFolding(1, (), [])
+            for g in gens:
+                if g.word:
+                    vec = g.vec if any(g.vec) else None
+                    folding.read_word(g.word, vec)
+                    reference.read_word(g.word, vec)
+                    assert folding.gained == reference.gained
+            self.assert_same_folding(folding, reference, 0)
+            flower = enriched_flower(ambient, [g for g in gens if g.word] or [ambient.element((1,))])
+            arcs, values = flower.skeleton.arcs, enriched._label_differences(flower.labels)
+            size = flower.skeleton.num_vertices
+            self.assert_same_folding(words._Folding(size, arcs, list(values)),
+                                     ReferenceFolding(size, arcs, list(values)), 0)
+            self.assert_same_folding(words._Folding(size, arcs), ReferenceFolding(size, arcs), 0)
+            # and the public constructions, raw labels included, on either engine
+            doubly = doubly_flower(rng, ambient, gens)
+            outputs = []
+            for engine, core_of in ((None, None), (ReferenceFolding, reference_folded_core)):
+                with monkeypatch.context() as patch:
+                    for module in (enriched, intersection) if engine else ():
+                        patch.setattr(module, "_Folding", engine)
+                        patch.setattr(module, "_folded_core", core_of)
+                    outputs.append((stallings(ambient, gens, order), reduce(flower, order),
+                                    doubly_reduce(doubly, order)))
+            ours, theirs = outputs
+            assert ours == theirs
+            assert ours[1].labels == theirs[1].labels
+            assert (ours[2].labels1, ours[2].labels2) == (theirs[2].labels1, theirs[2].labels2)
+
+    def test_closing_generator_finds_only_the_basepoint(self, monkeypatch):
+        rng = random.Random("folding-walk-cost")
+        ambient = FOLDING_AMBIENTS["F2x(Z+Z6)"]
+        gens = coset_presentation(rng, ambient, 5)
+        folding = words._Folding(1, (), [])
+        for g in filter(lambda g: g.word, gens):
+            folding.read_word(g.word, g.vec if any(g.vec) else None)
+        found = []
+        real = words._Folding.find
+
+        def find(self, v):
+            found.append(v)
+            return real(self, v)
+
+        monkeypatch.setattr(words._Folding, "find", find)
+        arcs_before = len(folding.arcs)
+        for _ in range(50):  # index 5: every word closes on the folded graph
+            g = ambient.multiply(rng.choice(gens), ambient.invert(rng.choice(gens)))
+            if not g.word:
+                continue
+            shifted = tuple(x + rng.randint(-3, 3) for x in g.vec)
+            found.clear()
+            folding.read_word(g.word, shifted)
+            assert found == [0]
+        assert len(folding.arcs) == arcs_before
+
+    def test_folded_core_finds_only_the_basepoint(self, monkeypatch):
+        rng = random.Random("folded-core-cost")
+        ambient = FOLDING_AMBIENTS["F3xZ2"]
+        zero = ambient.zero()
+        real = words._Folding.find
+        for _ in range(10):
+            gens = coset_presentation(rng, ambient, 4)
+            flower = enriched_flower(ambient, [g for g in gens if g.word])
+            labels = reduce(flower).labels
+            folding = words._Folding(flower.skeleton.num_vertices, flower.skeleton.arcs,
+                                     enriched._label_differences(flower.labels))
+            found = []
+            with monkeypatch.context() as patch:
+                patch.setattr(words._Folding, "find", lambda self, v: found.append(v) or real(self, v))
+                values = enriched._folded_core(ambient, folding, 0, None)[2]
+            assert found == [0]
+            assert [(zero, zero if v is None else v) for v in values] == list(labels)
 
 
 class TestStallingsCanonical:

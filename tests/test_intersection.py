@@ -304,6 +304,29 @@ class TestCayleyBallClasses:
                 ball.grow()
             assert len(numbered) == 2 * len(ball.gens) * len(ball.plus)
 
+    def test_free_ball_reduces_no_neighbour(self, monkeypatch):
+        # a ball with no nonzero delta grows without a _reduced call; a
+        # torsion ball reduces v + g and v - g for every class g
+        reduced = []
+        real = intersection._CayleyBall._reduced
+
+        def counted(ball, vec):
+            reduced.append(vec)
+            return real(ball, vec)
+
+        monkeypatch.setattr(intersection._CayleyBall, "_reduced", counted)
+        rng = random.Random("cayley-free-reductions")
+        kinds = {"free": 0, "torsion": 0}
+        for deltas, rows in self.seeded(rng, 60):
+            ball = intersection._CayleyBall(deltas, rows)
+            free = not any(deltas)
+            kinds["free" if free else "torsion"] += 1
+            reduced.clear()
+            for _ in range(3):
+                ball.grow()
+            assert len(reduced) == (0 if free else 2 * len(ball.gens) * len(ball.plus))
+        assert min(kinds.values()) >= 10, kinds
+
     def test_intersect_fg_grows_once_per_class(self, monkeypatch):
         balls, numbered = [], []
         Ball = intersection._CayleyBall
