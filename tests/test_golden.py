@@ -18,7 +18,9 @@ checked by property in test_abelian instead.  The stream family runs
 seeded not finitely generated pairs (lines, a diagonal, a Schreier family
 of index 3, planes, rank 3, and torsion that wraps the ball around) for up
 to 24 stages each, and reads every stage automaton only once the stream has
-moved past it.
+moved past it.  The member family runs the read path (completion, member,
+completion_table, word_coordinates, is_saturated) on the corpus's automata
+and on deterministic ones that are not canonical, some with lab1 != 0.
 """
 
 import hashlib
@@ -39,10 +41,17 @@ from stallings_fta.abelian import (
 )
 from stallings_fta.enriched import (
     Ambient,
+    arc_transformation,
     basis,
+    completion,
+    completion_table,
+    enriched_flower,
     index_report,
+    member,
+    reduce,
     stallings,
     transversal_stream,
+    vertex_transformation,
 )
 from stallings_fta.intersection import (
     VERDICT_FG,
@@ -51,7 +60,13 @@ from stallings_fta.intersection import (
     intersect_fg,
     intersection_matrices,
 )
-from stallings_fta.words import free_reduce, spanning_tree_by_order
+from stallings_fta.words import (
+    free_reduce,
+    is_saturated,
+    multiply,
+    spanning_tree_by_order,
+    word_coordinates,
+)
 
 AMBIENTS = {
     "F2xZ": Ambient(2, AbelianSpec(1)),
@@ -75,6 +90,7 @@ GOLDEN = {
     "stages": "887ecc3f48dee514a87194f804b6aae628d49e2b9f255daca94d7fb4d8580601",
     "abelian": "bb8ea73bc35f879535b7610b7579186c241eb26aa1085ec1534a2a1c69ad4fa5",
     "stream": "aa9df876da0a4a05a73d3d762b988bf8abc5348313f75cf6badbfc4f6e9504cb",
+    "member": "6ba77ac0d15c60fdddad832bc1cd59aeafaf56c77552adf1f8c11e400c8a0c0d",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -100,6 +116,9 @@ STREAM_SHAPES = {
 }
 STREAM_PAIRS = 2  # per shape
 STREAM_STAGES = 24
+MEMBER_FLOWERS = 4  # per ambient
+MEMBER_WORDS = 10  # per automaton
+MEMBER_TABLE_LEN = 4
 
 
 def _vec(rng, ambient, bound=2):
@@ -216,6 +235,65 @@ def _stream(rep):
             tuple(_enriched(s.automaton) for s in stages))
 
 
+@lru_cache(maxsize=None)
+def member_corpus():
+    """Automata for the read path: every stallings output of the corpus;
+    per ambient, seeded reduced flowers, each with a vertex and an arc
+    transformation of it (so lab1 != 0); and from every fourth corpus pair
+    its intersect_fg result or its stage automaton of radius 2."""
+    out = [e for _, _, e1, e2, _ in corpus() for e in (e1, e2)]
+    for name, ambient in AMBIENTS.items():
+        rng = random.Random(f"golden:member:{name}")
+        for _ in range(MEMBER_FLOWERS):
+            e = reduce(enriched_flower(ambient, _random_gens(rng, ambient)))
+            moved = vertex_transformation(e, rng.randrange(e.skeleton.num_vertices),
+                                          _vec(rng, ambient))
+            out += [e, moved]
+            if e.labels:
+                out.append(arc_transformation(moved, rng.randrange(len(e.labels)),
+                                              _vec(rng, ambient)))
+    for _, order, e1, e2, rep in corpus()[::4]:
+        if rep.verdict == VERDICT_FG:
+            out.append(intersect_fg(e1, e2, order, rep))
+        else:
+            *_, stage = itertools.islice(rep.stages(), 3)
+            out.append(stage.automaton)
+    return tuple(out)
+
+
+def _member(e, rng):
+    """The read path on one automaton: saturation, the completion table,
+    and for seeded words (products of recognized ones, and random ones)
+    the completion, the petal coordinates, and membership of w t^a on the
+    completion's coset and at a random a."""
+    ambient = e.ambient
+    table = completion_table(e, MEMBER_TABLE_LEN)
+    recognized = sorted(table)
+    tree = spanning_tree_by_order(e.skeleton)
+    letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
+    reads = []
+    for _ in range(MEMBER_WORDS):
+        if rng.random() < 0.6:
+            word = ()
+            for _ in range(rng.randint(1, 3)):
+                word = multiply(word, rng.choice(recognized))
+        else:
+            word = free_reduce([rng.choice(letters) for _ in range(rng.randint(0, 6))])
+        result = completion(e, word)
+        off = member(e, ambient.element(word, _vec(rng, ambient, 3)))
+        if result is None:
+            reads.append((word, None, off))
+            continue
+        b, base = result
+        on = b
+        for row in base.lattice_basis:
+            on = tuple(x + rng.randint(-2, 2) * y for x, y in zip(on, row))
+        reads.append((word, b, base.lattice_basis, word_coordinates(e.skeleton, tree, word),
+                      member(e, ambient.element(word, on)), off))
+    return (_enriched(e), is_saturated(e.skeleton), tuple(sorted(table.items())),
+            tuple(reads))
+
+
 def _count(x):
     return "inf" if x == INFINITY else x
 
@@ -307,6 +385,9 @@ def family(name):
         return [_lattice(*case) for case in _lattice_inputs()]
     if name == "stream":
         return [_stream(rep) for _, rep in stream_corpus()]
+    if name == "member":
+        rng = random.Random("golden:member:reads")
+        return [_member(e, rng) for e in member_corpus()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -408,3 +489,14 @@ class TestCorpus:
             finite += torsion and not ball.sphere
             cylinder += torsion and bool(ball.sphere)
         assert min(wide, zero, repeated, finite, cylinder) >= 2
+
+    def test_member_reads(self):
+        """The member family reads automata with lab1 != 0 and with torsion,
+        words off the automaton, and both membership answers."""
+        automata = member_corpus()
+        assert sum(any(any(lab1) for lab1, _ in e.labels) for e in automata) >= 20
+        assert sum(bool(e.ambient.abelian.torsion) for e in automata) >= 40
+        reads = [read for out in family("member") for read in out[3]]
+        assert sum(read[1] is None for read in reads) >= 100
+        answers = [answer for read in reads if read[1] is not None for answer in read[4:]]
+        assert min(answers.count(True), answers.count(False)) >= 100
