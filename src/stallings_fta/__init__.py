@@ -43,7 +43,6 @@ from .intersection import (
     equalize,
     intersect_fg,
     intersect_stages,
-    intersect_stream,
     intersection_matrices,
     vertex_expand,
 )

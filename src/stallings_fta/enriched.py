@@ -16,12 +16,16 @@ and adds arcs only for what cannot be read.  Folding ends in
 words._canonical_core.  Every construction labels its arcs from their
 values lab2 - lab1 with one routine, _labelled: reduce keeps each value,
 normalization reduces it modulo L, equalization takes a coset witness.
+Normalization, folding, products and completions read those values from
+one list per automaton, EnrichedAutomaton._differences; a completion adds
+the values of the arcs a walk crosses forward, subtracts the others.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .abelian import (
@@ -111,6 +115,12 @@ class SubgroupBasis:
 
 @dataclass(frozen=True)
 class EnrichedAutomaton:
+    """A skeleton, one (lab1, lab2) per positive arc and the basepoint
+    subgroup L.  The arcs' values lab2 - lab1 are kept once read
+    (_differences); the list is no field, so equality and hashing ignore
+    it, and a transformation or replace makes an automaton that reads
+    its own."""
+
     ambient: Ambient
     skeleton: Automaton
     labels: tuple[ArcLabel, ...]
@@ -122,11 +132,10 @@ class EnrichedAutomaton:
         if self.base.spec != self.ambient.abelian:
             raise ValueError("basepoint subgroup lives in the wrong group")
 
-    def arc_contribution(self, arc_idx: int, direction: int) -> Vector:
-        """Abelian part read when crossing the arc in the given direction."""
-        lab1, lab2 = self.labels[arc_idx]
-        diff = vec_sub(lab2, lab1)
-        return diff if direction == 1 else vec_neg(diff)
+    @cached_property
+    def _differences(self) -> list[Optional[Vector]]:
+        """lab2 - lab1 per arc, None for zero; readers that change it copy it."""
+        return _label_differences(self.labels)
 
 
 def enriched_flower(ambient: Ambient, gens: Sequence[GroupElement]) -> EnrichedAutomaton:
@@ -290,7 +299,7 @@ def reduce(e: EnrichedAutomaton, order: Optional[Sequence[int]] = None) -> Enric
     automaton, such as a flower; stallings() reaches the same result,
     normalized, without building the flower.
     """
-    folding = _Folding(e.skeleton.num_vertices, e.skeleton.arcs, _label_differences(e.labels))
+    folding = _Folding(e.skeleton.num_vertices, e.skeleton.arcs, list(e._differences))
     skeleton, _, values, gained = _folded_core(e.ambient, folding, e.skeleton.basepoint, order)
     base = AbelianSubgroup.from_generators(e.ambient.abelian, e.base.lattice_basis + tuple(gained))
     return _labelled(e.ambient, skeleton, values, base)
@@ -307,7 +316,7 @@ def normalize(e: EnrichedAutomaton, tree: SpanningTree) -> EnrichedAutomaton:
     """
     if e.__dict__.get("_normalized_on") is tree:
         return e
-    return _normalized(e.ambient, e.skeleton, tree, _label_differences(e.labels), e.base)
+    return _normalized(e.ambient, e.skeleton, tree, e._differences, e.base)
 
 
 def _normalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, values,
@@ -319,8 +328,10 @@ def _normalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, value
 
 
 def _label_differences(labels: Sequence[ArcLabel]) -> list[Optional[Vector]]:
-    """lab2 - lab1 for each arc label, None where it is zero."""
-    diffs = [vec_sub(lab2, lab1) for lab1, lab2 in labels]
+    """lab2 - lab1 for each arc label, None where it is zero; lab2 itself
+    where lab1 is zero, as on every canonical automaton, so such a list
+    makes no new vector."""
+    diffs = (vec_sub(lab2, lab1) if any(lab1) else lab2 for lab1, lab2 in labels)
     return [diff if any(diff) else None for diff in diffs]
 
 
@@ -396,9 +407,11 @@ def completion(e: EnrichedAutomaton, w: Sequence[int]):
     walk = recognizes(e.skeleton, w)
     if walk is None:
         return None
-    total = e.ambient.zero()
+    total, diffs = e.ambient.zero(), e._differences
     for arc_idx, d in walk:
-        total = vec_add(total, e.arc_contribution(arc_idx, d))
+        diff = diffs[arc_idx]
+        if diff is not None:
+            total = (vec_add if d == 1 else vec_sub)(total, diff)
     return e.base.reduce_mod(total), e.base
 
 
@@ -448,54 +461,35 @@ def transversal_stream(e: EnrichedAutomaton) -> Iterator[GroupElement]:
     otherwise infinite, so truncate it with itertools.islice.
     """
     _, _, total = index_report(e)
-    words = _graded_buffer(schreier_transversal(e.skeleton), len)
-    vecs = _graded_buffer(e.base.transversal(), lambda v: sum(abs(a) for a in v))
+    words = _by_grade(schreier_transversal(e.skeleton), len)
+    vecs = _by_grade(e.base.transversal(), lambda v: sum(abs(a) for a in v))
     emitted = 0
     for level in itertools.count():
         for ab_weight in range(level + 1):
-            for vec in vecs.of_grade(ab_weight):
-                for word in words.of_grade(level - ab_weight):
+            for vec in vecs(ab_weight):
+                for word in words(level - ab_weight):
                     yield GroupElement(word, vec)
                     emitted += 1
                     if emitted == total:
                         return
-        if words.exhausted and vecs.exhausted and level >= words.max_grade + vecs.max_grade:
-            return
 
 
-class _graded_buffer:
-    """Buffers a stream emitted in nondecreasing grade, queryable by grade."""
+def _by_grade(source: Iterator, grade: Callable[..., int]) -> Callable[[int], list]:
+    """The items of grade g of a stream that comes in nondecreasing grade,
+    as a function of g.  Its groups by grade are read (itertools.groupby)
+    and listed as far as the first group of grade g or more."""
+    groups = itertools.groupby(source, grade)
+    levels: list[list] = []
 
-    def __init__(self, source, grade):
-        self._source = source
-        self._grade = grade
-        self._by_grade: dict[int, list] = {}
-        self._ahead = None
-        self.exhausted = False
-        self.max_grade = 0
+    def of_grade(g: int) -> list:
+        for key, items in groups if len(levels) <= g else ():
+            levels.extend([] for _ in range(len(levels), key))
+            levels.append(list(items))
+            if key >= g:
+                break
+        return levels[g] if g < len(levels) else []
 
-    def _pull_through(self, g: int) -> None:
-        while not self.exhausted:
-            if self._ahead is not None:
-                item, gr = self._ahead
-                if gr > g:
-                    return
-                self._by_grade.setdefault(gr, []).append(item)
-                self._ahead = None
-            try:
-                item = next(self._source)
-            except StopIteration:
-                self.exhausted = True
-                return
-            gr = self._grade(item)
-            self.max_grade = max(self.max_grade, gr)
-            self._ahead = (item, gr)
-
-    def of_grade(self, g: int) -> list:
-        if g < 0:
-            return []
-        self._pull_through(g)
-        return self._by_grade.get(g, [])
+    return of_grade
 
 
 def finite_index_factor_extension(
@@ -505,7 +499,7 @@ def finite_index_factor_extension(
     index; the input subgroup is a factor of the finite-index result."""
     skeleton = e.skeleton
     arcs = list(skeleton.arcs)
-    values = _label_differences(e.labels)
+    values = list(e._differences)
     for k in range(1, e.ambient.n + 1):
         have_out = {o for o, kk, _ in arcs if kk == k}
         have_in = {t for _, kk, t in arcs if kk == k}
@@ -527,8 +521,7 @@ def completion_table(e: EnrichedAutomaton, max_len: int) -> dict[Word, Vector]:
     kept here because it only relies on automaton internals.
     """
     out: dict[Word, Vector] = {}
-    skeleton = e.skeleton
-    zero = e.ambient.zero()
+    skeleton, diffs = e.skeleton, e._differences
 
     def rec(v: int, word: tuple[int, ...], acc: Vector, last: int):
         if v == skeleton.basepoint:
@@ -542,9 +535,11 @@ def completion_table(e: EnrichedAutomaton, max_len: int) -> dict[Word, Vector]:
             if nxt is None:
                 continue
             w, arc_idx, d = nxt
-            rec(w, word + (s,), vec_add(acc, e.arc_contribution(arc_idx, d)), s)
+            diff = diffs[arc_idx]
+            here = acc if diff is None else (vec_add if d == 1 else vec_sub)(acc, diff)
+            rec(w, word + (s,), here, s)
 
-    rec(skeleton.basepoint, (), zero, 0)
+    rec(skeleton.basepoint, (), e.ambient.zero(), 0)
     return out
 
 

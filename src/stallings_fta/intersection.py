@@ -186,9 +186,8 @@ def doubly_enriched_product(
     skeleton, tree, kept = _canonical_core(
         ambient.n, raw.basepoint, raw.arcs, _step_map(ambient.n, raw.arcs), order)
     m, zero = ambient.m, ambient.zero()
-    diffs1, diffs2 = (
-        _label_differences(normalize(e, spanning_tree_by_order(e.skeleton, order)).labels)
-        for e in (e1, e2))
+    diffs1, diffs2 = (normalize(e, spanning_tree_by_order(e.skeleton, order))._differences
+                      for e in (e1, e2))
     joined = _joined([diffs1[prov[x][0]] for x in kept], [diffs2[prov[x][1]] for x in kept], zero)
     values = _tree_values(skeleton, tree, joined, zero + zero)
     reduce1, reduce2 = e1.base.reduce_mod, e2.base.reduce_mod
@@ -623,24 +622,6 @@ def intersect_stages(
         raise ValueError("max_radius must be nonnegative")
     report = intersection_matrices(e1, e2, order)
     return report, itertools.islice(report.stages(), max_radius + 1)
-
-
-def intersect_stream(
-    e1: EnrichedAutomaton,
-    e2: EnrichedAutomaton,
-    max_radius: int = 8,
-    order: Optional[Sequence[int]] = None,
-):
-    """(report, stream of automata, stream of basis elements).
-
-    Both streams are single-consumer views of the same staged computation.
-    The element stream is monotone: stage n only appends new petals.
-    """
-    report, stages = intersect_stages(e1, e2, max_radius, order)
-    for_automata, for_elements = itertools.tee(stages)
-    automata = (stage.automaton for stage in for_automata)
-    elements = (g for stage in for_elements for g in stage.new_elements)
-    return report, automata, elements
 
 
 class _ExpansionStream:

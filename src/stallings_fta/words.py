@@ -740,12 +740,9 @@ def product_with_provenance(a1: Automaton, a2: Automaton):
 
 
 def is_saturated(a: Automaton) -> bool:
-    """True iff every vertex has an outgoing arc in every signed direction."""
-    for v in range(a.num_vertices):
-        for s in default_order(a.n):
-            if a.step(v, s) is None:
-                return False
-    return True
+    """True iff every vertex has an outgoing arc in every signed direction:
+    iff the step map, one entry per arc end, has 2n entries per vertex."""
+    return len(a._steps) == 2 * a.n * a.num_vertices
 
 
 def schreier_transversal(

@@ -122,6 +122,21 @@ def reference_tree(a, order, strategy="order"):
     return a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals)
 
 
+def reference_completion(e, w):
+    """completion(e, w) read crossing by crossing: each arc's lab2 - lab1
+    forward and its negation backward, summed along the basepoint walk
+    that reads w; None where no such walk exists."""
+    walk = recognizes(e.skeleton, w)
+    if walk is None:
+        return None
+    total = e.ambient.zero()
+    for arc_idx, d in walk:
+        lab1, lab2 = e.labels[arc_idx]
+        diff = vec_sub(lab2, lab1)
+        total = vec_add(total, diff if d == 1 else vec_neg(diff))
+    return e.base.reduce_mod(total), e.base
+
+
 def is_deterministic(a):
     """True iff no two arcs leave a vertex of automaton a by the same signed letter."""
     try:

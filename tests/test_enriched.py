@@ -11,6 +11,7 @@ from support import (
     is_deterministic,
     parameterized_pair,
     random_subgroup_gens,
+    reference_completion,
     reference_folded_core,
 )
 
@@ -18,6 +19,7 @@ from stallings_fta import enriched, intersection, words
 from stallings_fta.abelian import INFINITY, AbelianSpec, AbelianSubgroup
 from stallings_fta.enriched import (
     Ambient,
+    EnrichedAutomaton,
     GroupElement,
     arc_transformation,
     basis,
@@ -47,6 +49,7 @@ from stallings_fta.words import (
     core,
     flower,
     fold,
+    free_reduce,
     multiply,
     recognizes,
     spanning_tree_by_order,
@@ -863,6 +866,115 @@ class TestCompletionTable:
         for word, b in table.items():
             assert member(e, GroupElement(word, b))
             assert not member(e, GroupElement(word, (b[0] + 1,)))
+
+
+VALUE_AMBIENTS = {
+    "F2xZ": F2Z,
+    "F2xZ2": F2Z2,
+    "F2x(Z+Z6)": Ambient(2, AbelianSpec(1, (6,))),
+    "F2x(Z2+Z4)": Ambient(2, AbelianSpec(0, (2, 4))),
+}
+
+
+def value_automata(name, count=25):
+    """Per seeded generator set of the ambient: its stallings automaton, the
+    reduced flower, a vertex transformation of that (lab1 != 0 on the arcs
+    leaving the vertex) and an arc transformation of the last."""
+    ambient = VALUE_AMBIENTS[name]
+    rng = random.Random(f"values:{name}")
+    out = []
+    for _ in range(count):
+        gens = random_subgroup_gens(rng, ambient, max_gens=4, maxlen=4)
+        e = reduce(enriched_flower(ambient, gens))
+        moved = vertex_transformation(e, rng.randrange(e.skeleton.num_vertices),
+                                      random_element(rng, ambient).vec)
+        out += [stallings(ambient, gens), e, moved]
+        if e.labels:
+            out.append(arc_transformation(moved, rng.randrange(len(e.labels)),
+                                          random_element(rng, ambient).vec))
+    return out
+
+
+class TestArcValues:
+    """Each enriched automaton's one list of arc values, _differences, read
+    by completions, normalization, folding and products."""
+
+    @pytest.mark.parametrize("name", list(VALUE_AMBIENTS))
+    def test_reads_match_the_per_crossing_reference(self, name):
+        rng = random.Random(f"values:reads:{name}")
+        automata = value_automata(name)
+        assert any(any(lab1) for e in automata for lab1, _ in e.labels)
+        letters = [k for k in range(-2, 3) if k]
+        short = [w for length in range(4) for w in itertools.product(letters, repeat=length)
+                 if free_reduce(w) == w]
+        for e in automata:
+            table = completion_table(e, 3)
+            recognized = [w for w in short if reference_completion(e, w) is not None]
+            assert sorted(table) == sorted(recognized)
+            longer = [free_reduce(sum((rng.choice(recognized) for _ in range(3)), ()))
+                      for _ in range(5)]
+            for w in short + longer:
+                expected = reference_completion(e, w)
+                assert completion(e, w) == expected
+                if w in table:
+                    assert table[w] == expected[0]
+                vec = random_element(rng, e.ambient).vec
+                g = GroupElement(w, e.ambient.abelian.canonicalize(vec))
+                assert member(e, g) == (expected is not None and expected[1].contains(
+                    tuple(a - b for a, b in zip(g.vec, expected[0]))))
+                if expected is not None:
+                    assert member(e, GroupElement(w, expected[0]))
+
+    def test_over_three_hundred_automata(self):
+        automata = [e for name in VALUE_AMBIENTS for e in value_automata(name)]
+        assert len(automata) >= 300
+        assert sum(any(lab1) for e in automata for lab1, _ in e.labels) >= 50
+
+    @pytest.mark.parametrize("name", list(VALUE_AMBIENTS))
+    def test_folding_and_extension_leave_the_list_alone(self, name):
+        for e in value_automata(name, 10):
+            diffs = e._differences
+            before = list(diffs)
+            reduce(e)
+            finite_index_factor_extension(e)
+            assert e._differences is diffs and diffs == before
+
+    def test_new_automata_get_their_own_values(self):
+        ambient = VALUE_AMBIENTS["F2x(Z+Z6)"]
+        e = stallings(ambient, elems(ambient, ((1,), (1, 2)), ((2, 1), (3, 0))))
+        assert any(e._differences)
+        c = (1, 1)
+        made = [vertex_transformation(e, 0, c), arc_transformation(e, 0, c),
+                replace(e, labels=tuple((lab2, lab1) for lab1, lab2 in e.labels))]
+        for new in made:
+            assert "_differences" not in new.__dict__
+            expected = [tuple(b - a for a, b in zip(lab1, lab2)) for lab1, lab2 in new.labels]
+            assert new._differences == [d if any(d) else None for d in expected]
+        assert made[2]._differences != e._differences
+        fresh = EnrichedAutomaton(e.ambient, e.skeleton, e.labels, e.base)
+        assert "_differences" in e.__dict__ and "_differences" not in fresh.__dict__
+        assert fresh == e and hash(fresh) == hash(e)
+
+    @pytest.mark.parametrize("name", list(VALUE_AMBIENTS))
+    def test_canonical_values_are_their_labels(self, name):
+        ambient = VALUE_AMBIENTS[name]
+        rng = random.Random(f"values:canonical:{name}")
+        for _ in range(10):
+            e = stallings(ambient, random_subgroup_gens(rng, ambient, max_gens=4, maxlen=4))
+            for (lab1, lab2), diff in zip(e.labels, e._differences):
+                assert not any(lab1)
+                assert diff is (lab2 if any(lab2) else None)
+
+    def test_one_list_per_automaton(self, monkeypatch):
+        calls = []
+        original = enriched._label_differences
+        monkeypatch.setattr(enriched, "_label_differences",
+                            lambda labels: calls.append(1) or original(labels))
+        e = stallings(F2Z, elems(F2Z, ((1,), (1,)), ((2, 1), (3,))))
+        for w in ((1,), (1, 2, -1), (2, 1, -2), (2,), ()):
+            completion(e, w)
+        completion_table(e, 3)
+        assert len(calls) == 1
 
 
 def test_dot_export():

@@ -32,7 +32,6 @@ from stallings_fta.intersection import (
     equalize,
     intersect_fg,
     intersect_stages,
-    intersect_stream,
     intersection_matrices,
     vertex_expand,
 )
@@ -1227,8 +1226,6 @@ class TestStreams:
         h1, h2 = moldavanski()
         with pytest.raises(ValueError):
             intersect_stages(h1, h2, max_radius=-1)
-        with pytest.raises(ValueError):
-            intersect_stream(h1, h2, max_radius=-1)
 
     def test_ball_guarantee_case2(self):
         h1, h2 = parameterized((3, 3), (2, 2), [(1, 2)], [])
@@ -1253,11 +1250,12 @@ class TestStreams:
         final = normalize(final, spanning_tree_by_order(final.skeleton))
         assert final == intersect_fg(h1, h2)
 
-    def test_stream_triple_view(self):
+    def test_stage_automata_and_elements(self):
         h1, h2 = moldavanski()
-        rep, automata, element_stream = intersect_stream(h1, h2, max_radius=2)
-        autos = list(automata)
-        els = list(element_stream)
+        rep, stages = intersect_stages(h1, h2, max_radius=2)
+        stage_list = list(stages)
+        autos = [stage.automaton for stage in stage_list]
+        els = [g for stage in stage_list for g in stage.new_elements]
         assert len(autos) == 3
         assert sorted(len(g.word) for g in els) == [1, 3, 3, 5, 5]
 

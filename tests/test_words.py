@@ -512,6 +512,28 @@ class TestSaturationTransversal:
         assert is_saturated(a)
         assert list(schreier_transversal(a)) == [(), (1,)]
 
+    def test_saturation_is_every_step_present(self):
+        rng = random.Random(11)
+        seen = set()
+        for n in (1, 2, 3):
+            for _ in range(40):
+                # Schreier generators of a subgroup of index size, some dropped
+                size = rng.randint(1, 4)
+                acts = [[(i + 1) % size for i in range(size)]]
+                acts += [rng.sample(range(size), size) for _ in range(n - 1)]
+                words = [free_reduce([1] * i + [k] + [-1] * act[i])
+                         for i in range(size) for k, act in enumerate(acts, 1)]
+                a = stallings_skeleton(n, [w for w in words if w and rng.random() < 0.8])
+                every = all(a.step(v, s) is not None
+                            for v in range(a.num_vertices) for s in default_order(n))
+                assert is_saturated(a) == every
+                seen.add((every, a.num_vertices > 1))
+        assert len(seen) == 4
+
+    def test_saturation_of_a_nondeterministic_automaton_raises(self):
+        with pytest.raises(ValueError, match="not deterministic"):
+            is_saturated(Automaton(2, 2, 0, ((0, 1, 0), (0, 1, 1), (1, 2, 1))))
+
     def test_infinite_stream(self):
         a = stallings_skeleton(2, [(2,)])
         assert not is_saturated(a)
