@@ -1,5 +1,7 @@
 """Shared generators and fixtures for the test suite (deterministic seeds)."""
 
+import re
+
 from stallings_fta.abelian import (
     AbelianSpec,
     _hnf_inplace,
@@ -11,7 +13,13 @@ from stallings_fta.abelian import (
     vec_sub,
 )
 from stallings_fta.enriched import Ambient, _normalized, stallings
-from stallings_fta.syntax import format_element, format_group
+from stallings_fta.syntax import (
+    MAX_WORD_LETTERS,
+    ProblemParseError,
+    _literal,
+    format_element,
+    format_group,
+)
 from stallings_fta.words import (
     _add,
     _canonical_core,
@@ -267,6 +275,159 @@ def format_problem(problem):
     for name, gens in problem.subgroups:
         lines.append(f"{name}: " + ", ".join(format_element(g) for g in gens))
     return "\n".join(lines) + "\n"
+
+
+# Unicode whitespace that separates tokens; parse_problem's splitlines breaks
+# none of these
+SEPARATORS = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000")
+NON_ASCII_DIGITS = ("\u0661", "\u0663", "\u0966", "\uff13")  # Arabic-Indic, Devanagari, fullwidth
+LONG_LITERAL = "7" * 4400  # past the interpreter's integer-string limit
+
+
+def letter_tokens(rng, ambient):
+    """One or two valid word tokens: 1, a generator, a power from -5 to 5
+    (zero included, leading zeros sometimes), or a run that cancels across
+    two tokens (x1^3 x1^-5)."""
+    k = rng.randint(1, ambient.n)
+    roll = rng.random()
+    if roll < 0.1:
+        return ["1"]
+    if roll < 0.3:
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        sign = rng.choice(("", "-"))
+        return [f"x{k}^{sign}{a}", f"x{k}^{'' if sign else '-'}{b}"]
+    if roll < 0.55:
+        return [f"x{k}"]
+    zeros = "0" * rng.choice((0, 0, 0, 1, 2))
+    return [f"x{zeros}{k}^{rng.randint(-5, 5)}"]
+
+
+def tail_token(rng, ambient):
+    """A valid abelian tail: t^k when m = 1 (half the time), else t^(...),
+    which is t^() when m = 0; torsion coordinates fall outside [0, d)."""
+    coords = [rng.randint(-20, 20) for _ in range(ambient.m)]
+    if ambient.m == 1 and rng.random() < 0.5:
+        return f"t^{coords[0]}"
+    return "t^(" + ",".join(map(str, coords)) + ")"
+
+
+def element_tokens(rng, ambient, max_groups=6):
+    """The tokens of a valid element: up to max_groups draws of letter_tokens,
+    then a tail six times in ten."""
+    tokens = []
+    for _ in range(rng.randint(0, max_groups)):
+        tokens += letter_tokens(rng, ambient)
+    if rng.random() < 0.6:
+        tokens.append(tail_token(rng, ambient))
+    return tokens
+
+
+def mutated_token(rng, ambient):
+    """A token the syntax rejects, or reads other than it looks: a digit of
+    another script, a truncated power or tail, an oversized literal, a
+    generator out of range, a tail of the wrong length, or a stray word."""
+    k = rng.randint(1, ambient.n)
+    kind = rng.randrange(7)
+    if kind == 0:
+        token = rng.choice((f"x{k}", f"x{k}^{rng.randint(-5, 5)}", tail_token(rng, ambient)))
+        digits = [i for i, ch in enumerate(token) if ch.isdigit()]
+        if not digits:
+            return "t^" + rng.choice(NON_ASCII_DIGITS)
+        i = rng.choice(digits)
+        return token[:i] + rng.choice(NON_ASCII_DIGITS) + token[i + 1:]
+    if kind == 1:
+        return rng.choice((f"x{k}^", f"x{k}^-", "x", "t^", "t^(", "t^(1,)", "t^(,1)",
+                           "t^-", "t^(1", "t^1)"))
+    if kind == 2:
+        return rng.choice((f"x{LONG_LITERAL}", f"x{k}^{LONG_LITERAL}", f"x{k}^-{LONG_LITERAL}",
+                           f"t^{LONG_LITERAL}", f"t^(-{LONG_LITERAL}" + ",0" * (ambient.m - 1) + ")"))
+    if kind == 3:
+        return rng.choice(("x0", f"x{ambient.n + rng.randint(1, 3)}^-2", f"x00{ambient.n + 1}"))
+    if kind == 4:
+        wrong = rng.choice([c for c in range(4) if c != ambient.m])
+        return "t^(" + ",".join(str(rng.randint(-3, 3)) for _ in range(wrong)) + ")"
+    if kind == 5:
+        return rng.choice(("X1", "y1", "x-1", "x+1", f"x{k}^+2", "t^(--1)", "1x", "11", "t",
+                           "t^(1 ", f"x{k}^2^3"))
+    return rng.choice(("1", f"x{k}^0", tail_token(rng, ambient)))
+
+
+def joined(rng, tokens, glue=0.0):
+    """Tokens joined by seeded Unicode separators, at the rate glue by none
+    (x1x2, x1t^1), with leading and trailing ones."""
+    text = rng.choice(("",) + SEPARATORS)
+    for i, token in enumerate(tokens):
+        if i:
+            text += "" if rng.random() < glue else rng.choice(SEPARATORS)
+        text += token
+    return text + rng.choice(("",) + SEPARATORS)
+
+
+# The text syntax before elements were read in one pass, for differential
+# tests: one regex try per token kind after a whitespace scan, the word
+# reduced afterwards by Ambient.element, and a per-character comma split.
+_REFERENCE_LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$", re.ASCII)
+_REFERENCE_VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$", re.ASCII)
+
+
+def reference_parse_element(text, ambient, line, col_base, budget):
+    """(element, letters read before free reduction), as syntax._parse_element."""
+    word = []
+    vec = None
+    for match in re.finditer(r"\S+", text):
+        token = match.group()
+        col = col_base + match.start() + 1
+        if vec is not None:
+            raise ProblemParseError("abelian tail must come last", line, col)
+        if token == "1":
+            continue
+        m = _REFERENCE_LETTER_RE.match(token)
+        if m:
+            idx = _literal(m.group(1), line, col)
+            if not (1 <= idx <= ambient.n):
+                raise ProblemParseError(
+                    f"generator x{idx} out of range (free rank {ambient.n})", line, col
+                )
+            exp = _literal(m.group(2), line, col) if m.group(2) is not None else 1
+            if len(word) + abs(exp) > budget:
+                raise ProblemParseError(
+                    f"more than {MAX_WORD_LETTERS} letters before free reduction", line, col
+                )
+            word.extend([idx if exp > 0 else -idx] * abs(exp))
+            continue
+        m = _REFERENCE_VECTOR_RE.match(token)
+        if m:
+            if m.group(2) is not None:
+                coords = (_literal(m.group(2), line, col),)
+            elif m.group(1):
+                coords = tuple(_literal(p, line, col) for p in m.group(1).split(","))
+            else:
+                coords = ()
+            if len(coords) != ambient.m:
+                raise ProblemParseError(
+                    f"abelian vector has {len(coords)} coordinates, expected {ambient.m}",
+                    line,
+                    col,
+                )
+            vec = coords
+            continue
+        raise ProblemParseError(f"cannot read token {token!r}", line, col)
+    return ambient.element(word, vec if vec is not None else ambient.zero()), len(word)
+
+
+def reference_split_outside_parens(text):
+    """Split on commas at parenthesis depth 0; yields (chunk, start offset)."""
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            yield text[start:i], start
+            start = i + 1
+    yield text[start:], start
 
 
 def coset_presentation(rng, ambient, size):

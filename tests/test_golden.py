@@ -21,11 +21,16 @@ to 24 stages each, and reads every stage automaton only once the stream has
 moved past it.  The member family runs the read path (completion, member,
 completion_table, word_coordinates, is_saturated) on the corpus's automata
 and on deterministic ones that are not canonical, some with lab1 != 0.
+The parse family reads seeded element texts (powers, zero exponents, runs
+that cancel across tokens, 1 tokens, every tail form, torsion coordinates
+outside [0, d), Unicode separators) and seeded problem files, some with one
+mutated token or parenthesis, whose errors it keeps with line and column.
 """
 
 import hashlib
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -60,6 +65,13 @@ from stallings_fta.intersection import (
     intersect_fg,
     intersection_matrices,
 )
+from stallings_fta.syntax import (
+    MAX_WORD_LETTERS,
+    ProblemParseError,
+    _parse_element,
+    format_group,
+    parse_problem,
+)
 from stallings_fta.words import (
     free_reduce,
     is_saturated,
@@ -67,6 +79,7 @@ from stallings_fta.words import (
     spanning_tree_by_order,
     word_coordinates,
 )
+from support import element_tokens, joined, letter_tokens, mutated_token, tail_token
 
 AMBIENTS = {
     "F2xZ": Ambient(2, AbelianSpec(1)),
@@ -91,6 +104,7 @@ GOLDEN = {
     "abelian": "bb8ea73bc35f879535b7610b7579186c241eb26aa1085ec1534a2a1c69ad4fa5",
     "stream": "aa9df876da0a4a05a73d3d762b988bf8abc5348313f75cf6badbfc4f6e9504cb",
     "member": "6ba77ac0d15c60fdddad832bc1cd59aeafaf56c77552adf1f8c11e400c8a0c0d",
+    "parse": "796f1bdd959d1706558fec6f3100d7586ca0be8eb5b9fcf32acdfb40b643a6ca",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -119,6 +133,7 @@ STREAM_STAGES = 24
 MEMBER_FLOWERS = 4  # per ambient
 MEMBER_WORDS = 10  # per automaton
 MEMBER_TABLE_LEN = 4
+PARSE_TEXTS = 60  # per ambient: element texts, and problem files
 
 
 def _vec(rng, ambient, bound=2):
@@ -294,6 +309,67 @@ def _member(e, rng):
             tuple(reads))
 
 
+def _problem_text(rng, ambient, bad):
+    """A problem file of up to three subgroup lines of up to three elements,
+    between comment and blank lines; with bad, one element gets a mutated
+    token, a token after its tail, or an extra parenthesis in its tail."""
+    lines = [[element_tokens(rng, ambient, 3) for _ in range(rng.randint(0, 3))]
+             for _ in range(rng.randint(1, 3))]
+    spots = [(i, j) for i, elements in enumerate(lines) for j in range(len(elements))]
+    texts = [[joined(rng, tokens) for tokens in elements] for elements in lines]
+    if bad and spots:
+        i, j = rng.choice(spots)
+        tokens = lines[i][j]
+        roll = rng.random()
+        if roll < 0.7:
+            tokens.insert(rng.randint(0, len(tokens)), mutated_token(rng, ambient))
+        elif roll < 0.85:
+            tokens += [tail_token(rng, ambient)] + letter_tokens(rng, ambient)
+        else:
+            tokens.append(tail_token(rng, ambient))
+        text = joined(rng, tokens)
+        if roll >= 0.85:
+            at = text.index("t^") + 2
+            text = text[:at] + rng.choice(("(", "((", ")")) + text[at:]
+        texts[i][j] = text
+    out = [f"group {format_group(ambient)}"]
+    for i, elements in enumerate(texts):
+        if rng.random() < 0.3:
+            out.append(rng.choice(("", "# a comment, (with a parenthesis")))
+        sep = rng.choice(("", " ", "\t"))
+        out.append(f"H{i}{sep}:{rng.choice(('', ' '))}" + ",".join(elements))
+    return "\n".join(out) + "\n"
+
+
+def _problem(text):
+    """The subgroups of a problem file, or its error with line and column."""
+    try:
+        return tuple((name, _elements(gens)) for name, gens in parse_problem(text).subgroups)
+    except ProblemParseError as err:
+        return str(err), err.line, err.col
+
+
+def _parse_inputs():
+    """Seeded (ambient, element texts, problem files) per ambient: valid
+    element texts; problem files, every other one with a mutated element,
+    and one whose two elements fit the letter budget alone but not together."""
+    half = MAX_WORD_LETTERS // 2 + 1
+    for name, ambient in AMBIENTS.items():
+        rng = random.Random(f"golden:parse:{name}")
+        texts = [joined(rng, element_tokens(rng, ambient)) for _ in range(PARSE_TEXTS)]
+        files = [_problem_text(rng, ambient, i % 2) for i in range(PARSE_TEXTS)]
+        files.append(f"group {format_group(ambient)}\nH: x1^{half},  x1^-{half}\n")
+        yield ambient, texts, files
+
+
+def _parse(ambient, texts, files):
+    elements = []
+    for text in texts:
+        g, letters = _parse_element(text, ambient, 0, 0, MAX_WORD_LETTERS)
+        elements.append((g.word, g.vec, letters))
+    return tuple(elements), tuple(map(_problem, files))
+
+
 def _count(x):
     return "inf" if x == INFINITY else x
 
@@ -388,6 +464,8 @@ def family(name):
     if name == "member":
         rng = random.Random("golden:member:reads")
         return [_member(e, rng) for e in member_corpus()]
+    if name == "parse":
+        return [_parse(*case) for case in _parse_inputs()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -500,3 +578,30 @@ class TestCorpus:
         assert sum(read[1] is None for read in reads) >= 100
         answers = [answer for read in reads if read[1] is not None for answer in read[4:]]
         assert min(answers.count(True), answers.count(False)) >= 100
+
+    def test_parse_texts(self):
+        """The parse family reads zero powers, 1 tokens, cancelling runs,
+        every tail form with torsion outside [0, d), Unicode separators, and
+        meets every parse error."""
+        cases = list(_parse_inputs())
+        outs = [_parse(*case) for case in cases]
+        texts = [text for _, texts, _ in cases for text in texts]
+        assert all(any(sep in text for text in texts) for sep in ("\u00a0", "\u2003", "\t"))
+        assert sum(re.search(r"(?<!\S)1(?!\S)", text) is not None for text in texts) >= 10
+        assert sum("^0" in text or "^-0" in text for text in texts) >= 10
+        assert sum("t^()" in text for text in texts) >= 10
+        assert sum(re.search(r"t\^-?[0-9]", text) is not None for text in texts) >= 10
+        outside = 0
+        for ambient, texts, _ in cases:
+            spec = ambient.abelian
+            for tail in re.findall(r"t\^\(([^)]+)\)", " ".join(texts)) if spec.torsion else ():
+                coords = [int(c) for c in tail.split(",")][spec.m_free:]
+                outside += any(not 0 <= c < d for c, d in zip(coords, spec.torsion))
+        assert outside >= 20
+        read = [row for elements, _ in outs for row in elements]
+        assert sum(letters > len(word) for word, _, letters in read) >= 40
+        errors = [out for _, files in outs for out in files if isinstance(out[0], str)]
+        for message in ("cannot read token", "out of range", "tail must come last",
+                        "coordinates, expected", "digits is too long", "letters before"):
+            assert sum(message in error for error, _, _ in errors) >= 3, message
+        assert len(errors) >= 100
