@@ -1,8 +1,10 @@
 """Text syntax for group elements and problem files.
 
-Element grammar: whitespace-separated word tokens `x3`, `x3^-1`, `x1^4`,
-followed by an optional abelian tail `t^(a1,...,am)` (or `t^k` when the
-abelian part has a single coordinate); `1` denotes the identity.
+Element grammar: word tokens `x3`, `x3^-1`, `x1^4` separated by any Unicode
+whitespace, followed by an optional abelian tail `t^(a1,...,am)` (or `t^k`
+when the abelian part has a single coordinate); `1` denotes the identity.
+Digits are ASCII only.  One scan reads the tokens and freely reduces the
+word as it goes; the letter budget counts letters before that reduction.
 
 Problem files declare the ambient group and named subgroups:
 
@@ -46,9 +48,14 @@ class ProblemFile:
 MAX_WORD_LETTERS = 10**6  # per element and per problem file, before free reduction
 MAX_RANK = 10**4  # free rank n and abelian rank m; work such as letter orders grows with them
 
+# One match per token: a letter, a tail, or any other run of non-whitespace.
+# Tokens end at Unicode whitespace, but digits are 0-9 only.
+_TOKEN_RE = re.compile(
+    r"x([0-9]+)(?:\^(-?[0-9]+))?(?!\S)"
+    r"|t\^(?:\(((?:-?[0-9]+(?:,-?[0-9]+)*)?)\)|(-?[0-9]+))(?!\S)"
+    r"|\S+"
+)
 # re.ASCII: \d is 0-9 only, so a digit of another script is a bad token
-_LETTER_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$", re.ASCII)
-_VECTOR_RE = re.compile(r"t\^(?:\((-?\d+(?:,-?\d+)*)?\)|(-?\d+))$", re.ASCII)
 _GROUP_RE = re.compile(r"F(\d+)$", re.ASCII)
 _FREE_PART_RE = re.compile(r"Z(?:\^(\d+))?$", re.ASCII)
 _TORSION_RE = re.compile(r"Z/(\d+)Z?$", re.ASCII)
@@ -70,48 +77,45 @@ def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0)
 
 
 def _parse_element(text: str, ambient: Ambient, line: int, col_base: int, budget: int):
-    """(element, letters read before free reduction), reading at most budget letters."""
+    """(element, letters read before free reduction), reading at most budget
+    letters and freely reducing the word as it is read."""
     word: list[int] = []
+    read = 0
     vec = None
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
+    for match in _TOKEN_RE.finditer(text):
         col = col_base + match.start() + 1
         if vec is not None:
             raise ProblemParseError("abelian tail must come last", line, col)
-        if token == "1":
-            continue
-        m = _LETTER_RE.match(token)
-        if m:
-            idx = _literal(m.group(1), line, col)
+        digits, power, coords, scalar = match.groups()
+        if digits is not None:
+            idx = _literal(digits, line, col)
             if not (1 <= idx <= ambient.n):
                 raise ProblemParseError(
                     f"generator x{idx} out of range (free rank {ambient.n})", line, col
                 )
-            exp = _literal(m.group(2), line, col) if m.group(2) is not None else 1
-            if len(word) + abs(exp) > budget:
+            exp = _literal(power, line, col) if power is not None else 1
+            count = abs(exp)
+            read += count
+            if read > budget:
                 raise ProblemParseError(
                     f"more than {MAX_WORD_LETTERS} letters before free reduction", line, col
                 )
-            word.extend([idx if exp > 0 else -idx] * abs(exp))
-            continue
-        m = _VECTOR_RE.match(token)
-        if m:
-            if m.group(2) is not None:
-                coords = (_literal(m.group(2), line, col),)
-            elif m.group(1):
-                coords = tuple(_literal(p, line, col) for p in m.group(1).split(","))
-            else:
-                coords = ()
-            if len(coords) != ambient.m:
+            letter = idx if exp > 0 else -idx
+            while count and word and word[-1] == -letter:
+                word.pop()
+                count -= 1
+            word += [letter] * count
+        elif coords is not None or scalar is not None:
+            # t^() splits to one empty part and has no coordinates
+            vec = tuple(_literal(p, line, col) for p in (scalar or coords).split(",") if p)
+            if len(vec) != ambient.m:
                 raise ProblemParseError(
-                    f"abelian vector has {len(coords)} coordinates, expected {ambient.m}",
-                    line,
-                    col,
+                    f"abelian vector has {len(vec)} coordinates, expected {ambient.m}", line, col
                 )
-            vec = coords
-            continue
-        raise ProblemParseError(f"cannot read token {token!r}", line, col)
-    return ambient.element(word, vec if vec is not None else ambient.zero()), len(word)
+        elif match.group() != "1":
+            raise ProblemParseError(f"cannot read token {match.group()!r}", line, col)
+    vec = ambient.abelian.canonicalize(vec) if vec is not None else ambient.zero()
+    return GroupElement(tuple(word), vec), read
 
 
 def format_element(g: GroupElement) -> str:
@@ -205,12 +209,12 @@ def _split_outside_parens(text: str):
     """Split on commas at parenthesis depth 0; yields (chunk, start offset)."""
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
+    for match in re.finditer(r"[(),]", text):
+        if match.group() == "(":
             depth += 1
-        elif ch == ")":
+        elif match.group() == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
-            yield text[start:i], start
-            start = i + 1
+        elif depth == 0:
+            yield text[start:match.start()], start
+            start = match.end()
     yield text[start:], start

@@ -1,0 +1,101 @@
+"""The element reader and the comma split against their reference versions
+in support, on seeded texts that mix valid tokens with mutated ones, and
+the letter budget, which counts letters before free reduction."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from stallings_fta.abelian import AbelianSpec
+from stallings_fta.enriched import Ambient
+from stallings_fta.syntax import (
+    MAX_WORD_LETTERS,
+    ProblemParseError,
+    _parse_element,
+    _split_outside_parens,
+    parse_element,
+)
+from support import (
+    element_tokens,
+    joined,
+    letter_tokens,
+    mutated_token,
+    reference_parse_element,
+    reference_split_outside_parens,
+    tail_token,
+)
+
+AMBIENTS = (
+    Ambient(2, AbelianSpec(1)),
+    Ambient(3, AbelianSpec(2)),
+    Ambient(2, AbelianSpec(1, (6,))),
+    Ambient(2, AbelianSpec(0, (2, 4))),
+    Ambient(2, AbelianSpec(0)),
+)
+TEXTS = 2400
+F2Z = AMBIENTS[0]
+
+
+def _outcome(parse, *args):
+    """(element, letters read), or the error's message, line and column."""
+    try:
+        return parse(*args)
+    except ProblemParseError as err:
+        return str(err), err.line, err.col
+
+
+def _mixed_text(rng, ambient):
+    """Valid tokens with mutated ones among them, sometimes a token after
+    the tail, sometimes glued to their neighbours."""
+    tokens = element_tokens(rng, ambient, max_groups=8)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        tokens.insert(rng.randint(0, len(tokens)), mutated_token(rng, ambient))
+    if rng.random() < 0.1:
+        tokens += [tail_token(rng, ambient)] + letter_tokens(rng, ambient)
+    return joined(rng, tokens, glue=0.05)
+
+
+def test_reader_matches_the_reference():
+    rng = random.Random("syntax:differential")
+    kinds = Counter()
+    for i in range(TEXTS):
+        ambient = AMBIENTS[i % len(AMBIENTS)]
+        text = _mixed_text(rng, ambient)
+        budget = MAX_WORD_LETTERS if rng.random() < 0.7 else rng.randint(0, 20)
+        args = (text, ambient, rng.randint(0, 3), rng.randint(0, 12), budget)
+        got = _outcome(_parse_element, *args)
+        assert got == _outcome(reference_parse_element, *args), text
+        message = got[0]
+        kinds[message.split(": ", 1)[-1][:16] if isinstance(message, str) else "ok"] += 1
+    assert kinds["ok"] >= 600
+    for kind in ("cannot read toke", "generator x0 out", "abelian tail mus",
+                 "integer literal ", "more than 100000"):
+        assert kinds[kind] >= 20, kinds
+
+
+def test_letter_budget_counts_cancelled_letters():
+    half = MAX_WORD_LETTERS // 2 + 1
+    text = f"x1^{half} x1^-{half}"
+    with pytest.raises(ProblemParseError, match="letters before free reduction") as info:
+        parse_element(text, F2Z)
+    assert info.value.col == text.index(" x1") + 2
+
+
+def test_cancelled_letters_fill_the_budget_exactly():
+    k = MAX_WORD_LETTERS // 2
+    g, letters = _parse_element(f"x1^{k} x1^-{k}", F2Z, 0, 0, MAX_WORD_LETTERS)
+    assert (g, letters) == (F2Z.identity(), 2 * k)
+    assert parse_element(f"x2^-{k} x2^{k} t^3", F2Z) == F2Z.element((), (3,))
+
+
+def test_split_matches_the_reference():
+    """Unbalanced parentheses included: a ')' at depth 0 takes the depth
+    below 0, and commas split only back at depth 0."""
+    rng = random.Random("syntax:split")
+    unbalanced = 0
+    for _ in range(2000):
+        text = "".join(rng.choice("(),,x1 t^") for _ in range(rng.randint(0, 24)))
+        assert list(_split_outside_parens(text)) == list(reference_split_outside_parens(text))
+        unbalanced += text.count("(") != text.count(")")
+    assert unbalanced >= 1000
