@@ -2,8 +2,8 @@
 indices, transversals, and DOT exports for free-times-abelian groups.
 
 Exit codes: 0 success (and "is a member"), 1 "is not a member",
-2 parse or usage error, or memory or recursion depth exhausted,
-3 budget exhausted under --strict.
+2 parse or usage error, a finite answer over the expansion budget, or
+memory or recursion depth exhausted, 3 truncated under --strict.
 
 The environment variable STALLINGS_FTA_SEED is reserved; all computations
 are fully deterministic and it is never read.
@@ -237,7 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *, elements=0, element_arg=False):
+    # the options beyond --json, each given only to the subcommands that read it
+    options = {
+        "--strict": dict(action="store_true"),
+        "--limit": dict(type=nonnegative_int, default=None),
+        "--max-radius": dict(type=nonnegative_int, default=8, dest="max_radius"),
+        "--dot": dict(action="store_true"),
+    }
+
+    def add(name, func, *, elements=0, element_arg=False, reads=()):
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file")
         if elements == 1:
@@ -248,19 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
         if element_arg:
             p.add_argument("element")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--limit", type=nonnegative_int, default=None)
-        p.add_argument("--max-radius", type=nonnegative_int, default=8, dest="max_radius")
-        p.add_argument("--dot", action="store_true")
+        for flag in reads:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(func=func)
         return p
 
     add("basis", cmd_basis, elements=1)
     add("member", cmd_member, elements=1, element_arg=True)
     add("index", cmd_index, elements=1)
-    add("transversal", cmd_transversal, elements=1)
-    add("intersect", cmd_intersect, elements=2)
-    add("cayley", cmd_cayley, elements=2)
+    add("transversal", cmd_transversal, elements=1, reads=("--strict", "--limit"))
+    add("intersect", cmd_intersect, elements=2, reads=("--strict", "--max-radius", "--dot"))
+    add("cayley", cmd_cayley, elements=2, reads=("--max-radius",))
     add("dot", cmd_dot, elements=1)
     return parser
 

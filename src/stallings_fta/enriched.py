@@ -19,6 +19,8 @@ normalization reduces it modulo L, equalization takes a coset witness.
 Normalization, folding, products and completions read those values from
 one list per automaton, EnrichedAutomaton._differences; a completion adds
 the values of the arcs a walk crosses forward, subtracts the others.
+The flower and to_dot take their layouts from words (_petals, _dot), and
+stallings and enriched_flower split their generators with _generators.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .words import (
     SpanningTree,
     Word,
     _canonical_core,
+    _dot,
     _Folding,
+    _petals,
     _step_map,
     canonical_renumber,
     default_order,
@@ -138,37 +142,37 @@ class EnrichedAutomaton:
         return _label_differences(self.labels)
 
 
-def enriched_flower(ambient: Ambient, gens: Sequence[GroupElement]) -> EnrichedAutomaton:
-    """Petals for generators with nonempty word; purely abelian generators
-    populate the basepoint subgroup; identities are dropped."""
-    zero = ambient.zero()
-    arcs = []
-    labels = []
-    abelian_gens = []
-    num = 1
+def _generators(ambient: Ambient, gens: Sequence[GroupElement]):
+    """(the generators with a nonempty word, the nonzero vectors of the
+    others), once every abelian part is checked for its length."""
+    worded, abelian_gens = [], []
     for g in gens:
         if len(g.vec) != ambient.m:
             raise ValueError("abelian part has the wrong length")
-        if not g.word:
-            if any(g.vec):
-                abelian_gens.append(g.vec)
-            continue
-        here = 0
-        last = len(g.word) - 1
+        if g.word:
+            worded.append(g)
+        elif any(g.vec):
+            abelian_gens.append(g.vec)
+    return worded, abelian_gens
+
+
+def enriched_flower(ambient: Ambient, gens: Sequence[GroupElement]) -> EnrichedAutomaton:
+    """Petals for generators with nonempty word, each word read as given;
+    purely abelian generators populate the basepoint subgroup; identities
+    are dropped."""
+    worded, abelian_gens = _generators(ambient, gens)
+    num, arcs = _petals(g.word for g in worded)
+    zero = ambient.zero()
+    labels = []
+    for g in worded:
         for i, l in enumerate(g.word):
-            nxt = 0 if i == last else num
-            if nxt:
-                num += 1
-            vec = g.vec if i == last else zero
+            vec = g.vec if i == len(g.word) - 1 else zero
             if l > 0:
-                arcs.append((here, l, nxt))
                 labels.append((zero, vec))
             else:
                 # the petal crosses this positive arc backwards, reading
                 # x^-1 t^(lab1 - lab2); lab1 = vec makes that x^-1 t^vec
-                arcs.append((nxt, -l, here))
                 labels.append((vec, zero))
-            here = nxt
     return EnrichedAutomaton(
         ambient,
         Automaton(ambient.n, num, 0, tuple(arcs)),
@@ -381,14 +385,8 @@ def stallings(
     meet it.  Purely abelian generators populate the basepoint subgroup.
     """
     folding = _Folding(1, (), [])
-    abelian_gens = []
-    for g in gens:
-        if len(g.vec) != ambient.m:
-            raise ValueError("abelian part has the wrong length")
-        if not g.word:
-            if any(g.vec):
-                abelian_gens.append(g.vec)
-            continue
+    worded, abelian_gens = _generators(ambient, gens)
+    for g in worded:
         if 0 in g.word or max(map(abs, g.word)) > ambient.n:
             bad = next(l for l in g.word if not 1 <= abs(l) <= ambient.n)
             raise ValueError(f"letter {abs(bad)} out of range")
@@ -546,18 +544,9 @@ def completion_table(e: EnrichedAutomaton, max_len: int) -> dict[Word, Vector]:
 def to_dot(e: EnrichedAutomaton, name: str = "enriched") -> str:
     """DOT rendering with arc labels [lab1|x_k|lab2] and L at the basepoint."""
     base_rows = ",".join(str(list(r)) for r in e.base.lattice_basis) or "0"
-    lines = [
-        f"digraph {name} {{",
-        "  rankdir=LR;",
-        "  node [shape=circle, label=\"\"];",
-        f"  v{e.skeleton.basepoint} [shape=doublecircle, xlabel=\"L=<{base_rows}>\"];",
-    ]
-    for v in range(e.skeleton.num_vertices):
-        if v != e.skeleton.basepoint:
-            lines.append(f"  v{v};")
-    for (o, k, t), (lab1, lab2) in zip(e.skeleton.arcs, e.labels):
+    arc_labels = []
+    for (_, k, _), (lab1, lab2) in zip(e.skeleton.arcs, e.labels):
         l1 = ",".join(map(str, lab1))
         l2 = ",".join(map(str, lab2))
-        lines.append(f"  v{o} -> v{t} [label=\"({l1})|x{k}|({l2})\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        arc_labels.append(f"({l1})|x{k}|({l2})")
+    return _dot(e.skeleton, name, f"shape=doublecircle, xlabel=\"L=<{base_rows}>\"", arc_labels)

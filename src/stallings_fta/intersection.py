@@ -45,7 +45,10 @@ trees, potentials and words.  In the finitely generated case the Cayley
 graph is finite: intersect_fg runs the same expansion to completion, hands
 its arcs and step map to _canonical_core and equalizes it once, one witness
 per canonical petal of its core, on the core's canonical tree; that is the
-Stallings automaton of the intersection.
+Stallings automaton of the intersection.  Before they grow anything,
+intersect_fg refuses an expansion that would add more than
+MAX_EXPANSION_VERTICES vertices to the product it copies, and
+cayley_multidigraph without a radius a group of more elements than that.
 
 The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
@@ -54,12 +57,14 @@ is the one CosetIntersection of (L1, L2), which gives L1 & L2 and every
 witness; D, M, the stream and intersect_fg all read them.  intersect_fg,
 intersect_stages and the CLI start from one report.
 cayley_multidigraph, vertex_expand, doubly_reduce and equalize remain as
-the paper's separate steps.
+the paper's separate steps; vertex_expand reads its arcs and both label
+layers through one list of copies, as the product does through prov.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add, sub
@@ -112,6 +117,15 @@ from .words import (
 
 VERDICT_FG = "finitely-generated"
 VERDICT_NOT_FG = "not-finitely-generated"
+# vertices of a finite Cayley graph or of its expansion: a tiny input
+# (t^N, N large) can ask for a finite answer of any size
+MAX_EXPANSION_VERTICES = 10**5
+
+
+def _check_budget(vertices: int) -> None:
+    """ValueError when more than MAX_EXPANSION_VERTICES vertices would be built."""
+    if vertices > MAX_EXPANSION_VERTICES:
+        raise ValueError(f"the answer would need more than {MAX_EXPANSION_VERTICES} vertices")
 
 
 class NotEqualizableError(ValueError):
@@ -439,8 +453,9 @@ def cayley_multidigraph(
     delta_i = 0 contributes a Z factor and delta_i = 1 a trivial one; trivial
     and repeated generators are kept (one letter per row), and read from the
     ball's classes through its row_class map.  Without a radius the group
-    must be finite; with one, the induced ball of that radius around the
-    identity is returned.  Returns (automaton, vertex elements).
+    must be finite, of at most MAX_EXPANSION_VERTICES elements; with one,
+    the induced ball of that radius around the identity is returned.
+    Returns (automaton, vertex elements).
     """
     r = len(deltas)
     if any(d < 0 for d in deltas):
@@ -449,8 +464,10 @@ def cayley_multidigraph(
         raise ValueError("ball radius must be nonnegative")
     if len(q_rows) != r or any(len(row) != r for row in q_rows):
         raise ValueError("one generator row per delta required, with one entry per delta")
-    if radius is None and any(d == 0 for d in deltas):
-        raise ValueError("infinite Cayley graph needs a ball radius")
+    if radius is None:
+        if any(d == 0 for d in deltas):
+            raise ValueError("infinite Cayley graph needs a ball radius")
+        _check_budget(math.prod(deltas))
 
     ball = _CayleyBall(deltas, q_rows)
     grown = 0
@@ -477,31 +494,22 @@ def vertex_expand(
         raise ValueError("delta alphabet must match the petal count")
     sk = theta.skeleton
     vt = sk.num_vertices
-    arcs = []
-    labels1 = []
-    labels2 = []
     tree_arcs = sorted(tree.tree_arcs)
-    for d in range(delta_aut.num_vertices):
-        for arc_idx in tree_arcs:
-            o, k, t = sk.arcs[arc_idx]
-            arcs.append((d * vt + o, k, d * vt + t))
-            labels1.append(theta.labels1[arc_idx])
-            labels2.append(theta.labels2[arc_idx])
-    for do, i, dt in delta_aut.arcs:
-        arc_idx = petals[i - 1]
-        o, k, t = sk.arcs[arc_idx]
+    # each copy once: (origin block, product arc, target block)
+    copies = [(d, x, d) for d in range(delta_aut.num_vertices) for x in tree_arcs]
+    copies += [(do, petals[i - 1], dt) for do, i, dt in delta_aut.arcs]
+    arcs = []
+    for do, x, dt in copies:
+        o, k, t = sk.arcs[x]
         arcs.append((do * vt + o, k, dt * vt + t))
-        labels1.append(theta.labels1[arc_idx])
-        labels2.append(theta.labels2[arc_idx])
     skeleton = Automaton(
         sk.n,
         delta_aut.num_vertices * vt,
         delta_aut.basepoint * vt + sk.basepoint,
         tuple(arcs),
     )
-    return DoublyEnrichedAutomaton(
-        theta.ambient, skeleton, tuple(labels1), tuple(labels2), theta.base1, theta.base2
-    )
+    labels = (tuple(layer[x] for _, x, _ in copies) for layer in (theta.labels1, theta.labels2))
+    return DoublyEnrichedAutomaton(theta.ambient, skeleton, *labels, theta.base1, theta.base2)
 
 
 def _witness_memo(known: dict, solve, m: int) -> Callable[[Vector], Vector]:
@@ -557,7 +565,8 @@ def intersect_fg(
     joined value is read through the product arc it copies and summed
     around the canonical petals, and each petal is equalized once, as
     equalize does.  A given report must have been built under the same
-    letter order.
+    letter order.  ValueError before anything grows when the expansion
+    would add more than MAX_EXPANSION_VERTICES vertices to the product.
     """
     ambient = e1.ambient
     if report is None:
@@ -568,6 +577,8 @@ def intersect_fg(
         raise ValueError("intersection is not finitely generated")
     expansion = _ExpansionStream(report)
     if not report.pi_trivial:  # else block 0 with no arcs: the point
+        # the copies of the product beyond the one the report already holds
+        _check_budget(report.prod.skeleton.num_vertices * (math.prod(report.deltas) - 1))
         while expansion.ball.sphere:
             expansion._expand()
     skeleton, tree, kept = _canonical_core(ambient.n, report.prod.skeleton.basepoint,

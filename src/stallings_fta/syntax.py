@@ -71,9 +71,9 @@ def _literal(digits: str, line: int, col: int) -> int:
         ) from None
 
 
-def parse_element(text: str, ambient: Ambient, line: int = 0, col_base: int = 0) -> GroupElement:
+def parse_element(text: str, ambient: Ambient) -> GroupElement:
     """One element in the text syntax, canonicalized."""
-    return _parse_element(text, ambient, line, col_base, MAX_WORD_LETTERS)[0]
+    return _parse_element(text, ambient, 0, 0, MAX_WORD_LETTERS)[0]
 
 
 def _parse_element(text: str, ambient: Ambient, line: int, col_base: int, budget: int):

@@ -24,6 +24,8 @@ ancestors of the petals' ends), its canonical numbering, its arcs in sorted
 order and its spanning tree.  canonical_renumber is the same search and
 emission without the pruning.  core keeps its own adjacency-list pruning,
 and core and fold their compaction, as both accept nondeterministic arcs.
+Both layers lay out flowers with _petals, which reads each word as given,
+and render DOT with one layout, _dot.
 """
 
 from __future__ import annotations
@@ -133,15 +135,23 @@ def _step_map(n: int, arcs: Sequence[Arc]) -> dict[int, tuple[int, int, int]]:
 
 def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
     """Wedge of one petal per word, all based at vertex 0."""
-    arcs: list[Arc] = []
-    num = 1
+    words = [free_reduce(w) for w in words]
     for w in words:
-        w = free_reduce(w)
         if not w:
             raise ValueError("flower petals must be nonempty words")
         for l in w:
             if abs(l) > n:
                 raise ValueError(f"letter index {abs(l)} out of range for n={n}")
+    num, arcs = _petals(words)
+    return Automaton(n, num, 0, tuple(arcs))
+
+
+def _petals(words: Iterable[Sequence[int]]) -> tuple[int, list[Arc]]:
+    """(vertex count, arcs) of a wedge of one petal per word at vertex 0,
+    each word read as given; a letter -k crosses its positive arc backwards."""
+    arcs: list[Arc] = []
+    num = 1
+    for w in words:
         here = 0
         for i, l in enumerate(w):
             nxt = 0 if i == len(w) - 1 else num
@@ -152,7 +162,7 @@ def flower(n: int, words: Sequence[Sequence[int]]) -> Automaton:
             else:
                 arcs.append((nxt, -l, here))
             here = nxt
-    return Automaton(n, num, 0, tuple(arcs))
+    return num, arcs
 
 
 class _Folding:
@@ -793,12 +803,18 @@ def word_str(w: Sequence[int]) -> str:
 
 def to_dot(a: Automaton, name: str = "automaton") -> str:
     """DOT rendering: basepoint double-circled, one edge per positive arc."""
+    return _dot(a, name, "shape=doublecircle", (f"x{k}" for _, k, _ in a.arcs))
+
+
+def _dot(a: Automaton, name: str, basepoint_attrs: str, arc_labels: Iterable[str]) -> str:
+    """The one DOT layout: the basepoint with basepoint_attrs, every other
+    vertex, then one edge per positive arc with its label."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle, label=\"\"];"]
-    lines.append(f"  v{a.basepoint} [shape=doublecircle];")
+    lines.append(f"  v{a.basepoint} [{basepoint_attrs}];")
     for v in range(a.num_vertices):
         if v != a.basepoint:
             lines.append(f"  v{v};")
-    for o, k, t in a.arcs:
-        lines.append(f"  v{o} -> v{t} [label=\"x{k}\"];")
+    for (o, _, t), label in zip(a.arcs, arc_labels):
+        lines.append(f"  v{o} -> v{t} [label=\"{label}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from stallings_fta import cli, enriched, intersection, words
 from stallings_fta.cli import main
+from stallings_fta.intersection import MAX_EXPANSION_VERTICES
 from stallings_fta.syntax import (
     MAX_RANK,
     MAX_WORD_LETTERS,
@@ -332,6 +335,34 @@ class TestCommands:
             main([argv[0], moldavanski_file] + argv[1:])
         assert exc.value.code == 2
 
+    # the README's invocations, and more that exit 1, 2 and 3, each also with
+    # --json, which every subcommand takes
+    @pytest.mark.parametrize("argv, code", [
+        (["basis", "H1"], 0), (["member", "H1", "x1^3 t^(1,0)"], 0), (["member", "H1", "x1"], 1),
+        (["intersect", "H1", "H2"], 0), (["intersect", "H1", "H2", "--dot"], 0),
+        (["intersect", "H1", "H2", "--strict", "--max-radius", "2"], 0),
+        (["index", "H1"], 0), (["transversal", "H1", "--limit", "8"], 0), (["transversal", "H1"], 2),
+        (["transversal", "H1", "--limit", "3", "--strict"], 3),
+        (["cayley", "H1", "H2"], 0), (["cayley", "H1", "H2", "--max-radius", "2"], 0),
+        (["dot", "H1"], 0),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_documented_invocations(self, case1_file, capsys, argv, code, flags):
+        assert main([argv[0], case1_file, *argv[1:], *flags]) == code
+        assert capsys.readouterr().out or code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "H1", "--limit", "3"], ["basis", "H1", "--strict"],
+        ["member", "H1", "x1", "--dot"], ["dot", "H1", "--max-radius", "2"],
+        ["transversal", "H1", "--dot"], ["intersect", "H1", "H2", "--limit", "3"],
+        ["cayley", "H1", "H2", "--strict"],
+    ])
+    def test_unread_option_is_a_usage_error(self, case1_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], case1_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_parse_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("group F2 x Z\nH: x9\n")
@@ -524,6 +555,37 @@ TORSION_STREAM_INTERSECT_JSON_SHA256 = (
 TORSION_STREAM_INTERSECT_DOT_SHA256 = (
     "92075aa5175884a738af6f8bc45ce47186ac4a0916885c95c0ffc41f7e8de503"
 )
+
+
+# tiny files whose finite answers are huge: <x1 t> & <x1, t^N> = <x1^N t^N>
+# has an automaton of N vertices and a Cayley graph of N; the last file has
+# deltas (1, 1000000007)
+HUGE_ANSWERS = {
+    "t^10000000": "group F1 x Z\nA: x1 t^1\nB: x1, t^10000000\n",
+    "t^1000000": "group F1 x Z\nA: x1 t^1\nB: x1, t^1000000\n",
+    "Z/1000000007Z": "group F2 x Z/1000000007Z\nA: x1 t^1, x2\nB: x1, x2 t^1\n",
+}
+
+
+class TestExpansionBudget:
+    @pytest.mark.parametrize("command", ["intersect", "cayley"])
+    @pytest.mark.parametrize("name", list(HUGE_ANSWERS))
+    def test_huge_finite_answer_fails_fast(self, tmp_path, capsys, name, command):
+        path = tmp_path / "huge.txt"
+        path.write_text(HUGE_ANSWERS[name])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main([command, str(path), "A", "B"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and elapsed < 1.0 and peak < 2**22
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: the answer would need more than {MAX_EXPANSION_VERTICES} vertices\n"
+        )
 
 
 class TestPinnedOutput:

@@ -45,6 +45,7 @@ from stallings_fta.intersection import (
     intersect_fg,
 )
 from stallings_fta.words import (
+    Automaton,
     canonical_renumber,
     core,
     flower,
@@ -113,6 +114,24 @@ class TestFlower:
     def test_identity_dropped(self):
         e = enriched_flower(F2Z, [F2Z.identity()])
         assert len(e.skeleton.arcs) == 0 and e.base.lattice_basis == ()
+
+    @pytest.mark.parametrize("ambient", [F2Z, F2Z2, Ambient(3, AbelianSpec(1, (6,)))])
+    def test_skeleton_is_the_plain_flower(self, ambient):
+        rng = random.Random(f"enriched-flower:{ambient}")
+        for _ in range(30):
+            gens = random_subgroup_gens(rng, ambient, max_gens=4, maxlen=5)
+            e = enriched_flower(ambient, gens)
+            assert e.skeleton == flower(ambient.n, [g.word for g in gens if g.word])
+
+    def test_unreduced_word_read_as_given(self):
+        # x1 x1^-1 x2 keeps its cancelling pair: three arcs, two inner vertices;
+        # a backward letter carries its vector on lab1
+        gens = [GroupElement((1, -1, 2), (3,)), GroupElement((-2,), (5,)),
+                GroupElement((), (4,))]
+        e = enriched_flower(F2Z, gens)
+        assert e.skeleton == Automaton(2, 3, 0, ((0, 1, 1), (2, 1, 1), (2, 2, 0), (0, 2, 0)))
+        assert e.labels == (((0,), (0,)), ((0,), (0,)), ((0,), (3,)), ((5,), (0,)))
+        assert e.base.lattice_basis == ((4,),)
 
 
 class TestTransformations:

@@ -18,9 +18,11 @@ checked by property in test_abelian instead.  The stream family runs
 seeded not finitely generated pairs (lines, a diagonal, a Schreier family
 of index 3, planes, rank 3, and torsion that wraps the ball around) for up
 to 24 stages each, and reads every stage automaton only once the stream has
-moved past it.  The member family runs the read path (completion, member,
-completion_table, word_coordinates, is_saturated) on the corpus's automata
-and on deterministic ones that are not canonical, some with lab1 != 0.
+moved past it.  The expand family vertex-expands the corpus's product
+automata by their Cayley graphs, as the cayley family builds them.  The
+member family runs the read path (completion, member, completion_table,
+word_coordinates, is_saturated) on the corpus's automata and on
+deterministic ones that are not canonical, some with lab1 != 0.
 The parse family reads seeded element texts (powers, zero exponents, runs
 that cancel across tokens, 1 tokens, every tail form, torsion coordinates
 outside [0, d), Unicode separators) and seeded problem files, some with one
@@ -64,6 +66,7 @@ from stallings_fta.intersection import (
     cayley_multidigraph,
     intersect_fg,
     intersection_matrices,
+    vertex_expand,
 )
 from stallings_fta.syntax import (
     MAX_WORD_LETTERS,
@@ -100,6 +103,7 @@ GOLDEN = {
     "matrices_small_r": "cfdcdf923857f124d4c0d67a070f9183e0b92d512e1ab3893677aa740c95c627",
     "intersect_fg": "279e1245fdf549c927ad33131b189c5e55ea0a970af92ab5bef4fd50dc123283",
     "cayley": "05ecc7e8e68b39589476ebbbd4a07f5ec255ded9caafe7f9eb478e0a3450cf46",
+    "expand": "ac2a80e0855023b092f3d03528591b136073a68177a8c61fc1a583c0b1c48ef7",
     "stages": "887ecc3f48dee514a87194f804b6aae628d49e2b9f255daca94d7fb4d8580601",
     "abelian": "bb8ea73bc35f879535b7610b7579186c241eb26aa1085ec1534a2a1c69ad4fa5",
     "stream": "aa9df876da0a4a05a73d3d762b988bf8abc5348313f75cf6badbfc4f6e9504cb",
@@ -495,10 +499,14 @@ def family(name):
         elif name == "intersect_fg" and rep.verdict == VERDICT_FG:
             fg = intersect_fg(e1, e2, order, rep)
             out.append((_enriched(fg), _basis(basis(fg))))
-        elif name == "cayley" and 0 < rep.r <= SMALL_R:
+        elif name in ("cayley", "expand") and 0 < rep.r <= SMALL_R:
             radius = None if all(rep.deltas) else 2  # as the CLI's cayley with --max-radius 2
             aut, elems = cayley_multidigraph(rep.deltas, rep.snf.Q, radius)
-            out.append((_automaton(aut), elems))
+            if name == "cayley":
+                out.append((_automaton(aut), elems))
+            else:
+                x = vertex_expand(aut, rep.prod, rep.tree)
+                out.append((_automaton(x.skeleton), x.labels1, x.labels2))
         elif name == "stages":
             out.append(tuple(
                 (stage.radius, _elements(stage.new_elements), stage.complete,

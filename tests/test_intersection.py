@@ -22,6 +22,7 @@ from stallings_fta.enriched import (
     stallings,
 )
 from stallings_fta.intersection import (
+    MAX_EXPANSION_VERTICES,
     VERDICT_FG,
     VERDICT_NOT_FG,
     NotEqualizableError,
@@ -378,6 +379,39 @@ class TestExpansion:
         assert x.skeleton.num_vertices == 54
         assert is_deterministic(x.skeleton)
         assert len(x.skeleton.arcs) - x.skeleton.num_vertices + 1 == 7
+
+    def test_budget_is_checked_before_growing(self, monkeypatch):
+        # <x1 t> & <x1, t^N> = <x1^N t^N>: N vertices, N - 1 of them added to
+        # the one-vertex product, one more than the budget
+        big = MAX_EXPANSION_VERTICES + 2
+        f1z = Ambient(1, AbelianSpec(1))
+        h1 = stallings(f1z, [f1z.element(X, (1,))])
+        h2 = stallings(f1z, [f1z.element(X), f1z.element((), (big,))])
+        rep = intersection_matrices(h1, h2)
+        assert rep.verdict == VERDICT_FG and rep.deltas == (big,)
+        grown = []
+        monkeypatch.setattr(intersection._CayleyBall, "grow", lambda ball: grown.append(ball))
+        for build in (lambda: intersect_fg(h1, h2, report=rep),
+                      lambda: cayley_multidigraph(rep.deltas, ((1,),)),
+                      lambda: cayley_multidigraph((2,) * 17, [(0,) * 17] * 17)):
+            with pytest.raises(ValueError, match=f"more than {MAX_EXPANSION_VERTICES} vertices"):
+                build()
+        assert grown == []
+
+    def test_budget_counts_only_added_vertices(self, monkeypatch):
+        f1z = Ambient(1, AbelianSpec(1))
+        h1 = stallings(f1z, [f1z.element(X, (1,))])
+        fits, over = (stallings(f1z, [f1z.element(X), f1z.element((), (n,))]) for n in (7, 8))
+        # H & H for H = <x1^12 x2 t>: deltas (1,), so the expansion is the
+        # 13-vertex product itself and adds nothing
+        w = F2Z.element(X * 12 + Y, (1,))
+        h = stallings(F2Z, [w])
+        assert intersection_matrices(h, h).deltas == (1,)
+        monkeypatch.setattr(intersection, "MAX_EXPANSION_VERTICES", 6)
+        assert intersect_fg(h, h) == h
+        assert intersect_fg(h1, fits).skeleton.num_vertices == 7  # adds 6
+        with pytest.raises(ValueError, match="more than 6 vertices"):
+            intersect_fg(h1, over)
 
 
 class TestEqualization:

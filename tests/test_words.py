@@ -554,3 +554,21 @@ class TestRendering:
         a = stallings_skeleton(2, [(1, 2)])
         dot = to_dot(a)
         assert "doublecircle" in dot and "x1" in dot and dot.count("->") == 2
+
+    def test_dot_bytes(self):
+        # the basepoint comes first, then every other vertex in order, then
+        # the arcs in their stored order; a loop and a parallel pair
+        a = Automaton(2, 3, 1, ((0, 1, 1), (1, 2, 1), (2, 1, 0), (2, 2, 0)))
+        assert to_dot(a, "small") == (
+            'digraph small {\n'
+            '  rankdir=LR;\n'
+            '  node [shape=circle, label=""];\n'
+            '  v1 [shape=doublecircle];\n'
+            '  v0;\n'
+            '  v2;\n'
+            '  v0 -> v1 [label="x1"];\n'
+            '  v1 -> v1 [label="x2"];\n'
+            '  v2 -> v0 [label="x1"];\n'
+            '  v2 -> v0 [label="x2"];\n'
+            '}\n'
+        )
