@@ -17,8 +17,10 @@ words._canonical_core.  Every construction labels its arcs from their
 values lab2 - lab1 with one routine, _labelled: reduce keeps each value,
 normalization reduces it modulo L, equalization takes a coset witness.
 Normalization, folding, products and completions read those values from
-one list per automaton, EnrichedAutomaton._differences; a completion adds
-the values of the arcs a walk crosses forward, subtracts the others.
+one list per automaton, EnrichedAutomaton._differences; a completion sums
+count * value over the arcs of one walk, words.recognizes, count being an
+arc's signed net crossing count, and membership tests a minus that sum
+against L with one reduction.
 The flower and to_dot take their layouts from words (_petals, _dot), and
 stallings and enriched_flower split their generators with _generators.
 """
@@ -396,32 +398,40 @@ def stallings(
     return _normalized(ambient, skeleton, tree, values, base)
 
 
+def _walk_value(e: EnrichedAutomaton, w: Sequence[int]) -> Optional[list[int]]:
+    """The sum of count * (lab2 - lab1) over the arcs that the basepoint
+    walk reading w crosses, count being the arc's signed net crossing
+    count, or None when the skeleton does not recognize w."""
+    counts = recognizes(e.skeleton, w)
+    if counts is None:
+        return None
+    total, diffs = [0] * e.ambient.m, e._differences
+    for arc_idx, c in counts.items():
+        diff = diffs[arc_idx]
+        if c and diff is not None:
+            for j, x in enumerate(diff):
+                total[j] += c * x
+    return total
+
+
 def completion(e: EnrichedAutomaton, w: Sequence[int]):
     """The coset b + L of vectors a with w t^a recognized, or None.
 
     Returns (b, L) with b canonical modulo L; absent iff the skeleton does
     not recognize w.
     """
-    walk = recognizes(e.skeleton, w)
-    if walk is None:
+    total = _walk_value(e, w)
+    if total is None:
         return None
-    total, diffs = e.ambient.zero(), e._differences
-    for arc_idx, d in walk:
-        diff = diffs[arc_idx]
-        if diff is not None:
-            total = (vec_add if d == 1 else vec_sub)(total, diff)
     return e.base.reduce_mod(total), e.base
 
 
 def member(e: EnrichedAutomaton, g: GroupElement) -> bool:
-    """Subgroup membership of w t^a via its completion."""
+    """Subgroup membership of w t^a: a minus the walk's value lies in L."""
     if len(g.vec) != e.ambient.m:
         raise ValueError("abelian part has the wrong length")
-    result = completion(e, g.word)
-    if result is None:
-        return False
-    b, base = result
-    return base.contains(vec_sub(g.vec, b))
+    total = _walk_value(e, g.word)
+    return total is not None and e.base.contains(vec_sub(g.vec, total))
 
 
 def basis(e: EnrichedAutomaton, tree: Optional[SpanningTree] = None) -> SubgroupBasis:

@@ -49,6 +49,8 @@ Stallings automaton of the intersection.  Before they grow anything,
 intersect_fg refuses an expansion that would add more than
 MAX_EXPANSION_VERTICES vertices to the product it copies, and
 cayley_multidigraph without a radius a group of more elements than that.
+The stream, and cayley_multidigraph with a radius, check the same budget
+each time the ball grows a sphere, before its copies are made.
 
 The IntersectionReport that intersection_matrices returns is the
 intersection's context: the letter order, the normalized product and its
@@ -454,7 +456,8 @@ def cayley_multidigraph(
     and repeated generators are kept (one letter per row), and read from the
     ball's classes through its row_class map.  Without a radius the group
     must be finite, of at most MAX_EXPANSION_VERTICES elements; with one,
-    the induced ball of that radius around the identity is returned.
+    the induced ball of that radius around the identity is returned, and
+    ValueError is raised once a sphere would take it past that budget.
     Returns (automaton, vertex elements).
     """
     r = len(deltas)
@@ -472,6 +475,7 @@ def cayley_multidigraph(
     ball = _CayleyBall(deltas, q_rows)
     grown = 0
     while ball.sphere and (radius is None or grown <= radius):
+        _check_budget(ball.sphere.stop)
         ball.grow()
         grown += 1
     size = ball.sphere.start
@@ -700,10 +704,13 @@ class _ExpansionStream:
         Return the sphere.  The entering arcs come in order from the plus
         rows of the sphere grown before it, with no sort: a neighbour of the
         sphere inside the ball lies in that sphere, and w = u + g exactly
-        when u = w - g."""
+        when u = w - g.  ValueError before anything grows when the ball's
+        blocks would add more than MAX_EXPANSION_VERTICES vertices to the
+        product, which is what intersect_fg checks for the whole group."""
         ball, vt, arcs, diffs, steps = self.ball, self.vt, self.arcs, self.diffs, self.steps
         width, petals, row_class = self.search.width, self.petals, ball.row_class
         inner, sphere = ball.grown, ball.sphere
+        _check_budget(vt * (sphere.stop - 1))  # the copies beyond the product's own
         ball.grow()
         # (origin block's offset, product arc, its joined difference, target block's offset)
         copies = [(d * vt, arc, None, d * vt) for d in sphere for arc in self.block]

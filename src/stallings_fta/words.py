@@ -10,6 +10,9 @@ vertex by that letter, as (target, arc index, direction).  It is keyed by
 the one integer v * (2n + 1) + s, which is unique for the letters s in
 +-1..n; a larger letter would alias another vertex's step (n + 1 at v is
 -n at v + 1), so the public lookups turn such letters away first.
+recognizes is the one word walk: it reads a word as given, in one pass,
+and returns each crossed arc's signed net crossing count, which
+completions and word_coordinates read.
 
 Spanning trees come from one resumable breadth-first search, _TreeSearch:
 resume(start) scans its vertex list from index start while the list grows,
@@ -689,35 +692,43 @@ def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:
     return [_petal_cut(paths, arcs[i]) for i in t.petal_arcs]
 
 
-def recognizes(a: Automaton, w: Sequence[int]) -> Optional[list[tuple[int, int]]]:
-    """The unique basepoint walk reading w, as (arc, direction) steps, or None."""
-    word = free_reduce(w)
-    if word and max(map(abs, word)) > a.n:  # its key would name another vertex's step
-        return None
-    get, width, v = a._steps.get, 2 * a.n + 1, a.basepoint
-    walk = []
-    for l in word:
-        nxt = get(v * width + l)
-        if nxt is None:
-            return None
-        v, arc_idx, d = nxt
-        walk.append((arc_idx, d))
-    return walk if v == a.basepoint else None
+def recognizes(a: Automaton, w: Sequence[int]) -> Optional[dict[int, int]]:
+    """Signed net crossing counts, by arc index, of the basepoint walk that
+    reads w, or None when no basepoint walk reads w freely reduced.
+
+    w is read as given, in one pass.  A letter that cancels the one before
+    it steps back along the arc just crossed, which the step map gives, as
+    the automaton is deterministic and involutive; such an arc may keep a
+    count of 0.  A letter that cannot be read where the walk stands (a
+    letter above n among them: its key would name another vertex's step)
+    waits on a pending stack, which later letters extend or cancel; w is
+    recognized when the stack ends empty at the basepoint.  The letter 0
+    raises ValueError, as in free_reduce."""
+    n, get, width, v = a.n, a._steps.get, 2 * a.n + 1, a.basepoint
+    counts: dict[int, int] = {}
+    pending: list[int] = []
+    for l in w:
+        if pending:
+            if pending[-1] == -l:
+                pending.pop()
+                continue
+        elif -n <= l <= n and (nxt := get(v * width + l)) is not None:
+            v, arc_idx, d = nxt
+            counts[arc_idx] = counts.get(arc_idx, 0) + d
+            continue
+        if not l:
+            raise ValueError("0 is not a letter")
+        pending.append(l)
+    return counts if v == a.basepoint and not pending else None
 
 
 def word_coordinates(a: Automaton, t: SpanningTree, w: Sequence[int]) -> tuple[int, ...]:
     """Signed petal-arc crossing counts of the walk reading w (its abelianized
     expression in the T-basis)."""
-    walk = recognizes(a, w)
-    if walk is None:
+    counts = recognizes(a, w)
+    if counts is None:
         raise ValueError("word is not recognized by the automaton")
-    pos = {arc: i for i, arc in enumerate(t.petal_arcs)}
-    out = [0] * len(t.petal_arcs)
-    for arc_idx, d in walk:
-        i = pos.get(arc_idx)
-        if i is not None:
-            out[i] += d
-    return tuple(out)
+    return tuple(map(counts.get, t.petal_arcs, itertools.repeat(0)))
 
 
 def product(a1: Automaton, a2: Automaton) -> Automaton:

@@ -27,7 +27,6 @@ from stallings_fta.words import (
     _sub,
     free_reduce,
     invert,
-    recognizes,
 )
 
 F2Z = Ambient(2, AbelianSpec(1))
@@ -130,11 +129,67 @@ def reference_tree(a, order, strategy="order"):
     return a.basepoint, tuple(parent), frozenset(tree), tuple(ages), tuple(petals)
 
 
+def reference_walk(a, w):
+    """The basepoint walk reading w, free-reduced first, as (arc, direction)
+    steps, one per letter, or None; ValueError on the letter 0."""
+    v = a.basepoint
+    walk = []
+    for l in free_reduce(w):
+        nxt = a.step(v, l)  # None for a letter above n too
+        if nxt is None:
+            return None
+        v, arc_idx, d = nxt
+        walk.append((arc_idx, d))
+    return walk if v == a.basepoint else None
+
+
+def reference_counts(a, w):
+    """The nonzero signed net crossing counts of reference_walk, by arc, or None."""
+    walk = reference_walk(a, w)
+    if walk is None:
+        return None
+    counts = {}
+    for arc_idx, d in walk:
+        counts[arc_idx] = counts.get(arc_idx, 0) + d
+    return {arc_idx: c for arc_idx, c in counts.items() if c}
+
+
+def gets_stuck(a, w):
+    """True iff reading w letter by letter from the basepoint of a, with no
+    reduction, meets a letter that cannot be read where it stands."""
+    v = a.basepoint
+    for l in w:
+        nxt = a.step(v, l)
+        if nxt is None:
+            return True
+        v = nxt[0]
+    return False
+
+
+def unreduced_word(rng, n, petals=()):
+    """Up to three words of petals, concatenated as they are, with one to
+    three runs of up to three letters inserted at seeded places.  Most runs
+    are followed by their inverse, so they cancel, their letters nesting;
+    the others stay.  Runs draw on the letters +-1..+-(n + 1), so some
+    letters lie above n."""
+    out = []
+    for _ in range(rng.randint(0, 3) if petals else 0):
+        out += rng.choice(petals)
+    letters = [k for k in range(-n - 1, n + 2) if k]
+    for _ in range(rng.randint(1, 3)):
+        run = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.8:
+            run += invert(run)
+        i = rng.randint(0, len(out))
+        out[i:i] = run
+    return tuple(out)
+
+
 def reference_completion(e, w):
     """completion(e, w) read crossing by crossing: each arc's lab2 - lab1
     forward and its negation backward, summed along the basepoint walk
     that reads w; None where no such walk exists."""
-    walk = recognizes(e.skeleton, w)
+    walk = reference_walk(e.skeleton, w)
     if walk is None:
         return None
     total = e.ambient.zero()
@@ -172,7 +227,7 @@ def mat_mul(a, b):
 def doubly_completion(x, w):
     """Pair of abelian sums read along the basepoint walk for w in the
     doubly-enriched automaton x, or None."""
-    walk = recognizes(x.skeleton, w)
+    walk = reference_walk(x.skeleton, w)
     if walk is None:
         return None
     b1 = b2 = x.ambient.zero()

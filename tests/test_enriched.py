@@ -12,7 +12,9 @@ from support import (
     parameterized_pair,
     random_subgroup_gens,
     reference_completion,
+    reference_counts,
     reference_folded_core,
+    unreduced_word,
 )
 
 from stallings_fta import enriched, intersection, words
@@ -51,9 +53,12 @@ from stallings_fta.words import (
     flower,
     fold,
     free_reduce,
+    invert,
     multiply,
     recognizes,
     spanning_tree_by_order,
+    t_basis,
+    word_coordinates,
 )
 
 F2Z = Ambient(2, AbelianSpec(1))
@@ -718,7 +723,23 @@ class TestCompletionMembership:
         assert recognizes(sk, (3, 1)) is None and recognizes(sk, (1, 2, -1)) is not None
         assert completion(e, (3, 1)) is None
         assert not member(e, GroupElement((3, 1), (0,)))
+        # read as given, x3 waits until its inverse cancels it
+        assert completion(e, (1, 3, -1, 1, -3, 2, -1)) == completion(e, (1, 2, -1))
         assert member(e, GroupElement((1, 2, -1), (0,)))
+
+    def test_member_reads_a_hand_built_unreduced_word(self):
+        # <x1 t, x2>: one vertex, so x3 (above n) is read nowhere; and
+        # <x1 t>: x2 x2^-1 stands where no x2 arc leaves
+        word = (1, 2, 3, -3, -2, 2, 1, -1, -2)
+        assert member(self.h1, GroupElement(word, (1,)))
+        assert not member(self.h1, GroupElement(word, (0,)))
+        e = stallings(F2Z, elems(F2Z, ((1,), (1,))))
+        assert member(e, GroupElement((2, -2, 1, 1), (2,)))
+        assert not member(e, GroupElement((2, -2, 1, 1), (1,)))
+        assert not member(e, GroupElement((2, 1, -2), (1,)))
+        for word in ((2, 0, -2), (3, 0), (1, 0)):
+            with pytest.raises(ValueError, match="0 is not a letter"):
+                member(e, GroupElement(word, (1,)))
 
     def test_member_against_brute_force(self):
         rng = random.Random(7)
@@ -943,6 +964,34 @@ class TestArcValues:
                     tuple(a - b for a, b in zip(g.vec, expected[0]))))
                 if expected is not None:
                     assert member(e, GroupElement(w, expected[0]))
+
+    @pytest.mark.parametrize("name", list(VALUE_AMBIENTS))
+    def test_unreduced_words_match_the_reference_walk(self, name):
+        """completion, member and word_coordinates on words read as given,
+        against the reference, which reduces them first."""
+        rng = random.Random(f"values:unreduced:{name}")
+        recognized = unrecognized = 0
+        for e in value_automata(name):
+            ambient, tree = e.ambient, spanning_tree_by_order(e.skeleton)
+            petals = t_basis(e.skeleton, tree)
+            petals += [invert(w) for w in petals]
+            for _ in range(6):
+                w = unreduced_word(rng, ambient.n, petals)
+                expected = reference_completion(e, w)
+                assert completion(e, w) == expected
+                vec = random_element(rng, ambient).vec
+                assert member(e, GroupElement(w, vec)) == (
+                    expected is not None and expected[1].contains(
+                        tuple(a - b for a, b in zip(vec, expected[0]))))
+                if expected is None:
+                    unrecognized += 1
+                    continue
+                recognized += 1
+                assert member(e, GroupElement(w, expected[0]))
+                counts = reference_counts(e.skeleton, w)
+                assert word_coordinates(e.skeleton, tree, w) == tuple(
+                    counts.get(x, 0) for x in tree.petal_arcs)
+        assert min(recognized, unrecognized) >= 20
 
     def test_over_three_hundred_automata(self):
         automata = [e for name in VALUE_AMBIENTS for e in value_automata(name)]

@@ -23,6 +23,9 @@ automata by their Cayley graphs, as the cayley family builds them.  The
 member family runs the read path (completion, member, completion_table,
 word_coordinates, is_saturated) on the corpus's automata and on
 deterministic ones that are not canonical, some with lab1 != 0.
+The walk family reads seeded unreduced words on the same automata (runs
+that cancel, some of letters unreadable where they stand or above n, and
+runs that stay) and builds each element as given, with no reduction.
 The parse family reads seeded element texts (powers, zero exponents, runs
 that cancel across tokens, 1 tokens, every tail form, torsion coordinates
 outside [0, d), Unicode separators) and seeded problem files, some with one
@@ -37,6 +40,7 @@ from functools import lru_cache
 
 import pytest
 
+from stallings_fta import intersection
 from stallings_fta.abelian import (
     INFINITY,
     AbelianSpec,
@@ -48,6 +52,7 @@ from stallings_fta.abelian import (
 )
 from stallings_fta.enriched import (
     Ambient,
+    GroupElement,
     arc_transformation,
     basis,
     completion,
@@ -77,12 +82,22 @@ from stallings_fta.syntax import (
 )
 from stallings_fta.words import (
     free_reduce,
+    invert,
     is_saturated,
     multiply,
     spanning_tree_by_order,
+    t_basis,
     word_coordinates,
 )
-from support import element_tokens, joined, letter_tokens, mutated_token, tail_token
+from support import (
+    element_tokens,
+    gets_stuck,
+    joined,
+    letter_tokens,
+    mutated_token,
+    tail_token,
+    unreduced_word,
+)
 
 AMBIENTS = {
     "F2xZ": Ambient(2, AbelianSpec(1)),
@@ -109,6 +124,7 @@ GOLDEN = {
     "stream": "aa9df876da0a4a05a73d3d762b988bf8abc5348313f75cf6badbfc4f6e9504cb",
     "member": "6ba77ac0d15c60fdddad832bc1cd59aeafaf56c77552adf1f8c11e400c8a0c0d",
     "parse": "796f1bdd959d1706558fec6f3100d7586ca0be8eb5b9fcf32acdfb40b643a6ca",
+    "walk": "fa18de48af76b18379239cf7e18329c0ab23409ba625ad0b300ac5c3afeacbaa",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -137,6 +153,7 @@ STREAM_STAGES = 24
 MEMBER_FLOWERS = 4  # per ambient
 MEMBER_WORDS = 10  # per automaton
 MEMBER_TABLE_LEN = 4
+WALK_WORDS = 8  # per automaton
 PARSE_TEXTS = 60  # per ambient: element texts, and problem files
 
 
@@ -313,6 +330,31 @@ def _member(e, rng):
             tuple(reads))
 
 
+def _walk(e, rng):
+    """Unreduced words on one automaton, made by unreduced_word from its
+    petal words and their inverses.  For each, the completion, the petal
+    coordinates, and membership of GroupElement(word, a), built as given,
+    on the completion's coset and at a random a."""
+    ambient, tree = e.ambient, spanning_tree_by_order(e.skeleton)
+    petals = t_basis(e.skeleton, tree)
+    petals += [invert(w) for w in petals]
+    reads = []
+    for _ in range(WALK_WORDS):
+        word = unreduced_word(rng, ambient.n, petals)
+        off = member(e, GroupElement(word, _vec(rng, ambient, 3)))
+        result = completion(e, word)
+        if result is None:
+            reads.append((word, None, off))
+            continue
+        b, base = result
+        on = b
+        for row in base.lattice_basis:
+            on = tuple(x + rng.randint(-2, 2) * y for x, y in zip(on, row))
+        reads.append((word, b, base.lattice_basis, word_coordinates(e.skeleton, tree, word),
+                      member(e, GroupElement(word, on)), off))
+    return tuple(reads)
+
+
 def _problem_text(rng, ambient, bad):
     """A problem file of up to three subgroup lines of up to three elements,
     between comment and blank lines; with bad, one element gets a mutated
@@ -468,6 +510,9 @@ def family(name):
     if name == "member":
         rng = random.Random("golden:member:reads")
         return [_member(e, rng) for e in member_corpus()]
+    if name == "walk":
+        rng = random.Random("golden:walk")
+        return [_walk(e, rng) for e in member_corpus()]
     if name == "parse":
         return [_parse(*case) for case in _parse_inputs()]
     if name == "cayley":
@@ -576,6 +621,17 @@ class TestCorpus:
             cylinder += torsion and bool(ball.sphere)
         assert min(wide, zero, repeated, finite, cylinder) >= 2
 
+    def test_streams_stay_far_below_the_expansion_budget(self, monkeypatch):
+        """Every sphere that the stream, stages and intersect_fg families grow
+        keeps the expansion a tenth of MAX_EXPANSION_VERTICES or less, so the
+        per-sphere budget check never refuses a golden input."""
+        asked = []
+        check = intersection._check_budget
+        monkeypatch.setattr(intersection, "_check_budget", lambda v: asked.append(v) or check(v))
+        for name in ("stream", "stages", "intersect_fg"):
+            family(name)
+        assert asked and max(asked) <= intersection.MAX_EXPANSION_VERTICES // 10
+
     def test_member_reads(self):
         """The member family reads automata with lab1 != 0 and with torsion,
         words off the automaton, and both membership answers."""
@@ -587,8 +643,23 @@ class TestCorpus:
         answers = [answer for read in reads if read[1] is not None for answer in read[4:]]
         assert min(answers.count(True), answers.count(False)) >= 100
 
+    def test_walk_reads(self):
+        """The walk family reads recognized words that a letter-by-letter
+        read gets stuck on, some at a letter above n, words off the
+        automaton, and both membership answers."""
+        pairs = [(e, read) for e, out in zip(member_corpus(), family("walk")) for read in out]
+        recognized = [(e, read[0]) for e, read in pairs if read[1] is not None]
+        assert sum(gets_stuck(e.skeleton, word) for e, word in recognized) >= 300
+        assert sum(max(map(abs, word), default=0) > e.ambient.n for e, word in recognized) >= 100
+        assert sum(read[1] is None for _, read in pairs) >= 300
+        answers = [answer for _, read in pairs if read[1] is not None for answer in read[4:]]
+        assert min(answers.count(True), answers.count(False)) >= 300
+
     def test_parse_texts(self):
-        """The parse family reads zero powers, 1 tokens, cancelling runs,
+        """The walk family reads seeded unreduced words on the same automata (runs
+that cancel, some of letters unreadable where they stand or above n, and
+runs that stay) and builds each element as given, with no reduction.
+The parse family reads zero powers, 1 tokens, cancelling runs,
         every tail form with torsion outside [0, d), Unicode separators, and
         meets every parse error."""
         cases = list(_parse_inputs())

@@ -413,6 +413,42 @@ class TestExpansion:
         with pytest.raises(ValueError, match="more than 6 vertices"):
             intersect_fg(h1, over)
 
+    def test_stream_and_ball_check_the_budget_per_sphere(self, monkeypatch):
+        # the plane: a one-vertex product, and a ball of radius R with
+        # 2R^2 + 2R + 1 elements (radius 3: 25, radius 4: 41)
+        h1 = stallings(F2Z2, elems(F2Z2, (X, (1, 0)), (Y, (0, 1))))
+        h2 = stallings(F2Z2, elems(F2Z2, (X, (0, 0)), (Y, (0, 0))))
+        rep = intersection_matrices(h1, h2)
+        assert rep.verdict == VERDICT_NOT_FG and rep.prod.skeleton.num_vertices == 1
+        monkeypatch.setattr(intersection, "MAX_EXPANSION_VERTICES", 24)
+        radii = []
+        with pytest.raises(ValueError, match="more than 24 vertices"):
+            for stage in itertools.islice(rep.stages(), 10):
+                radii.append(stage.radius)
+        assert radii == [0, 1, 2, 3]  # stage 3 adds 24 vertices to the product, stage 4 40
+        assert cayley_multidigraph(rep.deltas, rep.snf.Q, 2)[0].num_vertices == 13
+        with pytest.raises(ValueError, match="more than 24 vertices"):
+            cayley_multidigraph(rep.deltas, rep.snf.Q, 3)
+        monkeypatch.setattr(intersection, "MAX_EXPANSION_VERTICES", 25)
+        assert cayley_multidigraph(rep.deltas, rep.snf.Q, 3)[0].num_vertices == 25
+
+    def test_stream_counts_the_copies_of_a_larger_product(self, monkeypatch):
+        # <x1 t> & <x1^2, t^3> = <x1^6 t^6>: three copies of a two-vertex
+        # product; the stream and intersect_fg refuse alike
+        f1z = Ambient(1, AbelianSpec(1))
+        h1 = stallings(f1z, [f1z.element(X, (1,))])
+        h2 = stallings(f1z, [f1z.element(X + X), f1z.element((), (3,))])
+        rep = intersection_matrices(h1, h2)
+        vt, size = rep.prod.skeleton.num_vertices, 3
+        assert rep.verdict == VERDICT_FG and vt == 2 and rep.deltas == (size,)
+        monkeypatch.setattr(intersection, "MAX_EXPANSION_VERTICES", vt * (size - 1))
+        assert list(rep.stages())[-1].complete
+        assert intersect_fg(h1, h2, report=rep) == fg_by_stages(rep)
+        monkeypatch.setattr(intersection, "MAX_EXPANSION_VERTICES", vt * (size - 1) - 1)
+        for build in (lambda: list(rep.stages()), lambda: intersect_fg(h1, h2, report=rep)):
+            with pytest.raises(ValueError, match="vertices"):
+                build()
+
 
 class TestEqualization:
     def test_zero_labels_equalizable(self):

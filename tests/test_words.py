@@ -2,7 +2,15 @@ import itertools
 import random
 
 import pytest
-from support import is_deterministic, reference_tree, tree_petal_word
+from support import (
+    gets_stuck,
+    is_deterministic,
+    reference_counts,
+    reference_tree,
+    reference_walk,
+    tree_petal_word,
+    unreduced_word,
+)
 
 from stallings_fta.words import (
     Automaton,
@@ -468,6 +476,77 @@ class TestBasisAndCoordinates:
         a = stallings_skeleton(2, [(1,), (2,)])
         t = spanning_tree_by_order(a)
         assert word_coordinates(a, t, (1, 2, -1)) == (0, 1)
+
+
+def nonzero(counts):
+    return None if counts is None else {arc: c for arc, c in counts.items() if c}
+
+
+def stuck_pair(rng, a, petals):
+    """A product of petal words, read up to a vertex that has no arc by some
+    letter x_k, with x_k x_k^-1 inserted there, or None when every vertex
+    reads every letter: readable only once the pair cancels."""
+    word = sum((rng.choice(petals) for _ in range(rng.randint(1, 3))), ()) if petals else ()
+    v, places = a.basepoint, []
+    for i in range(len(word) + 1):
+        places += [(i, s) for s in default_order(a.n) if a.step(v, s) is None]
+        if i < len(word):
+            v = a.step(v, word[i])[0]
+    if not places:
+        return None
+    i, s = rng.choice(places)
+    return word[:i] + (s, -s) + word[i:]
+
+
+class TestWalk:
+    """recognizes reads a word as given, in one pass; the reference reduces
+    it first and takes one step per letter (support.reference_walk)."""
+
+    def automata(self, rng):
+        for n in (1, 2, 3):
+            for _ in range(30):
+                yield random_automaton(rng, n)
+            for _ in range(10):
+                words = (random_word(rng, n, 5) for _ in range(3))
+                yield stallings_skeleton(n, [w for w in words if w])
+
+    def test_counts_and_coordinates_match_the_reference_walk(self):
+        rng = random.Random("walk:counts")
+        seen = {"stuck": 0, "above": 0, "off": 0}
+        for a in self.automata(rng):
+            tree = spanning_tree_by_order(a)
+            petals = t_basis(a, tree)
+            words = [stuck_pair(rng, a, petals)]
+            words += [unreduced_word(rng, a.n, petals) for _ in range(8)]
+            for w in filter(None, words):
+                expected = reference_counts(a, w)
+                assert nonzero(recognizes(a, w)) == expected
+                if expected is None:
+                    seen["off"] += 1
+                    with pytest.raises(ValueError, match="not recognized"):
+                        word_coordinates(a, tree, w)
+                    continue
+                assert word_coordinates(a, tree, w) == tuple(
+                    expected.get(x, 0) for x in tree.petal_arcs)
+                seen["stuck"] += gets_stuck(a, w)
+                seen["above"] += max(map(abs, w)) > a.n
+        assert min(seen.values()) >= 200, seen
+
+    def test_pending_letters_cancel_only_in_turn(self):
+        a = stallings_skeleton(2, [(1,)])  # one x1 loop; x2 and x3 are read nowhere
+        assert recognizes(a, (2, 3, -3, -2, 1)) == {0: 1}
+        assert recognizes(a, (1, 2, 1, -1, -2, -1)) == {0: 0}
+        assert recognizes(a, (2, 3, -2, -3)) is None  # reduced, it is x2 x3 x2^-1 x3^-1
+        assert recognizes(a, (3,)) is None and recognizes(a, (3, -3)) == {}
+        assert recognizes(a, (-3, 1, 3)) is None
+
+    def test_the_letter_zero_raises_wherever_it_stands(self):
+        a = stallings_skeleton(2, [(1,)])
+        for w in ((0,), (1, 0), (2, 0, -2), (3, 0), (2, -2, 0, 0), (1, 1, -1, 0)):
+            with pytest.raises(ValueError, match="0 is not a letter"):
+                recognizes(a, w)
+            with pytest.raises(ValueError, match="0 is not a letter"):
+                reference_walk(a, w)
 
 
 class TestProduct:
