@@ -37,10 +37,11 @@ it comes: its stages form a strictly increasing chain of automata whose
 petals enumerate a recursive basis, and every element of the intersection
 with free length at most 2n is already recognized by the n-th stage.  A
 stage costs time in proportion to its new sphere, not to the ball: it
-copies no arc of earlier stages, resumes the tree search where the last
-sphere's vertices begin, labels its new arcs and cuts their petal words
-from the root paths of the two spheres they join in one loop, and builds
-its automaton only when that is read.  Only stages() builds these per-stage
+copies no arc of earlier stages, resumes the tree search from the last
+sphere's vertices in the fresh letters its new arcs give them alone,
+labels its new arcs and cuts their petal words from the root-path pairs
+(word, inverse) of the two spheres they join in one loop, and builds its
+automaton only when that is read.  Only stages() builds these per-stage
 trees, potentials and words.  In the finitely generated case the Cayley
 graph is finite: intersect_fg runs the same expansion to completion, hands
 its arcs and step map to _canonical_core and equalizes it once, one witness
@@ -657,9 +658,11 @@ class _ExpansionStream:
 
     A stage costs time in proportion to its sphere.  Every new arc of stage
     n joins blocks of spheres n-1 and n, and the search adds each sphere's
-    vertices in one run, so stage n resumes it where sphere n-1's begin;
-    only those two spheres keep their potentials, root paths and steps,
-    while the search's parent map and vertex list span the ball.
+    vertices in one run, so stage n resumes it where sphere n-1's begin,
+    reading those vertices in the fresh letters that _expand reports and
+    scanning sphere n's in full; only those two spheres keep their
+    potentials, root-path pairs and steps, while the search's parent map
+    and vertex list span the ball.
     Potentials and arc values are joined vectors a || b, one per vertex and
     one per arc, filled with the routines that serve finished automata.
     Each distinct double label is solved once: its canonical witness is
@@ -687,46 +690,73 @@ class _ExpansionStream:
         self.witness = report.solver.witness
         self.witnesses: dict[Vector, Vector] = {}  # a || b -> canonical witness
         self.labels: list[ArcLabel] = []  # equalized, one per arc
-        # spanning tree; potentials and root-path words of two spheres only
+        # spanning tree; potentials and root-path pairs (word, inverse) of two spheres only
         basepoint = self.prod.skeleton.basepoint
         order = report.order  # the search must not keep the stream alive
         self.search = _TreeSearch(self.steps, self.ambient.n, basepoint, lambda v: order)
         zero = self.ambient.zero()
         self.phi: dict[int, Vector] = {basepoint: zero + zero}
-        self.path: dict[int, Word] = {basepoint: ()}
+        self.path: dict[int, tuple[Word, Word]] = {basepoint: ((), ())}
 
-    def _expand(self) -> range:
+    def _expand(self) -> tuple[range, dict[int, list[int]]]:
         """Grow the ball's outer sphere and append the arcs it adds, with
-        their steps: the copies of the product's tree arcs in each of its
-        blocks, then the copies of petal arcs along its Cayley arcs, those
-        from the inner ball into the sphere, ordered by origin and
-        generator, then those from the sphere into the ball of its radius.
-        Return the sphere.  The entering arcs come in order from the plus
-        rows of the sphere grown before it, with no sort: a neighbour of the
-        sphere inside the ball lies in that sphere, and w = u + g exactly
-        when u = w - g.  ValueError before anything grows when the ball's
-        blocks would add more than MAX_EXPANSION_VERTICES vertices to the
-        product, which is what intersect_fg checks for the whole group."""
+        their steps, each as it is made: the copies of the product's tree
+        arcs in each of its blocks, then the copies of petal arcs along its
+        Cayley arcs, those from the inner ball into the sphere, ordered by
+        origin and generator, then those from the sphere into the ball of
+        its radius.  Return the sphere and its fresh letters: each vertex of
+        the sphere grown before it that a new arc ends at, mapped to the
+        letters it reads along them, k at the origin of an arc entering the
+        sphere and -k at the target of an arc from the sphere back into it.
+        The entering arcs come in order from the plus rows of the sphere
+        grown before it, with no sort: a neighbour of the sphere inside the
+        ball lies in that sphere, and w = u + g exactly when u = w - g.
+        ValueError before anything grows when the ball's blocks would add
+        more than MAX_EXPANSION_VERTICES vertices to the product, which is
+        what intersect_fg checks for the whole group."""
         ball, vt, arcs, diffs, steps = self.ball, self.vt, self.arcs, self.diffs, self.steps
         width, petals, row_class = self.search.width, self.petals, ball.row_class
         inner, sphere = ball.grown, ball.sphere
         _check_budget(vt * (sphere.stop - 1))  # the copies beyond the product's own
         ball.grow()
-        # (origin block's offset, product arc, its joined difference, target block's offset)
-        copies = [(d * vt, arc, None, d * vt) for d in sphere for arc in self.block]
-        copies += [(u * vt, *petals[i], w * vt) for u in inner
-                   for i, w in enumerate(map(ball.plus[u].__getitem__, row_class))
-                   if w >= sphere.start]
-        copies += [(w * vt, *petals[i], u * vt) for w in sphere
-                   for i, u in enumerate(map(ball.plus[w].__getitem__, row_class))
-                   if u < sphere.stop]
-        for x, (shift, (o, k, t), diff, target_shift) in enumerate(copies, len(arcs)):
-            o += shift
-            t += target_shift
-            steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
-            arcs.append((o, k, t))
-            diffs.append(diff)
-        return sphere
+        plus, start, stop = ball.plus, sphere.start, sphere.stop
+        fresh: dict[int, list[int]] = {}
+        # one loop per kind of copy, each appending as it goes: a single loop
+        # over a list or chain of all the copies ran the expansion slower
+        x = len(arcs)
+        for d in sphere:
+            shift = d * vt
+            for o, k, t in self.block:
+                o += shift
+                t += shift
+                steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
+                arcs.append((o, k, t))
+                x += 1
+        diffs += itertools.repeat(None, x - len(diffs))
+        for u in inner:
+            shift = u * vt
+            for ((o, k, t), diff), w in zip(petals, map(plus[u].__getitem__, row_class)):
+                if w >= start:
+                    o += shift
+                    t += w * vt
+                    steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
+                    arcs.append((o, k, t))
+                    diffs.append(diff)
+                    x += 1
+                    fresh.setdefault(o, []).append(k)
+        for w in sphere:
+            shift = w * vt
+            for ((o, k, t), diff), u in zip(petals, map(plus[w].__getitem__, row_class)):
+                if u < stop:
+                    o += shift
+                    t += u * vt
+                    steps[o * width + k], steps[t * width - k] = (t, x, 1), (o, x, -1)
+                    arcs.append((o, k, t))
+                    diffs.append(diff)
+                    x += 1
+                    if u < start:
+                        fresh.setdefault(t, []).append(-k)
+        return sphere, fresh
 
     def _automaton(self, num_vertices: int, num_arcs: int) -> EnrichedAutomaton:
         """The equalized automaton on the first vertices and arcs."""
@@ -742,12 +772,14 @@ class _ExpansionStream:
         """Stages of radius 0, 1, ..., ending with the first complete one.
 
         Stage n expands the Cayley sphere of radius n and resumes the
-        search where sphere n-1's vertices begin.  It fills the potentials
-        and root paths of the vertices the search adds, then makes one pass
-        over the new arcs for their labels and petal words.  Then the
-        potentials, root paths and steps of sphere n-1 are dropped: no
-        later arc reaches it.  A trivial free projection is the one
-        complete stage of radius 0, the point automaton carrying L1 & L2.
+        search where sphere n-1's vertices begin, in their fresh letters.
+        It fills the potentials and root-path pairs of the vertices the
+        search adds, each from its parent's, which sphere n-1 or n still
+        keeps, then makes one pass over the new arcs for their labels and
+        petal words.  Then the potentials, root-path pairs and steps of
+        sphere n-1 are dropped: no later arc reaches it.  A trivial free
+        projection is the one complete stage of radius 0, the point
+        automaton carrying L1 & L2.
         """
         ambient = self.ambient
         if self.report.pi_trivial:
@@ -762,9 +794,9 @@ class _ExpansionStream:
         inner = begin = 0  # where spheres n-1 and n begin among the search's vertices
         for radius in itertools.count():
             start_arc = len(arcs)
-            sphere = self._expand()
+            sphere, fresh = self._expand()
             added = len(vertices)
-            search.resume(inner)
+            search.resume(inner, fresh)
             _fill_potentials(phi, vertices[added:], parent, arcs, diffs)
             _root_paths(path, vertices[added:], parent, arcs)
             new_elements = []

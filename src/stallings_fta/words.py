@@ -15,11 +15,14 @@ and returns each crossed arc's signed net crossing count, which
 completions and word_coordinates read.
 
 Spanning trees come from one resumable breadth-first search, _TreeSearch:
-resume(start) scans its vertex list from index start while the list grows,
-and its parent map is its visited set.  A finished automaton is searched
-whole, resume(0); the intersection's expansion stream resumes its search at
-each stage where the last sphere's vertices begin.  Both cut petal words
-from root paths found by _root_paths.  Folding, the product and the
+resume(start, fresh) scans its vertex list from index start while the list
+grows, and its parent map is its visited set; a vertex it scanned before
+reads only its fresh letters, those of the arcs it gained since.  A
+finished automaton is searched whole, resume(0); the intersection's
+expansion stream resumes its search at each stage from the last sphere's
+vertices, in the letters its new arcs give them.  Both cut petal words
+from root paths that _root_paths keeps with their inverses, so a cut is
+two concatenations.  Folding, the product and the
 intersection end in _canonical_core: the step map of their arcs, which the
 caller builds or, as the expansion does, keeps as it appends them, one
 search from the basepoint, and from it the core (the basepoint and the
@@ -480,7 +483,8 @@ class _TreeSearch:
     other non-tree arc is a petal, as it meets two visited vertices.
     vertices (in insertion order) and parent (vertex -> (arc index,
     direction), None at the root; its keys are the visited vertices)
-    describe the tree; petals are returned, not kept."""
+    describe the tree, and vertices[:scanned] have been scanned; petals are
+    returned, not kept."""
 
     def __init__(self, steps: dict, n: int, root: int,
                  directions: Callable[[int], Sequence[int]]):
@@ -490,23 +494,38 @@ class _TreeSearch:
         self.vertices = [root]
         self.parent: dict[int, Optional[tuple[int, int]]] = {root: None}
         self.tree_arcs: set[int] = set()
+        self.scanned = 0
 
-    def resume(self, start: int) -> list[int]:
+    def resume(self, start: int, fresh: Optional[dict[int, Sequence[int]]] = None) -> list[int]:
         """Scan vertices[start:], the list growing by each vertex this adds;
-        return the petals met, in the order met, each as often as met.  A
-        whole search is resume(0).  Once arcs join steps, resuming at or
-        before the oldest tree vertex they touch adds what resume(0) would:
-        a vertex that no new arc touches reaches nothing new."""
+        return the petals met, in the order met, each as often as met.
+
+        A vertex scanned by an earlier call reads only its fresh letters,
+        which fresh maps it to: the letters of the arcs it gained since, read
+        in directions order; one with none is skipped.  The rest are scanned
+        in full.  A whole search is resume(0): nothing is scanned yet.  Once
+        arcs join steps, resuming at or before the oldest tree vertex they
+        touch, with their letters at the vertices scanned before, adds the
+        vertices and tree arcs that scanning all of them in full would, in
+        the same order: an old letter at a scanned vertex reaches only a
+        visited vertex."""
         get, width, directions, order, parent, tree = (
             self.steps.get, self.width, self.directions, self.vertices, self.parent,
             self.tree_arcs)
+        fresh_letters, scanned = (fresh or {}).get, self.scanned
         met = []
         i = start
         while i < len(order):  # order grows while it is read
             v = order[i]
             i += 1
+            if i > scanned:
+                letters = directions(v)
+            elif (letters := fresh_letters(v)) is None:
+                continue
+            elif len(letters) > 1:
+                letters = [s for s in directions(v) if s in letters]
             key = v * width
-            for s in directions(v):
+            for s in letters:
                 nxt = get(key + s)
                 if nxt is None:
                     continue
@@ -517,6 +536,7 @@ class _TreeSearch:
                     tree.add(arc_idx)
                 elif arc_idx not in tree:
                     met.append(arc_idx)
+        self.scanned = len(order)
         return met
 
 
@@ -658,10 +678,11 @@ def spanning_tree_by_order(
 
 
 def _root_paths(paths: dict, vertices: Iterable[int], parent, arcs: Sequence[Arc]) -> None:
-    """Store the root-path word of each of vertices in paths, in turn: a walk
-    up the parent map (vertex -> (arc index, direction)) stops at the
-    nearest vertex whose word paths holds, and only the walk's start is
-    stored (storing each word walked past costs walk^2)."""
+    """Store the root path of each of vertices in paths, in turn, as the pair
+    (word, its inverse): a walk up the parent map (vertex -> (arc index,
+    direction)) stops at the nearest vertex whose pair paths holds, and only
+    the walk's start is stored (storing each pair walked past costs walk^2).
+    A vertex whose parent's pair is kept costs one step."""
     for v in vertices:
         letters, u = [], v
         while (path := paths.get(u)) is None:
@@ -669,24 +690,28 @@ def _root_paths(paths: dict, vertices: Iterable[int], parent, arcs: Sequence[Arc
             o, k, t = arcs[arc_idx]
             letters.append(k * d)
             u = o if d == 1 else t
-        if letters:
-            paths[v] = path + tuple(reversed(letters))
+        if len(letters) == 1:  # from the parent's pair, as every stream vertex is
+            letter = letters[0]
+            paths[v] = path[0] + (letter,), (-letter,) + path[1]
+        elif letters:
+            paths[v] = path[0] + tuple(reversed(letters)), tuple(map(neg, letters)) + path[1]
 
 
 def _petal_cut(paths, arc: Arc) -> Word:
     """An arc's petal word: root path of its origin, the arc, back from its target."""
     o, k, t = arc
-    return paths[o] + (k,) + invert(paths[t])
+    return paths[o][0] + (k,) + paths[t][1]
 
 
 def t_basis(a: Automaton, t: SpanningTree) -> list[Word]:
     """Petal words, in petal order; a free basis of the recognized subgroup.
 
-    Root paths are found for petal ends only, oldest first.  A walk stops at
-    the nearest ancestor that is an end too and is no longer than the path
-    it yields, so time and memory stay within the length of the words.
+    Root paths are found for petal ends only, oldest first, each with its
+    inverse.  A walk stops at the nearest ancestor that is an end too and is
+    no longer than the path it yields, so time and memory stay within the
+    length of the words.
     """
-    arcs, paths = a.arcs, {t.root: ()}
+    arcs, paths = a.arcs, {t.root: ((), ())}
     ends = {v for i in t.petal_arcs for v in (arcs[i][0], arcs[i][2])}
     _root_paths(paths, filter(ends.__contains__, t.vertex_age), t.parent, arcs)
     return [_petal_cut(paths, arcs[i]) for i in t.petal_arcs]

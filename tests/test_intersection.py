@@ -1405,12 +1405,13 @@ class TestStageCost:
                     vertices.append(nxt[0])
         return vertices, parent
 
-    @pytest.mark.parametrize("name", ["F2xZ", "F2x(Z+Z6)", "F3xZ2"])
-    def test_stream_tree_extends_the_one_searchs_tree(self, name):
-        # Stage 0's tree is a whole search of its automaton; each later
-        # stage's tree extends the one before over every old tree vertex.
-        # A whole search of a later stage can differ (F3xZ2, F2x(Z+Z6)):
-        # it may reach an old vertex first through a new arc.
+    def stream_tree_reports(self, name):
+        """Reports of same-words pairs in the named ambient, or the kernel
+        pairs: plane, torsion and vt > 1 balls, where fresh letters fall at
+        many vertices of sphere n-1."""
+        if name == "kernel pairs":
+            yield from self.kernel_reports()
+            return
         ambient = TestFgPipelineAgainstPaperSteps.AMBIENTS[name]
         rng = random.Random(f"stream-tree:{name}")
         letters = [k for k in range(-ambient.n, ambient.n + 1) if k]
@@ -1418,9 +1419,17 @@ class TestStageCost:
         while checked < 12:
             order = None if checked % 2 == 0 else tuple(rng.sample(letters, len(letters)))
             rep = intersection_matrices(*self.same_words_pair(rng, ambient, order), order)
-            if rep.pi_trivial:
-                continue
-            checked += 1
+            if not rep.pi_trivial:
+                checked += 1
+                yield rep
+
+    @pytest.mark.parametrize("name", ["F2xZ", "F2x(Z+Z6)", "F3xZ2", "kernel pairs"])
+    def test_stream_tree_extends_the_one_searchs_tree(self, name):
+        # Stage 0's tree is a whole search of its automaton; each later
+        # stage's tree extends the one before over every old tree vertex.
+        # A whole search of a later stage can differ (F3xZ2, F2x(Z+Z6)):
+        # it may reach an old vertex first through a new arc.
+        for rep in self.stream_tree_reports(name):
             stream = intersection._ExpansionStream(rep)
             search = stream.search
             basepoint = rep.prod.skeleton.basepoint
@@ -1538,16 +1547,58 @@ class TestStageCost:
             seen["vt > 1"] += stream.vt > 1
         assert min(seen.values()) >= 1 and seen["torsion"] == 2, seen
 
+    class _ReadSteps(dict):
+        """A step map that records the keys read through get."""
+
+        def __init__(self):
+            super().__init__()
+            self.read = []
+
+        def get(self, key, default=None):
+            self.read.append(key)
+            return super().get(key, default)
+
     def test_resume_scans_only_the_last_two_spheres(self):
         for rep in self.kernel_reports():
             stream = intersection._ExpansionStream(rep)
-            scanned, order = [], rep.order
-            stream.search.directions = lambda v: scanned.append(v) or order
+            search, scanned, order = stream.search, [], rep.order
+            search.directions = lambda v: scanned.append(v) or order
+            steps = stream.steps = search.steps = self._ReadSteps()
+            expand, resume, seen = stream._expand, search.resume, {}
+
+            def spied_expand():
+                before, first = set(steps), len(stream.arcs)
+                sphere, fresh = expand()
+                seen.update(added=set(steps) - before, fresh=fresh,
+                            new_arcs=range(first, len(stream.arcs)))
+                return sphere, fresh
+
+            def spied_resume(start, fresh):
+                steps.read.clear()
+                seen["met"] = resume(start, fresh)
+                return seen["met"]
+
+            stream._expand, search.resume = spied_expand, spied_resume
+            n, width = rep.ambient.n, search.width
             ball, vt, inner = stream.ball, stream.vt, range(0)
             for stage in itertools.islice(stream.stages(), 12):
                 sphere = ball.grown  # sphere n; inner is sphere n-1
+
+                def at_inner(keys):  # (vertex, letter) of the keys at sphere n-1
+                    pairs = [divmod(key + n, width) for key in keys]
+                    return {(v, s - n) for v, s in pairs if v // vt in inner}
+
+                fresh = {(v, s) for v, letters in seen["fresh"].items() for s in letters}
+                assert len(fresh) == sum(map(len, seen["fresh"].values()))
+                # the fresh letters are the steps that _expand added at sphere
+                # n-1, and resume reads sphere n-1 in those letters alone
+                assert fresh == at_inner(seen["added"]) == at_inner(steps.read)
+                assert {v for v in scanned if v // vt in inner} <= set(seen["fresh"])
                 assert {v // vt for v in scanned} <= set(inner) | set(sphere)
                 assert len(scanned) <= (len(inner) + len(sphere)) * vt
+                # each petal is met at most once from each end
+                nontree = [x for x in seen["new_arcs"] if x not in search.tree_arcs]
+                assert len(seen["met"]) <= 2 * len(nontree)
                 scanned.clear()
                 inner = sphere
 
@@ -1562,7 +1613,7 @@ class TestStageCost:
             petal = {arc: i for i, (arc, _) in enumerate(stream.petals)}
             while ball.sphere and ball.sphere.start < 400:
                 start = len(stream.arcs)
-                sphere = stream._expand()
+                sphere, _ = stream._expand()
                 oracle.grow()
                 copies = stream.arcs[start + len(sphere) * len(stream.block):]
                 cayley = [(o // vt, petal[o % vt, k, t % vt], t // vt) for o, k, t in copies]

@@ -12,6 +12,7 @@ from support import (
     unreduced_word,
 )
 
+import stallings_fta.words as words_module
 from stallings_fta.words import (
     Automaton,
     _canonical_core,
@@ -471,6 +472,38 @@ class TestBasisAndCoordinates:
         assert recognizes(a, (2,)) is None
         with pytest.raises(ValueError):
             word_coordinates(a, t, (2,))
+
+    def test_root_paths_are_kept_with_their_inverses(self, monkeypatch):
+        # t_basis stores each petal end's root path as the pair (word, its
+        # inverse), a walk from its parent's pair or from a farther ancestor's,
+        # and cuts every petal word from the pairs of its two ends
+        kept, cut = [], words_module._petal_cut
+        monkeypatch.setattr(words_module, "_petal_cut",
+                            lambda paths, arc: kept.append(paths) or cut(paths, arc))
+        rng = random.Random("root-path-pairs")
+        steps = {"one": 0, "more": 0}
+        for i in range(240):
+            n = 1 + i % 3
+            order = None if i % 2 == 0 else rng.sample(default_order(n), 2 * n)
+            a = random_automaton(rng, n, max_vertices=16, extra=5)
+            t = spanning_tree_by_order(a, order)
+            kept.clear()
+            assert t_basis(a, t) == [tree_petal_word(a.arcs, t.parent, x) for x in t.petal_arcs]
+            if not kept:
+                continue
+            paths = kept[0]
+            assert paths[t.root] == ((), ())
+            for v, (word, inverse) in paths.items():
+                assert inverse == invert(word)
+                u = t.root
+                for letter in word:
+                    u = a.step(u, letter)[0]
+                assert u == v and free_reduce(word) == word
+                if v != t.root:
+                    arc_idx, d = t.parent[v]
+                    up = a.arcs[arc_idx][0 if d == 1 else 2]
+                    steps["one" if up in paths else "more"] += 1
+        assert min(steps.values()) >= 100, steps
 
     def test_conjugate_coordinates(self):
         a = stallings_skeleton(2, [(1,), (2,)])
