@@ -30,6 +30,9 @@ The parse family reads seeded element texts (powers, zero exponents, runs
 that cancel across tokens, 1 tokens, every tail form, torsion coordinates
 outside [0, d), Unicode separators) and seeded problem files, some with one
 mutated token or parenthesis, whose errors it keeps with line and column.
+The extension family saturates seeded stallings automata, of finite index
+and not, under both letter orders, over the five ambients' abelian parts
+with free ranks 1 to 3.
 """
 
 import hashlib
@@ -58,6 +61,7 @@ from stallings_fta.enriched import (
     completion,
     completion_table,
     enriched_flower,
+    finite_index_factor_extension,
     index_report,
     member,
     reduce,
@@ -125,6 +129,7 @@ GOLDEN = {
     "member": "6ba77ac0d15c60fdddad832bc1cd59aeafaf56c77552adf1f8c11e400c8a0c0d",
     "parse": "796f1bdd959d1706558fec6f3100d7586ca0be8eb5b9fcf32acdfb40b643a6ca",
     "walk": "fa18de48af76b18379239cf7e18329c0ab23409ba625ad0b300ac5c3afeacbaa",
+    "extension": "852a0777f780c32d9ee5b41c7085eafb5a6a0731b832d849d6fa848347944fab",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -155,6 +160,7 @@ MEMBER_WORDS = 10  # per automaton
 MEMBER_TABLE_LEN = 4
 WALK_WORDS = 8  # per automaton
 PARSE_TEXTS = 60  # per ambient: element texts, and problem files
+EXTENSION_CASES = 3  # per abelian part, free rank, kind and letter order
 
 
 def _vec(rng, ambient, bound=2):
@@ -294,6 +300,30 @@ def member_corpus():
         else:
             *_, stage = itertools.islice(rep.stages(), 3)
             out.append(stage.automaton)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def extension_corpus():
+    """(order, stallings automaton) per seeded case: over each ambient's
+    abelian part with free ranks 1 to 3, coset generators (finite index,
+    so a saturated skeleton) and random ones, under the default order and
+    a permuted one."""
+    out = []
+    for name, ambient in AMBIENTS.items():
+        rng = random.Random(f"golden:extension:{name}")
+        for n in range(1, 4):
+            amb = Ambient(n, ambient.abelian)
+            letters = [k for k in range(-n, n + 1) if k]
+            for finite, permuted, _ in itertools.product((True, False), (False, True),
+                                                         range(EXTENSION_CASES)):
+                order = tuple(rng.sample(letters, len(letters))) if permuted else None
+                if finite:
+                    phi = [_vec(rng, amb, 1) for _ in range(n)]
+                    gens = _coset_gens(rng, amb, rng.randint(2, 3), phi)
+                else:
+                    gens = _random_gens(rng, amb)
+                out.append((order, stallings(amb, gens, order)))
     return tuple(out)
 
 
@@ -515,6 +545,9 @@ def family(name):
         return [_walk(e, rng) for e in member_corpus()]
     if name == "parse":
         return [_parse(*case) for case in _parse_inputs()]
+    if name == "extension":
+        return [_enriched(finite_index_factor_extension(e, order))
+                for order, e in extension_corpus()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -631,6 +664,22 @@ class TestCorpus:
         for name in ("stream", "stages", "intersect_fg"):
             family(name)
         assert asked and max(asked) <= intersection.MAX_EXPANSION_VERTICES // 10
+
+    def test_extension_inputs(self):
+        """The extension family saturates skeletons of every free rank,
+        adds arcs under both orders, some letters at several vertices, and
+        leaves saturated skeletons alone."""
+        cases = extension_corpus()
+        assert {e.ambient.n for _, e in cases} == {1, 2, 3}
+        grown = [(order is None, is_saturated(e.skeleton))
+                 for (order, e), ext in zip(cases, family("extension"))
+                 if len(ext[0][3]) > len(e.skeleton.arcs)]
+        assert grown.count((True, False)) >= 20 and grown.count((False, False)) >= 20
+        assert (True, True) not in grown and (False, True) not in grown
+        assert sum(is_saturated(e.skeleton) for _, e in cases) >= 60
+        # the new arcs pair the vertices that lack k with those that lack -k
+        assert sum(sum(e.skeleton.step(v, k) is None for v in range(e.skeleton.num_vertices)) > 1
+                   for _, e in cases for k in range(1, e.ambient.n + 1)) >= 20
 
     def test_member_reads(self):
         """The member family reads automata with lab1 != 0 and with torsion,
