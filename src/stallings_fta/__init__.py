@@ -47,6 +47,6 @@ from .intersection import (
     vertex_expand,
 )
 from .syntax import ProblemFile, format_element, parse_element, parse_problem
-from .words import Automaton, Word, core, flower, fold, product, spanning_tree_by_order
+from .words import Automaton, Word, flower, fold, product, spanning_tree_by_order
 
 __version__ = "0.1.0"

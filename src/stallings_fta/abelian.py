@@ -70,7 +70,7 @@ def _row_sub(mat: list[list[int]], i: int, j: int, q: int) -> None:
             ri[c] -= q * rj[c]
 
 
-def _hnf_inplace(mat: list[list[int]], width: int,
+def _hnf_inplace(mat: list[list[int]],
                  tags: Optional[list[list[int]]] = None) -> dict[int, list[int]]:
     """Reduce mat to row Hermite normal form in place; return the pivot map.
 
@@ -81,12 +81,13 @@ def _hnf_inplace(mat: list[list[int]], width: int,
     one list per row of mat, of any one width, and takes the same row
     operations: each tag ends as the same combination of the original tags
     as its row is of the original rows.  Identity tags give the transform;
-    tags past the pivots then span the left kernel.
+    tags past the pivots then span the left kernel.  The rows of mat all
+    have the width of the first, as _matrix makes them.
     """
     nrows = len(mat)
     r = 0
     pivots: dict[int, list[int]] = {}
-    for col in range(width):
+    for col in range(len(mat[0]) if mat else 0):
         while True:
             nz = [i for i in range(r, nrows) if mat[i][col]]
             if not nz:
@@ -124,9 +125,12 @@ def _hnf_inplace(mat: list[list[int]], width: int,
     return pivots
 
 
-def _matrix(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """rows as fresh lists, each checked to have width entries."""
+def _matrix(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> list[list[int]]:
+    """rows as fresh lists, each checked to have width entries, by default
+    as many as the first row."""
     mat = [list(row) for row in rows]
+    if width is None:
+        width = len(mat[0]) if mat else 0
     if any(len(row) != width for row in mat):
         raise ValueError("ragged matrix")
     return mat
@@ -141,17 +145,13 @@ def hnf(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> Matrix:
 
     Zero rows are removed; the zero lattice yields the empty matrix.
     """
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    return tuple(map(tuple, _hnf_inplace(_matrix(rows, width), width).values()))
+    return tuple(map(tuple, _hnf_inplace(_matrix(rows, width)).values()))
 
 
 def kernel(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> Matrix:
     """Basis of the left kernel {x : x @ rows == 0}, one row per basis vector."""
-    if width is None:
-        width = len(rows[0]) if rows else 0
     tags = _identity_rows(len(rows))
-    pivots = _hnf_inplace(_matrix(rows, width), width, tags)
+    pivots = _hnf_inplace(_matrix(rows, width), tags)
     return tuple(map(tuple, tags[len(pivots):]))
 
 
@@ -160,11 +160,10 @@ def solve_left(
     width: Optional[int] = None,
 ) -> Optional[Vector]:
     """Some integer x with x @ rows == target, or None if unsolvable."""
-    if width is None:
-        width = len(rows[0]) if rows else len(target)
-    tags = _identity_rows(len(rows))
-    coeff = _solve_hnf(_hnf_inplace(_matrix(rows, width), width, tags), target)
-    return None if coeff is None else vec_mat(coeff, tags, len(rows))
+    *mat, target = _matrix((*rows, target), width)  # the target has the rows' width
+    tags = _identity_rows(len(mat))
+    coeff = _solve_hnf(_hnf_inplace(mat, tags), target)
+    return None if coeff is None else vec_mat(coeff, tags, len(mat))
 
 
 def _solve_hnf(pivots: dict[int, Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
@@ -213,10 +212,9 @@ def snf(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> SnfDecomp
     Pivot choice: smallest absolute value, first occurrence in row-major
     order on ties.  Diagonal entries are normalized to be nonnegative.
     """
-    mat = [list(r) for r in rows]
+    mat = _matrix(rows, width)
     k = len(mat)
-    if width is None:
-        width = len(mat[0]) if mat else 0
+    width = len(mat[0]) if mat else width or 0
     p = _identity_rows(k)
     q = _identity_rows(width)
 
@@ -381,7 +379,7 @@ class AbelianSubgroup:
     def __post_init__(self):
         rows = _matrix((*self.lattice_basis, *self.spec.relation_rows()), self.spec.m)
         # _pivots: pivot column -> the Hermite row whose pivot is there, in row order
-        object.__setattr__(self, "_pivots", _hnf_inplace(rows, self.spec.m))
+        object.__setattr__(self, "_pivots", _hnf_inplace(rows))
         object.__setattr__(self, "lattice_basis", tuple(map(tuple, self._pivots.values())))
 
     @classmethod
@@ -482,7 +480,7 @@ class AbelianSubgroup:
         # Q is unimodular, so its Hermite form is the identity and the
         # identity tags end as Q^-1
         q_inv = _identity_rows(m)
-        _hnf_inplace(_matrix(dec.Q, m), m, q_inv)
+        _hnf_inplace(_matrix(dec.Q), q_inv)
         return AbelianSubgroup(self.spec, self.lattice_basis + tuple(map(tuple, q_inv[dec.s:])))
 
 
@@ -503,7 +501,7 @@ class CosetIntersection:
         b1, b2 = l1.lattice_basis, l2.lattice_basis
         stacked = _matrix(b1 + tuple(map(vec_neg, b2)), m)
         self._lifts = _matrix(b1, m) + [[0] * m for _ in b2]
-        self._pivots = _hnf_inplace(stacked, m, self._lifts)
+        self._pivots = _hnf_inplace(stacked, self._lifts)
         self.base = AbelianSubgroup(l1.spec, tuple(map(tuple, self._lifts[len(self._pivots):])))
 
     def witness(self, a: Sequence[int], b: Sequence[int]) -> Optional[Vector]:
@@ -547,7 +545,7 @@ def preimage_under_matrix(l: AbelianSubgroup, d_rows: Sequence[Sequence[int]]) -
             raise ValueError("dimension mismatch")
     b = l.lattice_basis
     tags = _identity_rows(r) + [[0] * r for _ in b]
-    pivots = _hnf_inplace(_matrix(tuple(d_rows) + tuple(map(vec_neg, b)), m), m, tags)
+    pivots = _hnf_inplace(_matrix(tuple(d_rows) + tuple(map(vec_neg, b)), m), tags)
     return AbelianSubgroup(AbelianSpec(r), tuple(map(tuple, tags[len(pivots):])))
 
 
@@ -573,7 +571,7 @@ def image_invariants(
     for row in rows:
         if len(row) != m:
             raise ValueError("dimension mismatch")
-    pivots = _hnf_inplace(_matrix(rows + list(l.lattice_basis), m), m)
+    pivots = _hnf_inplace(_matrix(rows + list(l.lattice_basis), m))
     # every row of D and L lies in G's row space, so these solves are exact
     dec = snf([_solve_hnf(pivots, row) for row in l.lattice_basis], len(pivots))
     factors = dec.deltas_padded(len(pivots))

@@ -509,10 +509,8 @@ def finite_index_factor_extension(
     arcs = list(skeleton.arcs)
     values = list(e._differences)
     for k in range(1, e.ambient.n + 1):
-        have_out = {o for o, kk, _ in arcs if kk == k}
-        have_in = {t for _, kk, t in arcs if kk == k}
-        missing_out = sorted(set(range(skeleton.num_vertices)) - have_out)
-        missing_in = sorted(set(range(skeleton.num_vertices)) - have_in)
+        missing_out = [v for v in range(skeleton.num_vertices) if skeleton.step(v, k) is None]
+        missing_in = [v for v in range(skeleton.num_vertices) if skeleton.step(v, -k) is None]
         for o, t in zip(missing_out, missing_in):
             arcs.append((o, k, t))
             values.append(None)

@@ -422,8 +422,6 @@ class _CayleyBall:
     def _reduced(self, vec: Iterable[int]) -> Vector:
         """vec as a tuple, reduced up to the last nonzero delta."""
         vec = tuple(vec)
-        if not self.t:
-            return vec
         return (*[x % d if d else x for x, d in zip(vec, self.mods)], *vec[self.t:])
 
     def _number(self, vec: Vector) -> int:

@@ -28,8 +28,8 @@ caller builds or, as the expansion does, keeps as it appends them, one
 search from the basepoint, and from it the core (the basepoint and the
 ancestors of the petals' ends), its canonical numbering, its arcs in sorted
 order and its spanning tree.  canonical_renumber is the same search and
-emission without the pruning.  core keeps its own adjacency-list pruning,
-and core and fold their compaction, as both accept nondeterministic arcs.
+emission without the pruning.  fold keeps its own compaction, as it
+accepts nondeterministic arcs.
 Both layers lay out flowers with _petals, which reads each word as given,
 and render DOT with one layout, _dot.
 """
@@ -411,52 +411,6 @@ def _compact(n: int, num_vertices: int, basepoint: int, arcs: list[Arc]) -> Auto
         remap[basepoint],
         tuple((remap[o], k, remap[t]) for o, k, t in arcs),
     )
-
-
-def _core_keep(num_vertices: int, basepoint: int, arcs: Sequence[Arc]):
-    """Vertices/arc indices surviving the core: basepoint component minus hanging trees."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for idx, (o, _, t) in enumerate(arcs):
-        adj[o].append((t, idx))
-        adj[t].append((o, idx))
-    component = {basepoint}
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for w, _ in adj[v]:
-            if w not in component:
-                component.add(w)
-                queue.append(w)
-    alive_arc = [o in component for o, _, t in arcs]
-    degree = [0] * num_vertices
-    for idx, (o, _, t) in enumerate(arcs):
-        if alive_arc[idx]:
-            degree[o] += 1
-            degree[t] += 1
-    leaves = deque(v for v in component if degree[v] <= 1 and v != basepoint)
-    dead = set()
-    while leaves:
-        v = leaves.popleft()
-        if v in dead:
-            continue
-        dead.add(v)
-        for w, idx in adj[v]:
-            if alive_arc[idx]:
-                alive_arc[idx] = False
-                degree[w] -= 1
-                degree[v] -= 1
-                if degree[w] <= 1 and w != basepoint and w not in dead:
-                    leaves.append(w)
-    kept_vertices = component - dead
-    kept_arcs = [i for i, ok in enumerate(alive_arc) if ok]
-    return kept_vertices, kept_arcs
-
-
-def core(a: Automaton) -> Automaton:
-    """Basepoint component with all hanging trees removed."""
-    kept_vertices, kept_arcs = _core_keep(a.num_vertices, a.basepoint, a.arcs)
-    arcs = [a.arcs[i] for i in kept_arcs]
-    return _compact(a.n, a.num_vertices, a.basepoint, arcs)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Shared generators and fixtures for the test suite (deterministic seeds)."""
 
 import re
+from collections import deque
+from typing import Sequence
 
 from stallings_fta.abelian import (
     AbelianSpec,
@@ -21,8 +23,11 @@ from stallings_fta.syntax import (
     format_group,
 )
 from stallings_fta.words import (
+    Arc,
+    Automaton,
     _add,
     _canonical_core,
+    _compact,
     _step_map,
     _sub,
     free_reduce,
@@ -200,6 +205,54 @@ def reference_completion(e, w):
     return e.base.reduce_mod(total), e.base
 
 
+# the oracle of words._canonical_core: an adjacency-list pruning that also
+# accepts nondeterministic arcs
+def _core_keep(num_vertices: int, basepoint: int, arcs: Sequence[Arc]):
+    """Vertices/arc indices surviving the core: basepoint component minus hanging trees."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+    for idx, (o, _, t) in enumerate(arcs):
+        adj[o].append((t, idx))
+        adj[t].append((o, idx))
+    component = {basepoint}
+    queue = deque([basepoint])
+    while queue:
+        v = queue.popleft()
+        for w, _ in adj[v]:
+            if w not in component:
+                component.add(w)
+                queue.append(w)
+    alive_arc = [o in component for o, _, t in arcs]
+    degree = [0] * num_vertices
+    for idx, (o, _, t) in enumerate(arcs):
+        if alive_arc[idx]:
+            degree[o] += 1
+            degree[t] += 1
+    leaves = deque(v for v in component if degree[v] <= 1 and v != basepoint)
+    dead = set()
+    while leaves:
+        v = leaves.popleft()
+        if v in dead:
+            continue
+        dead.add(v)
+        for w, idx in adj[v]:
+            if alive_arc[idx]:
+                alive_arc[idx] = False
+                degree[w] -= 1
+                degree[v] -= 1
+                if degree[w] <= 1 and w != basepoint and w not in dead:
+                    leaves.append(w)
+    kept_vertices = component - dead
+    kept_arcs = [i for i, ok in enumerate(alive_arc) if ok]
+    return kept_vertices, kept_arcs
+
+
+def core(a: Automaton) -> Automaton:
+    """Basepoint component with all hanging trees removed."""
+    kept_vertices, kept_arcs = _core_keep(a.num_vertices, a.basepoint, a.arcs)
+    arcs = [a.arcs[i] for i in kept_arcs]
+    return _compact(a.n, a.num_vertices, a.basepoint, arcs)
+
+
 def is_deterministic(a):
     """True iff no two arcs leave a vertex of automaton a by the same signed letter."""
     try:
@@ -262,7 +315,7 @@ def image_invariants_by_row(l, d_rows):
     every row of D, and one solve per row of D, repeated or not."""
     m = l.spec.m
     g = [list(row) for row in d_rows] + [list(row) for row in l.lattice_basis]
-    pivots = _hnf_inplace(g, m)
+    pivots = _hnf_inplace(g)
     dec = snf([_solve_hnf(pivots, row) for row in l.lattice_basis], len(pivots))
     factors = dec.deltas_padded(len(pivots))
     keep = [j for j, d in enumerate(factors) if d != 1]

@@ -6,6 +6,7 @@ import pytest
 from stallings_fta.abelian import (
     AbelianSpec,
     AbelianSubgroup,
+    CosetIntersection,
     coset_intersection_witness,
     hnf,
     image_invariants,
@@ -523,3 +524,63 @@ class TestSerialization:
                 assert (x is not None) == spanned.contains(target)
                 if x is not None:
                     assert len(x) == len(rows) and vec_mat(x, rows, width) == target
+
+
+class TestShapes:
+    """Every matrix is read through one width check: by default the first
+    row's length, which every other row and solve_left's target must have."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: snf([(1, 2), (3,)]),
+        lambda: snf([(1, 2)], 3),
+        lambda: snf([(1, 2)], 1),
+        lambda: solve_left([(1, 0)], (1,)),
+        lambda: solve_left([(1, 0)], (1, 0, 5)),
+    ], ids=["snf-ragged", "snf-wider", "snf-narrower", "solve-short-target", "solve-long-target"])
+    def test_misshapen_input_rejected(self, call):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            call()
+
+    def test_widths_that_fit(self):
+        assert snf([(1, 2)], 2).S == ((1, 0),)
+        assert snf([], 2).Q == mat_identity(2)
+        assert solve_left([], (0, 0)) == () and solve_left([], (0, 1)) is None
+        assert solve_left([(1, 0)], (3, 0), 2) == (3,)
+
+
+class TestElements:
+    def test_torsion_only_spec_lists_every_element_once(self):
+        spec = AbelianSpec(0, (2, 4))
+        out = list(spec.elements())
+        assert sorted(out) == sorted(itertools.product(range(2), range(4)))
+        assert [sum(v) for v in out] == sorted(sum(v) for v in out)
+
+    def test_rank_zero_has_one_element(self):
+        assert list(AbelianSpec(0).elements()) == [()]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: AbelianSpec(-1), "m_free must be nonnegative"),
+        (lambda: AbelianSpec(0, (0,)), "torsion order 0 < 2"),
+        (lambda: AbelianSubgroup.from_generators(Z2, [(1,)]),
+         "generator length 1 != ambient length 2"),
+        (lambda: sub(Z2, (1, 0)).reduce_mod((1,)), "dimension mismatch"),
+        (lambda: sub(Z2, (1, 0)).sum(sub(Z1, (1,))), "mismatched ambient abelian groups"),
+        (lambda: CosetIntersection(sub(Z2, (1, 0)), sub(Z1, (1,))),
+         "mismatched ambient abelian groups"),
+        (lambda: CosetIntersection(sub(Z2, (1, 0)), sub(Z2)).witness((1,), (0, 0)),
+         "dimension mismatch"),
+        (lambda: CosetIntersection(sub(Z2, (1, 0)), sub(Z2)).witness((0, 0), (1, 0, 0)),
+         "dimension mismatch"),
+        (lambda: preimage_under_matrix(sub(Z2, (1, 0)), [(1, 0), (1,)]), "dimension mismatch"),
+        (lambda: image_invariants(sub(Z2, (1, 0)), [(1, 0, 0)]), "dimension mismatch"),
+        (lambda: hnf([(1, 2), (3,)]), "ragged matrix"),
+        (lambda: kernel([(1,)], 2), "ragged matrix"),
+    ], ids=["negative-rank", "torsion-zero", "generator-length", "reduce-length", "sum-specs",
+            "coset-specs", "witness-a-length", "witness-b-length", "preimage-width",
+            "image-width", "hnf-ragged", "kernel-width"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

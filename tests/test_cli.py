@@ -428,6 +428,22 @@ class TestCommands:
         assert main(["--order", f"x2,{letter}^-1,x1,x2^-1", "basis", moldavanski_file, "H1"]) == 2
         assert "bad letter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("letter", ["x3", "x0"])
+    def test_order_flag_letter_out_of_range(self, moldavanski_file, capsys, letter):
+        argv = ["--order", f"x1,x1^-1,{letter},x2^-1", "basis", moldavanski_file, "H1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: letter {letter} out of range for free rank 2\n"
+
+    def test_cayley_of_a_trivial_intersection_is_one_vertex(self, tmp_path, capsys):
+        # no petal in the product (r = 0): the Cayley graph of the trivial group
+        path = tmp_path / "trivial.txt"
+        path.write_text("group F2\nA: x1\nB: x2\n")
+        assert main(["cayley", str(path), "A", "B"]) == 0
+        assert capsys.readouterr().out == (
+            'digraph cayley {\n  v0 [shape=doublecircle, label=""];\n}\n')
+
     def test_tree_strategy_flag(self, index_file, capsys):
         assert main(["--tree", "first-seen", "basis", index_file, "H"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ import pytest
 from support import (
     ReferenceFolding,
     check_folding,
+    core,
     coset_presentation,
     is_deterministic,
     parameterized_pair,
@@ -49,7 +50,6 @@ from stallings_fta.intersection import (
 from stallings_fta.words import (
     Automaton,
     canonical_renumber,
-    core,
     flower,
     fold,
     free_reduce,
@@ -1049,3 +1049,35 @@ def test_dot_export():
     e = stallings(F2Z, elems(F2Z, ((1,), (1,)), ((2,), ())))
     dot = to_dot(e)
     assert "doublecircle" in dot and "|x1|" in dot
+
+
+def _fold_input():
+    """Arcs 0 and 1 leave vertex 0 by x1 to distinct targets, arc 2 leaves
+    vertex 1 by x1 and arc 3 leaves vertex 0 by x2; every label zero."""
+    zero = F2Z.zero()
+    skeleton = Automaton(2, 2, 0, ((0, 1, 0), (0, 1, 1), (1, 1, 0), (0, 2, 1)))
+    return EnrichedAutomaton(F2Z, skeleton, ((zero, zero),) * 4,
+                             AbelianSubgroup.trivial(F2Z.abelian))
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: replace(_fold_input(), labels=()), "one label pair per positive arc required"),
+        (lambda: replace(_fold_input(), base=AbelianSubgroup.trivial(AbelianSpec(2))),
+         "basepoint subgroup lives in the wrong group"),
+        (lambda: vertex_transformation(_fold_input(), 2, (1,)), "no such vertex"),
+        (lambda: vertex_transformation(_fold_input(), -1, (1,)), "no such vertex"),
+        (lambda: arc_transformation(_fold_input(), 4, (1,)), "no such arc"),
+        (lambda: closed_fold(_fold_input(), 0, 0),
+         "foldable arcs must be distinct, same letter, same origin"),
+        (lambda: closed_fold(_fold_input(), 0, 1), "closed fold needs parallel arcs"),
+        (lambda: open_fold(_fold_input(), 0, 2),
+         "foldable arcs must be distinct, same letter, same origin"),
+        (lambda: open_fold(_fold_input(), 1, 3),
+         "foldable arcs must be distinct, same letter, same origin"),
+    ], ids=["label-count", "base-spec", "vertex-above", "vertex-below", "arc", "closed-same-arc",
+            "closed-not-parallel", "open-two-origins", "open-two-letters"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

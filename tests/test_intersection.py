@@ -25,6 +25,7 @@ from stallings_fta.intersection import (
     MAX_EXPANSION_VERTICES,
     VERDICT_FG,
     VERDICT_NOT_FG,
+    DoublyEnrichedAutomaton,
     NotEqualizableError,
     cayley_multidigraph,
     decide_finitely_generated,
@@ -34,12 +35,12 @@ from stallings_fta.intersection import (
     intersect_fg,
     intersect_stages,
     intersection_matrices,
+    normalize_doubly,
     vertex_expand,
 )
 from stallings_fta.words import (
     _canonical_core,
     _step_map,
-    core,
     product,
     product_with_provenance,
     spanning_tree_by_order,
@@ -47,6 +48,7 @@ from stallings_fta.words import (
 from support import (
     RowCayleyBall,
     cayley_by_row,
+    core,
     doubly_completion,
     fg_by_stages,
     is_deterministic,
@@ -651,6 +653,36 @@ class TestFgPipelineAgainstPaperSteps:
             tree = spanning_tree_by_order(x.skeleton, order)
             assert equalize(x, tree) == intersect_fg(e1, e2, order, report=rep)
             checked += 1
+
+
+class TestNormalizeDoubly:
+    """normalize_doubly T-normalizes each label layer as normalize does
+    alone, on the same tree, and leaves a product normalized on its tree
+    as it is."""
+
+    def test_against_normalize_on_each_layer(self):
+        rng = random.Random("normalize-doubly")
+        letters = [k for k in range(-TORSION.n, TORSION.n + 1) if k]
+        checked = moved = 0
+        for i in range(60):
+            order = None if i % 2 == 0 else tuple(rng.sample(letters, len(letters)))
+            e1, e2 = (stallings(TORSION, random_subgroup_gens(rng, TORSION), order)
+                      for _ in range(2))
+            rep = intersection_matrices(e1, e2, order)
+            assert normalize_doubly(rep.prod, rep.tree) == rep.prod
+            ball, _ = cayley_multidigraph(rep.deltas, rep.snf.Q, None if all(rep.deltas) else 2)
+            x = vertex_expand(ball, rep.prod, rep.tree)
+            for y in (x, doubly_reduce(x, order)):
+                tree = spanning_tree_by_order(y.skeleton, order)
+                got = normalize_doubly(y, tree)
+                assert (got.skeleton, got.base1, got.base2) == (y.skeleton, y.base1, y.base2)
+                for labels, before, base in ((got.labels1, y.labels1, y.base1),
+                                             (got.labels2, y.labels2, y.base2)):
+                    alone = normalize(EnrichedAutomaton(TORSION, y.skeleton, before, base), tree)
+                    assert labels == alone.labels
+                    moved += labels != before
+                checked += 1
+        assert checked == 120 and moved >= 40
 
 
 class TestFgExpandsOnce:
@@ -1486,6 +1518,7 @@ class TestStageCost:
         b = next(intersection_matrices(k1, k2).stages())
         assert (a.radius, a.new_elements, a.complete) == (b.radius, b.new_elements, b.complete)
         assert a != b and a.automaton.base != b.automaton.base
+        assert a != (a.radius, a.new_elements, a.complete)  # only a stage equals a stage
 
     def test_stream_builds_no_automaton_and_two_spheres_of_paths(self, monkeypatch):
         built, by_stage = [], {}
@@ -1880,3 +1913,29 @@ class TestOracle:
                 assert (rep.verdict == VERDICT_FG and not rep.pi_trivial) == (
                     is_full and rep.r >= 1
                 )
+
+
+def _one_arc_product():
+    e = stallings(F2Z, elems(F2Z, ((1,), (1,))))
+    return doubly_enriched_product(e, e)
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DoublyEnrichedAutomaton(F2Z, _one_arc_product().skeleton, (), (),
+                                         AbelianSubgroup.trivial(F2Z.abelian),
+                                         AbelianSubgroup.trivial(F2Z.abelian)),
+         "one label pair per arc and per factor required"),
+        (lambda: doubly_enriched_product(stallings(F2Z, elems(F2Z, ((1,), (1,)))),
+                                         stallings(F2Z2, elems(F2Z2, ((1,), (1, 0))))),
+         "ambient group mismatch"),
+        (lambda: cayley_multidigraph((2, -1), ((1, 0), (0, 1))), "deltas must be nonnegative"),
+        (lambda: vertex_expand(cayley_multidigraph((2, 2), ((1, 0), (0, 1)))[0],
+                               _one_arc_product(),
+                               spanning_tree_by_order(_one_arc_product().skeleton)),
+         "delta alphabet must match the petal count"),
+    ], ids=["label-count", "product-ambients", "negative-delta", "expand-alphabet"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

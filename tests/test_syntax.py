@@ -15,6 +15,7 @@ from stallings_fta.syntax import (
     _parse_element,
     _split_outside_parens,
     parse_element,
+    parse_problem,
 )
 from support import (
     element_tokens,
@@ -99,3 +100,21 @@ def test_split_matches_the_reference():
         assert list(_split_outside_parens(text)) == list(reference_split_outside_parens(text))
         unbalanced += text.count("(") != text.count(")")
     assert unbalanced >= 1000
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("group F2 x Z/2Z x Z\n", "free factors must precede torsion", 1),
+    ("# no group\nH: x1\n", "expected a 'group ...' line first", 2),
+    ("group F2\nH x1\n", "expected 'NAME: element, element, ...'", 2),
+    ("group F2\n1H: x1\n", "bad subgroup name '1H'", 2),
+    ("group F2\n : x1\n", "bad subgroup name ''", 2),
+    ("group F2\nH: x1\n\nH: x2\n", "duplicate subgroup name 'H'", 4),
+    ("# only a comment\n\n", "empty problem: no 'group' line found", 0),
+], ids=["torsion-first", "no-group-line", "no-colon", "bad-name", "empty-name", "duplicate-name",
+        "empty-problem"])
+def test_line_errors(text, message, line):
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem(text)
+    col = 1 if line else 0
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == (f"line {line}, col {col}: {message}" if line else message)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from support import (
+    core,
     gets_stuck,
     is_deterministic,
     reference_counts,
@@ -19,7 +20,6 @@ from stallings_fta.words import (
     _step_map,
     canonical_renumber,
     check_order,
-    core,
     default_order,
     flower,
     fold,
@@ -684,3 +684,24 @@ class TestRendering:
             '  v2 -> v0 [label="x2"];\n'
             '}\n'
         )
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Automaton(2, 0, 0, ()), "an automaton needs at least its basepoint"),
+        (lambda: Automaton(2, 1, 1, ()), "basepoint out of range"),
+        (lambda: Automaton(2, 1, 0, ((0, 1, 1),)), "arc endpoint out of range"),
+        (lambda: Automaton(2, 1, 0, ((-1, 1, 0),)), "arc endpoint out of range"),
+        (lambda: Automaton(2, 1, 0, ((0, 3, 0),)), "letter 3 out of range"),
+        (lambda: Automaton(2, 1, 0, ((0, -1, 0),)), "letter -1 out of range"),
+        (lambda: flower(2, [(1,), (1, -3)]), "letter index 3 out of range for n=2"),
+        (lambda: spanning_tree_by_order(flower(2, [(1,)]), None, "depth"),
+         "unknown tree strategy 'depth'"),
+        (lambda: product(flower(2, [(1,)]), flower(3, [(1,)])), "alphabet mismatch"),
+    ], ids=["no-vertex", "basepoint", "arc-target", "arc-origin", "letter-above-n",
+            "negative-letter", "flower-letter", "tree-strategy",
+            "product-alphabets"])
+    def test_rejected_with_its_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
