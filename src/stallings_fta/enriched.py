@@ -367,9 +367,11 @@ def _tree_values(skeleton: Automaton, tree: SpanningTree, diffs, zero: Vector) -
     phi: list[Optional[Vector]] = [None] * skeleton.num_vertices
     phi[tree.root] = zero
     _fill_potentials(phi, tree.vertex_age[1:], tree.parent, skeleton.arcs, diffs)
-    tree_arcs = tree.tree_arcs
-    return [None if idx in tree_arcs else _arc_value(phi, o, t, diff)
-            for idx, ((o, _, t), diff) in enumerate(zip(skeleton.arcs, diffs))]
+    arcs, values = skeleton.arcs, [None] * len(skeleton.arcs)
+    for idx in tree.petal_arcs:  # every non-tree arc
+        o, _, t = arcs[idx]
+        values[idx] = _arc_value(phi, o, t, diffs[idx])
+    return values
 
 
 def stallings(
@@ -388,9 +390,10 @@ def stallings(
     """
     folding = _Folding(1, (), [])
     worded, abelian_gens = _generators(ambient, gens)
+    letters = frozenset(default_order(ambient.n))
     for g in worded:
-        if 0 in g.word or max(map(abs, g.word)) > ambient.n:
-            bad = next(l for l in g.word if not 1 <= abs(l) <= ambient.n)
+        if not letters.issuperset(g.word):
+            bad = next(l for l in g.word if l not in letters)
             raise ValueError(f"letter {abs(bad)} out of range")
         folding.read_word(g.word, g.vec if any(g.vec) else None)
     skeleton, tree, values, gained = _folded_core(ambient, folding, 0, order)

@@ -5,6 +5,8 @@ whitespace, followed by an optional abelian tail `t^(a1,...,am)` (or `t^k`
 when the abelian part has a single coordinate); `1` denotes the identity.
 Digits are ASCII only.  One scan reads the tokens and freely reduces the
 word as it goes; the letter budget counts letters before that reduction.
+A token's column, and the error of a literal past the interpreter's digit
+limit, are worked out only when the token fails.
 
 Problem files declare the ambient group and named subgroups:
 
@@ -78,44 +80,65 @@ def parse_element(text: str, ambient: Ambient) -> GroupElement:
 
 def _parse_element(text: str, ambient: Ambient, line: int, col_base: int, budget: int):
     """(element, letters read before free reduction), reading at most budget
-    letters and freely reducing the word as it is read."""
-    word: list[int] = []
+    letters and freely reducing the word as it is read.  A token's column,
+    and _literal's error, are worked out only in the branches that raise."""
+    n = ambient.n
+    word = [0]  # a sentinel under the word: no letter cancels it
     read = 0
     vec = None
-    for match in _TOKEN_RE.finditer(text):
-        col = col_base + match.start() + 1
-        if vec is not None:
-            raise ProblemParseError("abelian tail must come last", line, col)
+    matches = _TOKEN_RE.finditer(text)
+    for match in matches:
         digits, power, coords, scalar = match.groups()
         if digits is not None:
-            idx = _literal(digits, line, col)
-            if not (1 <= idx <= ambient.n):
-                raise ProblemParseError(
-                    f"generator x{idx} out of range (free rank {ambient.n})", line, col
-                )
-            exp = _literal(power, line, col) if power is not None else 1
-            count = abs(exp)
+            try:
+                idx = int(digits)
+            except ValueError:  # past the interpreter's digit limit
+                idx = _literal(digits, line, col_base + match.start() + 1)
+            if not 0 < idx <= n:
+                raise ProblemParseError(f"generator x{idx} out of range (free rank {n})",
+                                        line, col_base + match.start() + 1)
+            try:
+                exp = 1 if power is None else int(power)
+            except ValueError:
+                exp = _literal(power, line, col_base + match.start() + 1)
+            if exp > 0:
+                letter, count = idx, exp
+            else:
+                letter, count = -idx, -exp
             read += count
             if read > budget:
                 raise ProblemParseError(
-                    f"more than {MAX_WORD_LETTERS} letters before free reduction", line, col
-                )
-            letter = idx if exp > 0 else -idx
-            while count and word and word[-1] == -letter:
-                word.pop()
-                count -= 1
-            word += [letter] * count
+                    f"more than {MAX_WORD_LETTERS} letters before free reduction",
+                    line, col_base + match.start() + 1)
+            if count == 1:
+                if word[-1] == -letter:
+                    word.pop()
+                else:
+                    word.append(letter)
+            else:
+                while count and word[-1] == -letter:
+                    word.pop()
+                    count -= 1
+                word += [letter] * count
         elif coords is not None or scalar is not None:
+            col = col_base + match.start() + 1
             # t^() splits to one empty part and has no coordinates
             vec = tuple(_literal(p, line, col) for p in (scalar or coords).split(",") if p)
             if len(vec) != ambient.m:
                 raise ProblemParseError(
                     f"abelian vector has {len(vec)} coordinates, expected {ambient.m}", line, col
                 )
+            after = next(matches, None)  # so the tail branch runs once at most
+            if after is not None:
+                raise ProblemParseError(
+                    "abelian tail must come last", line, col_base + after.start() + 1
+                )
+            vec = ambient.abelian.canonicalize(vec)
         elif match.group() != "1":
-            raise ProblemParseError(f"cannot read token {match.group()!r}", line, col)
-    vec = ambient.abelian.canonicalize(vec) if vec is not None else ambient.zero()
-    return GroupElement(tuple(word), vec), read
+            raise ProblemParseError(
+                f"cannot read token {match.group()!r}", line, col_base + match.start() + 1
+            )
+    return GroupElement(tuple(word[1:]), ambient.zero() if vec is None else vec), read
 
 
 def format_element(g: GroupElement) -> str:

@@ -579,7 +579,9 @@ def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc], steps: dict,
     root paths, and a subtree holding no petal end hangs by one arc), and
     the search restricted to it is the search of the core alone, as a
     hanging tree is reached only through the vertex it hangs from.  So its
-    tree and petals are the core's own.  Vertices off the basepoint
+    tree and petals are the core's own.  Marking stops once every vertex
+    the search reached is marked, and then the core is the search's own
+    vertex list.  Vertices off the basepoint
     component, such as folded-away classes, are never reached, so the
     vertex count need not be given.
 
@@ -592,14 +594,17 @@ def _canonical_core(n: int, basepoint: int, arcs: Sequence[Arc], steps: dict,
     if len(steps) != 2 * len(arcs):
         raise ValueError("automaton is not deterministic")
     search, petals = _whole_search(steps, n, basepoint, lambda v: order)
-    parent, in_core = search.parent, {basepoint}
+    parent, in_core, kept = search.parent, {basepoint}, search.vertices
     for x in petals:
+        if len(in_core) == len(kept):  # the rest is core, as after folding
+            break
         for v in (arcs[x][0], arcs[x][2]):
             while v not in in_core:
                 in_core.add(v)
                 arc_idx, d = parent[v]
                 v = arcs[arc_idx][0 if d == 1 else 2]
-    kept = [v for v in search.vertices if v in in_core]
+    if len(in_core) < len(kept):
+        kept = [v for v in kept if v in in_core]
     return _renumbered(n, steps, search, petals, kept, order)
 
 

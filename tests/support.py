@@ -410,6 +410,18 @@ def letter_tokens(rng, ambient):
     return [f"x{zeros}{k}^{rng.randint(-5, 5)}"]
 
 
+def cancelling_tokens(rng, ambient):
+    """A run of two to five one-letter tokens x_k (or x_k^-1), then either
+    one letter that cancels the last of the run ("one") or a power of the
+    inverse letter that cancels part of the run, all of it, or one past it
+    ("power").  Returns (tokens, kind)."""
+    k, sign = rng.randint(1, ambient.n), rng.choice((1, -1))
+    run = [f"x{k}" if sign == 1 else f"x{k}^-1"] * rng.randint(2, 5)
+    if rng.random() < 0.5:
+        return run + [f"x{k}^{-sign}"], "one"
+    return run + [f"x{k}^{-sign * rng.randint(2, len(run) + 1)}"], "power"
+
+
 def tail_token(rng, ambient):
     """A valid abelian tail: t^k when m = 1 (half the time), else t^(...),
     which is t^() when m = 0; torsion coordinates fall outside [0, d)."""

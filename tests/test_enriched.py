@@ -400,6 +400,18 @@ class TestStallingsReadsGenerators:
         with pytest.raises(ValueError, match="out of range"):
             stallings(F2Z, [F2Z.element((1,)), GroupElement(word, (0,))])
 
+    @pytest.mark.parametrize("word, letter", [
+        ((0,), "0"), ((3,), "3"), ((-3,), "3"), ((1, 10**30), str(10**30)),
+        ((1, 2, 7, -1), "7"), ((2, -5, 0), "5"), ((1.5,), "1.5"),
+    ], ids=["zero", "above", "below", "huge", "between", "first-bad", "non-integer"])
+    def test_letter_out_of_range_message(self, word, letter):
+        """The first letter that is not a signed generator index is named,
+        a non-integer one too."""
+        gens = [F2Z.element((1, 2, -1), (1,)), F2Z.element((2, 2)), GroupElement(word, (0,))]
+        with pytest.raises(ValueError) as info:
+            stallings(F2Z, gens)
+        assert str(info.value) == f"letter {letter} out of range"
+
     def test_vector_of_wrong_length(self):
         with pytest.raises(ValueError, match="wrong length"):
             stallings(F2Z, [F2Z.element((1,)), GroupElement((2,), (0, 0))])

@@ -705,12 +705,10 @@ class TestCorpus:
         assert min(answers.count(True), answers.count(False)) >= 300
 
     def test_parse_texts(self):
-        """The walk family reads seeded unreduced words on the same automata (runs
-that cancel, some of letters unreadable where they stand or above n, and
-runs that stay) and builds each element as given, with no reduction.
-The parse family reads zero powers, 1 tokens, cancelling runs,
-        every tail form with torsion outside [0, d), Unicode separators, and
-        meets every parse error."""
+        """The parse family's element texts and problem files hold zero
+        powers, 1 tokens, cancelling runs, every tail form with torsion
+        outside [0, d) and Unicode separators; the files meet every parse
+        error, the letter budget across two elements included."""
         cases = list(_parse_inputs())
         outs = [_parse(*case) for case in cases]
         texts = [text for _, texts, _ in cases for text in texts]

@@ -18,6 +18,8 @@ from stallings_fta.syntax import (
     parse_problem,
 )
 from support import (
+    LONG_LITERAL,
+    cancelling_tokens,
     element_tokens,
     joined,
     letter_tokens,
@@ -34,7 +36,7 @@ AMBIENTS = (
     Ambient(2, AbelianSpec(0, (2, 4))),
     Ambient(2, AbelianSpec(0)),
 )
-TEXTS = 2400
+TEXTS = 3000
 F2Z = AMBIENTS[0]
 
 
@@ -48,31 +50,58 @@ def _outcome(parse, *args):
 
 def _mixed_text(rng, ambient):
     """Valid tokens with mutated ones among them, sometimes a token after
-    the tail, sometimes glued to their neighbours."""
+    the tail, sometimes glued to their neighbours; half the time a run of
+    one-letter tokens that the next token cancels in part (its kind is
+    returned with the text), sometimes an out-of-range generator with a
+    power past the interpreter's digit limit."""
     tokens = element_tokens(rng, ambient, max_groups=8)
+    kind = None
+    if rng.random() < 0.5:
+        run, kind = cancelling_tokens(rng, ambient)
+        tail = bool(tokens) and tokens[-1].startswith("t^")
+        at = rng.randint(0, len(tokens) - tail)  # before the tail
+        tokens[at:at] = run
     for _ in range(rng.choice((0, 0, 1, 1, 2))):
         tokens.insert(rng.randint(0, len(tokens)), mutated_token(rng, ambient))
+    if rng.random() < 0.02:
+        overlong = f"x{ambient.n + rng.randint(1, 3)}^{rng.choice(('', '-'))}{LONG_LITERAL}"
+        tokens.insert(rng.randint(0, len(tokens)), overlong)
     if rng.random() < 0.1:
         tokens += [tail_token(rng, ambient)] + letter_tokens(rng, ambient)
-    return joined(rng, tokens, glue=0.05)
+    return joined(rng, tokens, glue=0.05), kind
 
 
 def test_reader_matches_the_reference():
+    """Every outcome, errors with their line and column included, matches
+    the reference.  The counts make sure that each error branch and both
+    reduction branches (one letter, a longer power) are compared, the
+    reductions at nonzero column offsets."""
     rng = random.Random("syntax:differential")
-    kinds = Counter()
+    kinds, reductions = Counter(), Counter()
+    overlong_out_of_range = 0
     for i in range(TEXTS):
         ambient = AMBIENTS[i % len(AMBIENTS)]
-        text = _mixed_text(rng, ambient)
+        text, kind = _mixed_text(rng, ambient)
         budget = MAX_WORD_LETTERS if rng.random() < 0.7 else rng.randint(0, 20)
-        args = (text, ambient, rng.randint(0, 3), rng.randint(0, 12), budget)
+        col_base = rng.randint(0, 12)
+        args = (text, ambient, rng.randint(0, 3), col_base, budget)
         got = _outcome(_parse_element, *args)
         assert got == _outcome(reference_parse_element, *args), text
-        message = got[0]
-        kinds[message.split(": ", 1)[-1][:16] if isinstance(message, str) else "ok"] += 1
+        if isinstance(got[0], str):
+            message, _, col = got
+            kinds[message.split(": ", 1)[-1][:16]] += 1
+            token = text[col - col_base - 1:].split(maxsplit=1)[0]
+            if "out of range" in message and LONG_LITERAL in token:
+                overlong_out_of_range += 1
+        else:
+            kinds["ok"] += 1
+            reductions[kind if col_base else None] += 1
     assert kinds["ok"] >= 600
     for kind in ("cannot read toke", "generator x0 out", "abelian tail mus",
                  "integer literal ", "more than 100000"):
         assert kinds[kind] >= 20, kinds
+    assert overlong_out_of_range >= 5
+    assert reductions["one"] >= 100 and reductions["power"] >= 100, reductions
 
 
 def test_letter_budget_counts_cancelled_letters():
