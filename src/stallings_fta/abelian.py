@@ -136,6 +136,14 @@ def _matrix(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> list[
     return mat
 
 
+def _check_integers(rows: Sequence[Sequence[int]], what: str) -> None:
+    """ValueError naming the first entry of rows that is not an int, as
+    what; one pass over the entries' types, so int() coerces nothing."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        bad = next(x for row in rows for x in row if type(x) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+
+
 def _identity_rows(n: int) -> list[list[int]]:
     return [list(row) for row in mat_identity(n)]
 
@@ -299,7 +307,9 @@ class AbelianSpec:
     torsion: Vector = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        _check_integers([(self.m_free,)], "m_free")
+        _check_integers([self.torsion], "torsion order")
         if self.m_free < 0:
             raise ValueError("m_free must be nonnegative")
         prev = None
@@ -387,6 +397,7 @@ class AbelianSubgroup:
         for g in gens:
             if len(g) != spec.m:
                 raise ValueError(f"generator length {len(g)} != ambient length {spec.m}")
+        _check_integers(gens, "generator entry")
         return cls(spec, tuple(tuple(g) for g in gens))
 
     @classmethod

@@ -37,6 +37,7 @@ from .abelian import (
     AbelianSpec,
     AbelianSubgroup,
     Vector,
+    _check_integers,
     vec_add,
     vec_neg,
     vec_sub,
@@ -146,7 +147,8 @@ class EnrichedAutomaton:
 
 def _generators(ambient: Ambient, gens: Sequence[GroupElement]):
     """(the generators with a nonempty word, the nonzero vectors of the
-    others), once every abelian part is checked for its length."""
+    others), once every abelian part is checked for its length and, in one
+    pass over them all, for integer coordinates."""
     worded, abelian_gens = [], []
     for g in gens:
         if len(g.vec) != ambient.m:
@@ -155,6 +157,7 @@ def _generators(ambient: Ambient, gens: Sequence[GroupElement]):
             worded.append(g)
         elif any(g.vec):
             abelian_gens.append(g.vec)
+    _check_integers([g.vec for g in gens], "abelian coordinate")
     return worded, abelian_gens
 
 

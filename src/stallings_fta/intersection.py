@@ -9,8 +9,10 @@ intersection; the report spells out their words only when read.  A double
 label (a, b) is one vector a || b of Z^m x Z^m, the pullback's label
 group, so every pass over the arcs carries both systems as one joined
 value per arc; one routine, _doubly_labelled, labels both systems from it
-for the product, normalize_doubly and doubly_reduce, and equalize and
-intersect_fg label with enriched._labelled.  The difference matrix
+for doubly_reduce and, through _doubly_normalized, which reduces each half
+modulo its own subgroup, for the product and normalize_doubly.  equalize
+and intersect_fg label with enriched._labelled through one routine,
+_equalized.  The difference matrix
 D = B1 A1 - B2 A2 measures how the two completions of each w_j disagree.
 Row j is read off the product: it is the difference of the two halves of
 petal j's value, before they are reduced, so no word is walked through a
@@ -181,6 +183,15 @@ def _doubly_labelled(ambient: Ambient, skeleton: Automaton, values,
     return out
 
 
+def _doubly_normalized(ambient: Ambient, skeleton: Automaton, values,
+                       base1: AbelianSubgroup, base2: AbelianSubgroup) -> DoublyEnrichedAutomaton:
+    """The automaton labelled from joined tree values a || b (None for
+    zero), a reduced modulo base1 and b modulo base2."""
+    m, reduce1, reduce2 = ambient.m, base1.reduce_mod, base2.reduce_mod
+    return _doubly_labelled(ambient, skeleton, [
+        None if v is None else reduce1(v[:m]) + reduce2(v[m:]) for v in values], base1, base2)
+
+
 def doubly_enriched_product(
     e1: EnrichedAutomaton, e2: EnrichedAutomaton, order: Optional[Sequence[int]] = None
 ) -> DoublyEnrichedAutomaton:
@@ -207,9 +218,7 @@ def doubly_enriched_product(
                       for e in (e1, e2))
     joined = _joined([diffs1[prov[x][0]] for x in kept], [diffs2[prov[x][1]] for x in kept], zero)
     values = _tree_values(skeleton, tree, joined, zero + zero)
-    reduce1, reduce2 = e1.base.reduce_mod, e2.base.reduce_mod
-    out = _doubly_labelled(ambient, skeleton, [
-        None if v is None else reduce1(v[:m]) + reduce2(v[m:]) for v in values], e1.base, e2.base)
+    out = _doubly_normalized(ambient, skeleton, values, e1.base, e2.base)
     out.__dict__["_petal_differences"] = tuple(  # not a field
         vec_sub(values[x][:m], values[x][m:]) for x in tree.petal_arcs)
     return out
@@ -219,11 +228,8 @@ def normalize_doubly(
     x: DoublyEnrichedAutomaton, tree: SpanningTree
 ) -> DoublyEnrichedAutomaton:
     """T-normalize both label systems (each modulo its own subgroup)."""
-    m, zero = x.ambient.m, x.ambient.zero()
-    values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
-    reduce1, reduce2 = x.base1.reduce_mod, x.base2.reduce_mod
-    return _doubly_labelled(x.ambient, x.skeleton, [
-        None if v is None else reduce1(v[:m]) + reduce2(v[m:]) for v in values], x.base1, x.base2)
+    values = _tree_values(x.skeleton, tree, x._joined_differences, x.ambient.zero() * 2)
+    return _doubly_normalized(x.ambient, x.skeleton, values, x.base1, x.base2)
 
 
 def doubly_reduce(
@@ -534,6 +540,16 @@ def _witness_memo(known: dict, solve, m: int) -> Callable[[Vector], Vector]:
     return witness
 
 
+def _equalized(ambient: Ambient, skeleton: Automaton, tree: SpanningTree, diffs,
+               solver: CosetIntersection) -> EnrichedAutomaton:
+    """The automaton labelled (0, c) on each non-tree arc of tree, c the
+    solver's witness for its joined value a || b, summed from diffs around
+    its petal and solved once per value, and carrying L1 & L2."""
+    values = _tree_values(skeleton, tree, diffs, ambient.zero() * 2)
+    witness = _witness_memo({}, solver.witness, ambient.m)
+    return _labelled(ambient, skeleton, values, solver.base, witness, tree)
+
+
 def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) -> EnrichedAutomaton:
     """Replace each double label by a witness and (L1, L2) by L1 & L2.
 
@@ -545,10 +561,7 @@ def equalize(x: DoublyEnrichedAutomaton, tree: Optional[SpanningTree] = None) ->
     """
     tree = tree or spanning_tree_by_order(x.skeleton)
     solver = CosetIntersection(x.base1, x.base2)
-    zero = x.ambient.zero()
-    values = _tree_values(x.skeleton, tree, x._joined_differences, zero + zero)
-    witness = _witness_memo({}, solver.witness, x.ambient.m)
-    return _labelled(x.ambient, x.skeleton, values, solver.base, witness, tree)
+    return _equalized(x.ambient, x.skeleton, tree, x._joined_differences, solver)
 
 
 def intersect_fg(
@@ -586,10 +599,7 @@ def intersect_fg(
             expansion._expand()
     skeleton, tree, kept = _canonical_core(ambient.n, report.prod.skeleton.basepoint,
                                            expansion.arcs, expansion.steps, report.order)
-    zero = ambient.zero()
-    values = _tree_values(skeleton, tree, [expansion.diffs[x] for x in kept], zero + zero)
-    witness = _witness_memo({}, report.solver.witness, ambient.m)
-    return _labelled(ambient, skeleton, values, report.base, witness, tree)
+    return _equalized(ambient, skeleton, tree, [expansion.diffs[x] for x in kept], report.solver)
 
 
 @dataclass(frozen=True)

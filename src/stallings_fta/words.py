@@ -28,8 +28,11 @@ caller builds or, as the expansion does, keeps as it appends them, one
 search from the basepoint, and from it the core (the basepoint and the
 ancestors of the petals' ends), its canonical numbering, its arcs in sorted
 order and its spanning tree.  canonical_renumber is the same search and
-emission without the pruning.  fold keeps its own compaction, as it
-accepts nondeterministic arcs.
+emission without the pruning.  The one folding engine, _Folding, always
+carries arc values and names each class by its root, which
+_canonical_core's numbering does not read; fold, which accepts
+nondeterministic and disconnected arcs, numbers its classes itself, by
+their least vertices.
 Both layers lay out flowers with _petals, which reads each word as given,
 and render DOT with one layout, _dot.
 """
@@ -180,19 +183,21 @@ class _Folding:
     that collide.  Of two colliding arcs, the one with the larger index is
     folded onto the other.
 
-    With `vectors` (arc index -> abelian vector read crossing it forward,
-    None for zero), each vertex also carries a potential: the vertex
-    transformations applied to it so far, stored relative to its union-find
-    parent.  An arc's value is its vector plus its target's potential minus
-    its origin's.  An open fold of arc j onto arc i adds the value of i
-    minus that of j, read in the fold's direction, to the class of j's
-    target; a closed fold gains the opposite for the basepoint subgroup.
+    `vectors` maps each arc index to the abelian vector read crossing it
+    forward, None for zero; `fold` gives all None.  Each vertex carries a
+    potential: the vertex transformations applied to it so far, stored
+    relative to its union-find parent.  An arc's value is its vector plus
+    its target's potential minus its origin's.  An open fold of arc j onto
+    arc i adds the value of i minus that of j, read in the fold's
+    direction, to the class of j's target; a closed fold gains the opposite
+    for the basepoint subgroup.
 
     Every arc end that sits in a slot is its class's root: _rebase moves an
     end onto its root, and its potential into the arc's vector, when its
     work item is popped and when its class joins another.  So a walk meets
     only roots and sums raw arc vectors, and after run() every live arc
-    lies between roots, whose potentials are their own.
+    lies between roots, whose potentials are their own, and result()
+    names each class by its root.
 
     Arcs come in two ways.  `fold`, `reduce` and `doubly_reduce` hand all
     their arcs to the constructor, which queues every arc end and folds.
@@ -201,10 +206,9 @@ class _Folding:
     part that cannot be read and queues only the collisions at its seams.
     """
 
-    def __init__(self, num_vertices: int, arcs: Sequence[Arc], vectors: Optional[list] = None):
+    def __init__(self, num_vertices: int, arcs: Sequence[Arc], vectors: list):
         self.parent = list(range(num_vertices))
         self.pot: list[Optional[Vector]] = [None] * num_vertices
-        self.least = list(range(num_vertices))
         self.out: list[Optional[dict[int, int]]] = [{} for _ in range(num_vertices)]
         self.arcs = list(arcs)
         self.vectors = vectors
@@ -235,8 +239,7 @@ class _Folding:
         end = o if s > 0 else t
         if end != root:
             self.arcs[x] = (root, k, t) if s > 0 else (o, k, root)
-            if self.vectors is not None:
-                self.vectors[x] = (_sub if s > 0 else _add)(self.vectors[x], self.pot[end])
+            self.vectors[x] = (_sub if s > 0 else _add)(self.vectors[x], self.pot[end])
 
     def value(self, x: int) -> Optional[Vector]:
         """The value of arc x read forward; both its ends must be roots."""
@@ -267,8 +270,8 @@ class _Folding:
             ri, rj = arcs[i][end], arcs[j][end]
             if out[rj].get(-s) == j:
                 del out[rj][-s]
-            c = None if self.vectors is None else (  # i minus j, read in direction s
-                _sub(value(i), value(j)) if s > 0 else _sub(value(j), value(i)))
+            # i minus j, read in direction s
+            c = _sub(value(i), value(j)) if s > 0 else _sub(value(j), value(i))
             if c is not None and not any(c):
                 c = None
             if ri == rj:
@@ -281,7 +284,6 @@ class _Folding:
                 ri, rj = rj, ri
             self.parent[rj] = ri
             pot[rj] = _sub(pot[rj], pot[ri])
-            self.least[ri] = min(self.least[ri], self.least[rj])
             big = out[ri]
             for s2, x in out[rj].items():
                 rebase(x, s2, ri)
@@ -358,7 +360,6 @@ class _Folding:
                 there, e = len(self.parent), None
                 self.parent.append(there)
                 self.pot.append(None)
-                self.least.append(there)
                 out.append({})
             x = len(arcs)
             if l > 0:
@@ -375,14 +376,12 @@ class _Folding:
         self.run()
 
     def result(self, basepoint: int):
-        """(basepoint, arcs, kept, gained): the basepoint and the surviving
-        arcs, each vertex named by the least vertex of its class, kept their
-        indices in increasing order and gained the nonzero closed-fold
-        vectors.  Survivors lie between roots, so only the basepoint is found."""
-        least, arcs = self.least, self.arcs
+        """(basepoint, arcs, kept, gained): the basepoint's root and the
+        surviving arcs as stored, which lie between roots, so each class is
+        named by its root; kept their indices in increasing order and gained
+        the nonzero closed-fold vectors.  Only the basepoint is found."""
         kept = [x for x, ok in enumerate(self.alive) if ok]
-        named = [(least[o], k, least[t]) for o, k, t in map(arcs.__getitem__, kept)]
-        return least[self.find(basepoint)], named, kept, self.gained
+        return self.find(basepoint), list(map(self.arcs.__getitem__, kept)), kept, self.gained
 
 
 def _add(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
@@ -397,20 +396,21 @@ def _sub(u: Optional[Vector], v: Optional[Vector]) -> Optional[Vector]:
 
 
 def fold(a: Automaton) -> Automaton:
-    """Fold to a deterministic automaton recognizing the same subgroup."""
-    basepoint, arcs, _, _ = _Folding(a.num_vertices, a.arcs).result(a.basepoint)
-    return _compact(a.n, a.num_vertices, basepoint, arcs)
+    """Fold to a deterministic automaton recognizing the same subgroup.
 
-
-def _compact(n: int, num_vertices: int, basepoint: int, arcs: list[Arc]) -> Automaton:
-    used = sorted({basepoint} | {o for o, _, _ in arcs} | {t for _, _, t in arcs})
-    remap = {v: i for i, v in enumerate(used)}
-    return Automaton(
-        n,
-        len(used),
-        remap[basepoint],
-        tuple((remap[o], k, remap[t]) for o, k, t in arcs),
-    )
+    The classes that the basepoint or a surviving arc meets are numbered
+    in the order of their least vertices, which one find per vertex, in
+    increasing order, meets first."""
+    folding = _Folding(a.num_vertices, a.arcs, [None] * len(a.arcs))
+    basepoint, arcs, _, _ = folding.result(a.basepoint)
+    used = {basepoint, *(v for o, _, t in arcs for v in (o, t))}
+    number: dict[int, int] = {}
+    for v in range(a.num_vertices):
+        root = folding.find(v)
+        if root in used:
+            number.setdefault(root, len(number))
+    return Automaton(a.n, len(number), number[basepoint],
+                     tuple((number[o], k, number[t]) for o, k, t in arcs))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from stallings_fta.words import (
     Automaton,
     _add,
     _canonical_core,
-    _compact,
     _step_map,
     _sub,
     free_reduce,
@@ -250,7 +249,10 @@ def core(a: Automaton) -> Automaton:
     """Basepoint component with all hanging trees removed."""
     kept_vertices, kept_arcs = _core_keep(a.num_vertices, a.basepoint, a.arcs)
     arcs = [a.arcs[i] for i in kept_arcs]
-    return _compact(a.n, a.num_vertices, a.basepoint, arcs)
+    used = sorted({a.basepoint} | {o for o, _, _ in arcs} | {t for _, _, t in arcs})
+    remap = {v: i for i, v in enumerate(used)}
+    return Automaton(a.n, len(used), remap[a.basepoint],
+                     tuple((remap[o], k, remap[t]) for o, k, t in arcs))
 
 
 def is_deterministic(a):

@@ -563,8 +563,15 @@ class TestRejections:
     @pytest.mark.parametrize("call, message", [
         (lambda: AbelianSpec(-1), "m_free must be nonnegative"),
         (lambda: AbelianSpec(0, (0,)), "torsion order 0 < 2"),
+        (lambda: AbelianSpec(1.5), "m_free 1.5 is not an integer"),
+        (lambda: AbelianSpec(0, (2.5,)), "torsion order 2.5 is not an integer"),
+        (lambda: AbelianSpec(1, (2, "6")), "torsion order '6' is not an integer"),
         (lambda: AbelianSubgroup.from_generators(Z2, [(1,)]),
          "generator length 1 != ambient length 2"),
+        (lambda: AbelianSubgroup.from_generators(Z1, [(3,), (1.5,)]),
+         "generator entry 1.5 is not an integer"),
+        (lambda: AbelianSubgroup.from_generators(Z2, [(1, 0), (0, "2")]),
+         "generator entry '2' is not an integer"),
         (lambda: sub(Z2, (1, 0)).reduce_mod((1,)), "dimension mismatch"),
         (lambda: sub(Z2, (1, 0)).sum(sub(Z1, (1,))), "mismatched ambient abelian groups"),
         (lambda: CosetIntersection(sub(Z2, (1, 0)), sub(Z1, (1,))),
@@ -577,7 +584,8 @@ class TestRejections:
         (lambda: image_invariants(sub(Z2, (1, 0)), [(1, 0, 0)]), "dimension mismatch"),
         (lambda: hnf([(1, 2), (3,)]), "ragged matrix"),
         (lambda: kernel([(1,)], 2), "ragged matrix"),
-    ], ids=["negative-rank", "torsion-zero", "generator-length", "reduce-length", "sum-specs",
+    ], ids=["negative-rank", "torsion-zero", "float-rank", "float-torsion", "string-torsion",
+            "generator-length", "float-generator", "string-generator", "reduce-length", "sum-specs",
             "coset-specs", "witness-a-length", "witness-b-length", "preimage-width",
             "image-width", "hnf-ragged", "kernel-width"])
     def test_rejected_with_its_message(self, call, message):

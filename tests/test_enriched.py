@@ -412,6 +412,17 @@ class TestStallingsReadsGenerators:
             stallings(F2Z, gens)
         assert str(info.value) == f"letter {letter} out of range"
 
+    @pytest.mark.parametrize("vec, bad", [((1.5,), "1.5"), (("2",), "'2'"), ((2.0,), "2.0")],
+                             ids=["float", "string", "integral-float"])
+    def test_non_integer_vector_message(self, vec, bad):
+        """A coordinate that is not an int is named, even where int() would
+        read it, in stallings and in the flower, worded or not."""
+        for gens in ([F2Z.element((1, 2)), GroupElement((1,), vec)], [GroupElement((), vec)]):
+            for build in (stallings, enriched_flower):
+                with pytest.raises(ValueError) as info:
+                    build(F2Z, gens)
+                assert str(info.value) == f"abelian coordinate {bad} is not an integer"
+
     def test_vector_of_wrong_length(self):
         with pytest.raises(ValueError, match="wrong length"):
             stallings(F2Z, [F2Z.element((1,)), GroupElement((2,), (0, 0))])
@@ -432,7 +443,7 @@ class TestStallingsReadsGenerators:
         foldings = []  # the arcs each folding state starts from
         real_init = words._Folding.__init__
 
-        def init(self, num_vertices, arcs, vectors=None):
+        def init(self, num_vertices, arcs, vectors):
             foldings.append(tuple(arcs))
             real_init(self, num_vertices, arcs, vectors)
 
@@ -528,13 +539,21 @@ class TestFoldingKeepsSlottedEndsOnRoots:
 
     @staticmethod
     def assert_same_folding(folding, reference, basepoint):
+        """The same classes, survivors and gains; the engine names each
+        class by its root, so names are compared through the reference's
+        class map."""
         base, named, kept, gained = folding.result(basepoint)
         rep, ref_kept, ref_gained = reference.result()
         assert kept == ref_kept and gained == ref_gained
-        assert base == rep[basepoint]
-        assert named == [(rep[o], k, rep[t]) for o, k, t in map(reference.arcs.__getitem__, kept)]
-        if folding.vectors is not None:
-            assert [without_zero(folding.value(x)) for x in kept] == \
+        assert all(folding.find(v) == v for v in (base, *(v for o, _, t in named for v in (o, t))))
+        assert rep[base] == rep[basepoint]
+        assert [(rep[o], k, rep[t]) for o, k, t in named] == \
+            [(rep[o], k, rep[t]) for o, k, t in map(reference.arcs.__getitem__, kept)]
+        values = [folding.value(x) for x in kept]
+        if reference.vectors is None:  # the plain engine, as fold runs it
+            assert values == [None] * len(kept)
+        else:
+            assert list(map(without_zero, values)) == \
                 [without_zero(reference.read(x, 1)) for x in kept]
 
     @pytest.mark.parametrize("name", list(FOLDING_AMBIENTS))
@@ -556,7 +575,8 @@ class TestFoldingKeepsSlottedEndsOnRoots:
             size = flower.skeleton.num_vertices
             self.assert_same_folding(words._Folding(size, arcs, list(values)),
                                      ReferenceFolding(size, arcs, list(values)), 0)
-            self.assert_same_folding(words._Folding(size, arcs), ReferenceFolding(size, arcs), 0)
+            self.assert_same_folding(words._Folding(size, arcs, [None] * len(arcs)),
+                                     ReferenceFolding(size, arcs), 0)
             # and the public constructions, raw labels included, on either engine
             doubly = doubly_flower(rng, ambient, gens)
             outputs = []

@@ -32,7 +32,10 @@ outside [0, d), Unicode separators) and seeded problem files, some with one
 mutated token or parenthesis, whose errors it keeps with line and column.
 The extension family saturates seeded stallings automata, of finite index
 and not, under both letter orders, over the five ambients' abelian parts
-with free ranks 1 to 3.
+with free ranks 1 to 3.  The fold family folds seeded flowers and seeded
+nondeterministic automata over 1 to 3 letters, some disconnected and some
+with isolated vertices, and pins fold's numbering of classes by their
+least vertices.
 """
 
 import hashlib
@@ -85,6 +88,10 @@ from stallings_fta.syntax import (
     parse_problem,
 )
 from stallings_fta.words import (
+    Automaton,
+    _Folding,
+    flower,
+    fold,
     free_reduce,
     invert,
     is_saturated,
@@ -130,6 +137,7 @@ GOLDEN = {
     "parse": "796f1bdd959d1706558fec6f3100d7586ca0be8eb5b9fcf32acdfb40b643a6ca",
     "walk": "fa18de48af76b18379239cf7e18329c0ab23409ba625ad0b300ac5c3afeacbaa",
     "extension": "852a0777f780c32d9ee5b41c7085eafb5a6a0731b832d849d6fa848347944fab",
+    "fold": "dfcf19181b18ceea4e84eb670d3e3cce589f960715871a711891e9aee927a8dc",
 }
 LATTICE_SPECS = {
     "Z": AbelianSpec(1),
@@ -161,6 +169,7 @@ MEMBER_TABLE_LEN = 4
 WALK_WORDS = 8  # per automaton
 PARSE_TEXTS = 60  # per ambient: element texts, and problem files
 EXTENSION_CASES = 3  # per abelian part, free rank, kind and letter order
+FOLD_CASES = 50  # per letter count and kind
 
 
 def _vec(rng, ambient, bound=2):
@@ -325,6 +334,39 @@ def extension_corpus():
                     gens = _random_gens(rng, amb)
                 out.append((order, stallings(amb, gens, order)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def fold_corpus():
+    """Automata for fold, per letter count 1 to 3: seeded flowers of one to
+    four words of length 1 to 6, and seeded automata of 1 to 8 vertices
+    with up to 12 arcs at random ends, some of which leave vertices
+    isolated or the basepoint's component short of others."""
+    out = []
+    for n in range(1, 4):
+        rng = random.Random(f"golden:fold:{n}")
+        letters = [k for k in range(-n, n + 1) if k]
+        for _ in range(FOLD_CASES):
+            words = [free_reduce([rng.choice(letters) for _ in range(rng.randint(1, 6))])
+                     for _ in range(rng.randint(1, 4))]
+            out.append(flower(n, [w for w in words if w] or [(1,)]))
+        for _ in range(FOLD_CASES):
+            size = rng.randint(1, 8)
+            arcs = tuple((rng.randrange(size), rng.randint(1, n), rng.randrange(size))
+                         for _ in range(rng.randint(0, 12)))
+            out.append(Automaton(n, size, rng.randrange(size), arcs))
+    return tuple(out)
+
+
+def _fold_by_roots(a):
+    """What fold would return if it named classes by their folding roots:
+    the survivors as stored, numbered in the order of their ends' names."""
+    folding = _Folding(a.num_vertices, a.arcs, [None] * len(a.arcs))
+    arcs = [arc for arc, ok in zip(folding.arcs, folding.alive) if ok]
+    base = folding.find(a.basepoint)
+    number = {v: i for i, v in enumerate(sorted({base, *(v for o, _, t in arcs for v in (o, t))}))}
+    return (a.n, len(number), number[base],
+            tuple((number[o], k, number[t]) for o, k, t in arcs))
 
 
 def _member(e, rng):
@@ -548,6 +590,8 @@ def family(name):
     if name == "extension":
         return [_enriched(finite_index_factor_extension(e, order))
                 for order, e in extension_corpus()]
+    if name == "fold":
+        return [_automaton(fold(a)) for a in fold_corpus()]
     if name == "cayley":
         for deltas, rows, radius in _square_cayley_inputs():
             aut, elems = cayley_multidigraph(deltas, rows, radius)
@@ -680,6 +724,28 @@ class TestCorpus:
         # the new arcs pair the vertices that lack k with those that lack -k
         assert sum(sum(e.skeleton.step(v, k) is None for v in range(e.skeleton.num_vertices)) > 1
                    for _, e in cases for k in range(1, e.ambient.n + 1)) >= 20
+
+    def test_fold_inputs(self):
+        """The fold family folds disconnected automata and ones with isolated
+        vertices, and classes whose folding root is not their least vertex,
+        often enough that naming classes by their roots changes its hash."""
+        cases = fold_corpus()
+        isolated = disconnected = moved_root = renamed = 0
+        for a, out in zip(cases, family("fold")):
+            ends = {v for o, _, t in a.arcs for v in (o, t)}
+            isolated += len(ends | {a.basepoint}) < a.num_vertices
+            reached = {a.basepoint}
+            for _ in range(a.num_vertices):
+                reached |= {v for o, _, t in a.arcs if {o, t} & reached for v in (o, t)}
+            disconnected += bool(ends - reached)
+            folding = _Folding(a.num_vertices, a.arcs, [None] * len(a.arcs))
+            least = {}
+            for v in range(a.num_vertices):
+                least.setdefault(folding.find(v), v)
+            moved_root += any(root != v for root, v in least.items())
+            renamed += _fold_by_roots(a) != out
+        assert min(isolated, disconnected) >= 20, (isolated, disconnected)
+        assert moved_root >= 20 and renamed >= 10, (moved_root, renamed)
 
     def test_member_reads(self):
         """The member family reads automata with lab1 != 0 and with torsion,
