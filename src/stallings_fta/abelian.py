@@ -13,11 +13,17 @@ coset witnesses) is plain lattice arithmetic.
 
 Every Hermite form comes from one row elimination, _hnf_inplace.  It carries
 one tag vector per row through the same row operations and returns the
-pivot map {pivot column: row}, the one way a Hermite form is held and
-solved against.  The tags say what is tracked: identity tags give kernels
-and solutions, each row's L1-part gives coset witnesses and L1 & L2, and
-e_i on row i of D gives the preimage (L)D^-1.  snf is the one other
+pivot map {pivot column: row}, the one way a Hermite form is held.  The
+tags say what is tracked: identity tags give kernels and solutions (the
+D-part of the kernel of [D; -L] generates the preimage (L)D^-1), and each
+row's L1-part gives coset witnesses and L1 & L2.  snf is the one other
 elimination.
+
+_reduce is the one reduction against a pivot map: it floor-reduces a
+vector at each pivot in turn and returns the quotients and the residual.
+reduce_mod keeps the residual, the canonical coset representative; every
+solve keeps the quotients when the residual is zero, as they are then the
+vector's coefficients in the Hermite rows.
 
 All arithmetic uses Python integers; intermediate entries in normal-form
 computations can exceed machine words even for small inputs.
@@ -174,22 +180,28 @@ def solve_left(
     return None if coeff is None else vec_mat(coeff, tags, len(mat))
 
 
-def _solve_hnf(pivots: dict[int, Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
-    """Some x with x @ (the pivot rows) == target, for the pivot map of a
-    Hermite form; None if target is not in its row space."""
-    resid = list(target)
-    coeff = []
+def _reduce(pivots: dict[int, Sequence[int]], vec: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotients, residual): vec floor-reduced at each pivot of a Hermite
+    form's pivot map in turn, so vec == quotients @ (the pivot rows) +
+    residual with each residual pivot entry in [0, pivot).  The residual is
+    zero exactly when vec is in the row space, and the quotients are then
+    its coefficients."""
+    resid = list(vec)
+    quotients = []
     for c, row in pivots.items():
-        q, rem = divmod(resid[c], row[c])
-        if rem:
-            return None
-        coeff.append(q)
+        q = resid[c] // row[c]
+        quotients.append(q)
         if q:
             for j in range(c, len(row)):
                 resid[j] -= q * row[j]
-    if any(resid):
-        return None
-    return coeff
+    return quotients, resid
+
+
+def _solve_hnf(pivots: dict[int, Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
+    """The x with x @ (the pivot rows) == target, for the pivot map of a
+    Hermite form; None if target is not in its row space."""
+    coeff, resid = _reduce(pivots, target)
+    return None if any(resid) else coeff
 
 
 @dataclass(frozen=True)
@@ -387,6 +399,7 @@ class AbelianSubgroup:
     lattice_basis: Matrix = ()
 
     def __post_init__(self):
+        _check_integers(self.lattice_basis, "generator entry")
         rows = _matrix((*self.lattice_basis, *self.spec.relation_rows()), self.spec.m)
         # _pivots: pivot column -> the Hermite row whose pivot is there, in row order
         object.__setattr__(self, "_pivots", _hnf_inplace(rows))
@@ -397,7 +410,6 @@ class AbelianSubgroup:
         for g in gens:
             if len(g) != spec.m:
                 raise ValueError(f"generator length {len(g)} != ambient length {spec.m}")
-        _check_integers(gens, "generator entry")
         return cls(spec, tuple(tuple(g) for g in gens))
 
     @classmethod
@@ -423,13 +435,7 @@ class AbelianSubgroup:
         """Canonical coset representative: floor-reduce at each HNF pivot."""
         if len(vec) != self.spec.m:
             raise ValueError("dimension mismatch")
-        resid = list(vec)
-        for c, row in self._pivots.items():
-            q = resid[c] // row[c]
-            if q:
-                for j in range(c, self.spec.m):
-                    resid[j] -= q * row[j]
-        return tuple(resid)
+        return tuple(_reduce(self._pivots, vec)[1])
 
     def sum(self, other: "AbelianSubgroup") -> "AbelianSubgroup":
         if self.spec != other.spec:
@@ -546,18 +552,16 @@ def preimage_under_matrix(l: AbelianSubgroup, d_rows: Sequence[Sequence[int]]) -
     """The lattice (L)D^-1 = {v in Z^r : v @ D in L}, canonical in Z^r.
 
     D is an r x m integer matrix given by rows; the result always contains
-    ker D and is returned as a subgroup of the free group Z^r.  Row i of
-    [D; -L] is tagged e_i and each row of -L zero, so the tags past the
-    pivots are the D-parts of a left kernel basis: they generate (L)D^-1.
+    ker D and is returned as a subgroup of the free group Z^r.  v @ D lies
+    in L exactly when some (v, u) has (v, u) @ [D; -L] == 0, so the D-parts
+    of a left kernel basis of [D; -L] generate (L)D^-1.
     """
     r, m = len(d_rows), l.spec.m
     for row in d_rows:
         if len(row) != m:
             raise ValueError("dimension mismatch")
-    b = l.lattice_basis
-    tags = _identity_rows(r) + [[0] * r for _ in b]
-    pivots = _hnf_inplace(_matrix(tuple(d_rows) + tuple(map(vec_neg, b)), m), tags)
-    return AbelianSubgroup(AbelianSpec(r), tuple(map(tuple, tags[len(pivots):])))
+    ker = kernel((*d_rows, *map(vec_neg, l.lattice_basis)), m)
+    return AbelianSubgroup(AbelianSpec(r), tuple(x[:r] for x in ker))
 
 
 def image_invariants(

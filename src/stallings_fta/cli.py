@@ -245,29 +245,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot": dict(action="store_true"),
     }
 
-    def add(name, func, *, elements=0, element_arg=False, reads=()):
+    def add(name, func, *positionals, reads=()):
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file")
-        if elements == 1:
-            p.add_argument("subgroup")
-        elif elements == 2:
-            p.add_argument("subgroup1")
-            p.add_argument("subgroup2")
-        if element_arg:
-            p.add_argument("element")
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--json", action="store_true")
         for flag in reads:
             p.add_argument(flag, **options[flag])
         p.set_defaults(func=func)
-        return p
 
-    add("basis", cmd_basis, elements=1)
-    add("member", cmd_member, elements=1, element_arg=True)
-    add("index", cmd_index, elements=1)
-    add("transversal", cmd_transversal, elements=1, reads=("--strict", "--limit"))
-    add("intersect", cmd_intersect, elements=2, reads=("--strict", "--max-radius", "--dot"))
-    add("cayley", cmd_cayley, elements=2, reads=("--max-radius",))
-    add("dot", cmd_dot, elements=1)
+    add("basis", cmd_basis, "subgroup")
+    add("member", cmd_member, "subgroup", "element")
+    add("index", cmd_index, "subgroup")
+    add("transversal", cmd_transversal, "subgroup", reads=("--strict", "--limit"))
+    add("intersect", cmd_intersect, "subgroup1", "subgroup2",
+        reads=("--strict", "--max-radius", "--dot"))
+    add("cayley", cmd_cayley, "subgroup1", "subgroup2", reads=("--max-radius",))
+    add("dot", cmd_dot, "subgroup")
     return parser
 
 

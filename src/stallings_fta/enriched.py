@@ -436,6 +436,7 @@ def member(e: EnrichedAutomaton, g: GroupElement) -> bool:
     """Subgroup membership of w t^a: a minus the walk's value lies in L."""
     if len(g.vec) != e.ambient.m:
         raise ValueError("abelian part has the wrong length")
+    _check_integers([g.vec], "abelian coordinate")
     total = _walk_value(e, g.word)
     return total is not None and e.base.contains(vec_sub(g.vec, total))
 

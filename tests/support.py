@@ -2,7 +2,7 @@
 
 import re
 from collections import deque
-from typing import Sequence
+from typing import Optional, Sequence
 
 from stallings_fta.abelian import (
     AbelianSpec,
@@ -35,6 +35,14 @@ from stallings_fta.words import (
 
 F2Z = Ambient(2, AbelianSpec(1))
 F2Z2 = Ambient(2, AbelianSpec(2))
+# the abelian parts the lattice-layer tests run over: free, torsion and mixed
+LATTICE_SPECS = {
+    "Z": AbelianSpec(1),
+    "Z^2": AbelianSpec(2),
+    "Z^3": AbelianSpec(3),
+    "Z+Z6": AbelianSpec(1, (6,)),
+    "Z2+Z4": AbelianSpec(0, (2, 4)),
+}
 
 
 def elements(ambient, *pairs):
@@ -327,6 +335,24 @@ def image_invariants_by_row(l, d_rows):
         y = vec_mat(_solve_hnf(pivots, row), dec.Q, len(pivots))
         gens.append(tuple(y[j] % factors[j] if factors[j] else y[j] for j in keep))
     return deltas, tuple(gens)
+
+
+def reference_solve_hnf(pivots: dict[int, Sequence[int]], target: Sequence[int]) -> Optional[list[int]]:
+    """Some x with x @ (the pivot rows) == target, for the pivot map of a
+    Hermite form; None if target is not in its row space."""
+    resid = list(target)
+    coeff = []
+    for c, row in pivots.items():
+        q, rem = divmod(resid[c], row[c])
+        if rem:
+            return None
+        coeff.append(q)
+        if q:
+            for j in range(c, len(row)):
+                resid[j] -= q * row[j]
+    if any(resid):
+        return None
+    return coeff
 
 
 class RowCayleyBall:

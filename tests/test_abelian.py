@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -15,12 +16,13 @@ from stallings_fta.abelian import (
     preimage_under_matrix,
     snf,
     solve_left,
+    vec_add,
     vec_mat,
     vec_sub,
     INFINITY,
 )
 from stallings_fta import abelian
-from support import image_invariants_by_row, mat_mul
+from support import LATTICE_SPECS, image_invariants_by_row, mat_mul, reference_solve_hnf
 
 Z2 = AbelianSpec(2)
 Z1 = AbelianSpec(1)
@@ -280,6 +282,69 @@ class TestWitness:
             if c is not None:
                 assert l1.contains(vec_sub(c, a))
                 assert l2.contains(vec_sub(c, b))
+
+
+class TestReduce:
+    """_reduce against the pivot rows, and _solve_hnf against the divmod solve
+    it replaced (support.reference_solve_hnf), on the pivot maps of seeded
+    subgroups of every LATTICE_SPECS shape and of CosetIntersection stacks
+    [L1; -L2].  The targets are solvable, leave a remainder at a pivot, add
+    a part that is nonzero only off the pivots to a solvable one, or are
+    random."""
+
+    @staticmethod
+    def pivot_maps(rng):
+        """(m, pivot map) pairs: a subgroup's own, then its stack with another."""
+        for spec in LATTICE_SPECS.values():
+            m = spec.m
+            for i in range(12):
+                bound = (2, 5, 30)[i % 3]
+                l1, l2 = (sub(spec, *[tuple(rng.randint(-bound, bound) for _ in range(m))
+                                      for _ in range(rng.randint(0, m + 2))]) for _ in range(2))
+                yield m, l1._pivots
+                yield m, CosetIntersection(l1, l2)._pivots
+
+    @staticmethod
+    def targets(rng, m, pivots):
+        """(kind, target, its quotients or None, whether it is solvable or
+        None) for each kind of target."""
+        rows = list(pivots.values())
+        for _ in range(6):
+            coeff = [rng.randint(-3, 3) for _ in rows]
+            inside = vec_mat(coeff, rows, m)
+            yield "solvable", inside, coeff, True
+            c, row = rng.choice(list(pivots.items())) if rows else (None, None)
+            if row is not None and row[c] > 1:
+                k = rng.randint(1, row[c] - 1) + row[c] * rng.randint(-2, 2)
+                yield "remainder", tuple(a + k * (j == c) for j, a in enumerate(inside)), None, False
+            off = [j for j in range(m) if j not in pivots]
+            if off:
+                part = [rng.choice((-1, 1)) * rng.randint(1, 9) if j in off else 0
+                        for j in range(m)]
+                # the quotients read only the pivot columns, so they are inside's
+                yield "off-pivot", vec_add(inside, part), coeff, False
+            yield "random", tuple(rng.randint(-40, 40) for _ in range(m)), None, None
+
+    def test_matches_the_reference_solve(self):
+        rng = random.Random("reduce")
+        kinds = collections.Counter()
+        for m, pivots in self.pivot_maps(rng):
+            rows = list(pivots.values())
+            for kind, target, expected, solvable in self.targets(rng, m, pivots):
+                quotients, resid = abelian._reduce(pivots, target)
+                assert vec_add(vec_mat(quotients, rows, m), resid) == tuple(target)
+                assert all(0 <= resid[c] < row[c] for c, row in pivots.items())
+                solved = abelian._solve_hnf(pivots, target)
+                assert solved == reference_solve_hnf(pivots, target)
+                assert solved == (quotients if not any(resid) else None)
+                if expected is not None:
+                    assert quotients == expected
+                if solvable is not None:
+                    assert (solved is not None) == solvable
+                kinds[kind, solved is not None] += 1
+        assert min(kinds["solvable", True], kinds["remainder", False],
+                   kinds["off-pivot", False]) >= 50, kinds
+        assert min(kinds["random", True], kinds["random", False]) >= 20, kinds
 
 
 class TestPreimage:
@@ -572,6 +637,8 @@ class TestRejections:
          "generator entry 1.5 is not an integer"),
         (lambda: AbelianSubgroup.from_generators(Z2, [(1, 0), (0, "2")]),
          "generator entry '2' is not an integer"),
+        (lambda: AbelianSubgroup(Z1, ((1.5,),)), "generator entry 1.5 is not an integer"),
+        (lambda: AbelianSubgroup(Z2, ((1, 0), (0, "2"))), "generator entry '2' is not an integer"),
         (lambda: sub(Z2, (1, 0)).reduce_mod((1,)), "dimension mismatch"),
         (lambda: sub(Z2, (1, 0)).sum(sub(Z1, (1,))), "mismatched ambient abelian groups"),
         (lambda: CosetIntersection(sub(Z2, (1, 0)), sub(Z1, (1,))),
@@ -585,7 +652,8 @@ class TestRejections:
         (lambda: hnf([(1, 2), (3,)]), "ragged matrix"),
         (lambda: kernel([(1,)], 2), "ragged matrix"),
     ], ids=["negative-rank", "torsion-zero", "float-rank", "float-torsion", "string-torsion",
-            "generator-length", "float-generator", "string-generator", "reduce-length", "sum-specs",
+            "generator-length", "float-generator", "string-generator", "direct-float",
+            "direct-string", "reduce-length", "sum-specs",
             "coset-specs", "witness-a-length", "witness-b-length", "preimage-width",
             "image-width", "hnf-ragged", "kernel-width"])
     def test_rejected_with_its_message(self, call, message):

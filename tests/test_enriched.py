@@ -743,6 +743,16 @@ class TestCompletionMembership:
         with pytest.raises(ValueError, match="abelian part has the wrong length"):
             member(e, GroupElement((2,), (0, 0)))  # not read by the skeleton either
 
+    @pytest.mark.parametrize("vec, shown", [((1.5,), "1.5"), (("3",), "'3'"), ((3.0,), "3.0")],
+                             ids=["float", "string", "integral-float"])
+    def test_member_rejects_a_coordinate_that_is_not_an_integer(self, vec, shown):
+        e = stallings(F2Z, elems(F2Z, ((1,), (3,))))  # <x1 t^3>
+        assert member(e, GroupElement((1,), (3,)))
+        for word in ((1,), (2,)):  # read by the skeleton, and not
+            with pytest.raises(ValueError) as info:
+                member(e, GroupElement(word, vec))
+            assert str(info.value) == f"abelian coordinate {shown} is not an integer"
+
     def test_letters_past_n_are_not_read(self):
         # <x1^2, x1 x2 x1^-1>: x1 swaps the two vertices and x2 loops at vertex 1.
         # A step key of letter 3 at vertex 0 is the key of x2^-1 at vertex 1, so

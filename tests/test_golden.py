@@ -101,6 +101,7 @@ from stallings_fta.words import (
     word_coordinates,
 )
 from support import (
+    LATTICE_SPECS,
     element_tokens,
     gets_stuck,
     joined,
@@ -138,13 +139,6 @@ GOLDEN = {
     "walk": "fa18de48af76b18379239cf7e18329c0ab23409ba625ad0b300ac5c3afeacbaa",
     "extension": "852a0777f780c32d9ee5b41c7085eafb5a6a0731b832d849d6fa848347944fab",
     "fold": "dfcf19181b18ceea4e84eb670d3e3cce589f960715871a711891e9aee927a8dc",
-}
-LATTICE_SPECS = {
-    "Z": AbelianSpec(1),
-    "Z^2": AbelianSpec(2),
-    "Z^3": AbelianSpec(3),
-    "Z+Z6": AbelianSpec(1, (6,)),
-    "Z2+Z4": AbelianSpec(0, (2, 4)),
 }
 LATTICE_CASES = 24
 MAX_D_ROWS = 40
